@@ -105,14 +105,16 @@ def read_stream(path, sidecar=None) -> list:
 # -- cluster ---------------------------------------------------------------
 
 def check_cluster(model: Model, truth: gen.Truth) -> dict:
-    """Chains name existing clusters, expert weights sum to 1, EM traces
-    never decrease.  Returns EM counts for the report."""
+    """Chains name existing clusters, the top level holds the planted
+    number of clusters, expert weights sum to 1, EM traces never
+    decrease.  Returns EM counts for the report."""
     m = model.manifest
     stages = m["stages"]
     _require(sorted(m["languages"]) == sorted(gen.LANGS), f"languages {m['languages']}")
     _require(sorted(m["families"]) == sorted(gen.FAMILIES), f"families {m['families']}")
     family_of = {lang: f for f, langs in gen.FAMILIES.items() for lang in langs}
     n_multi = len(stages["multi"]["members"])
+    _require(n_multi == gen.SUPER_GROUPS, f"{n_multi} top-level clusters, {gen.SUPER_GROUPS} planted")
     for lang, words in truth.vectors.items():
         n_single = len(stages["single"][lang]["members"])
         n_family = len(stages["family"][family_of[lang]]["members"])
@@ -307,12 +309,10 @@ def check_report(paths: dict, summary: dict, model: Model) -> None:
     for q in sorted(set(labels.tolist())):
         inside, outside = matrix[labels == q], matrix[labels != q]
         intra = float(pdist(inside).mean()) if len(inside) >= 2 else 0.0
-        nearest = float(cdist(inside, outside).min(axis=1).mean()) if len(outside) else None
-        row = rows[int(np.flatnonzero(labels == q)[0])]
-        _close(float(row["mean_intra_distance"]), intra, 1e-9, f"cluster {q} cohesion", 1e-12)
-        if nearest is None:
-            _require(row["mean_nearest_other"] == "", f"cluster {q}: separation without other clusters")
-        else:
+        nearest = float(cdist(inside, outside).min(axis=1).mean())
+        for i in np.flatnonzero(labels == q):
+            row = rows[i]
+            _close(float(row["mean_intra_distance"]), intra, 1e-9, f"cluster {q} cohesion", 1e-12)
             _close(float(row["mean_nearest_other"]), nearest, 1e-9, f"cluster {q} separation", 1e-12)
     circles = paths["svg"].read_text(encoding="utf-8").count("<circle")
     _require(circles == len(keys), f"SVG has {circles} circles for {len(keys)} words")

@@ -9,7 +9,10 @@ positions.  The program sees only the files.
 
 Vocabulary.  Words come in cross-lingual groups: one group centre per
 concept, a small family and language offset, and per-word noise, so a
-word sits near its translations.  Vectors are scaled like pre-trained
+word sits near its translations.  Group centres sit around one of
+SUPER_GROUPS well-separated super-centres, the same in every language,
+so the top-level stage finds SUPER_GROUPS non-empty clusters, each
+holding several languages.  Vectors are scaled like pre-trained
 word vectors (norms of 3 to 4 units, printed with five decimals), so the
 transport kernel ``exp(-C / 0.1)`` between sentence rows stays far from
 underflow, as it does on real vectors.
@@ -58,11 +61,16 @@ TOKEN_OOV_SHARE = 0.03
 # the seed, so cluster time would measure the seed more than the code; a
 # cap below the fewest seen makes every seed run the same EM work.
 GMM_MAX_ITER = 15
-# One top-level cluster.  With ``k.multi = auto`` the number of non-empty
-# top-level clusters varies with the seed (1 to 4 were seen), and augment's
-# cost per role grows with its candidate pool, so augment time measured the
-# seed; with one, every pool is all words of the other languages.
-K_MULTI = 1
+# Planted top-level clusters: concept group g belongs to super-group
+# g % SUPER_GROUPS, and ``k.multi`` is set to the same number.  With
+# ``auto`` the number of non-empty top-level clusters varied with the
+# seed (1 to 4 were seen), and with one cluster the checks on candidate
+# clusters and cluster separation could not fail.  The top-level stage
+# clusters member-share-weighted centres, so its clusters mix
+# super-groups and their sizes vary with the seed, but their number
+# does not (``checks.check_cluster`` requires it).
+SUPER_GROUPS = 3
+SUPER_NORM, GROUP_NORM = 3.0, 1.5
 # The regularizer's operating point, written into the config so the
 # checks recompute the losses with the same values.
 OT_EPSILON, OT_TAIL, OT_ETA, OT_TOL = 0.1, 300, 0.001, 1e-9
@@ -97,7 +105,8 @@ class Truth:
 def _vocabulary(rng, words: int, dim: int):
     groups = words // WORDS_PER_GROUP
     scale = 1.0 / np.sqrt(dim)
-    centres = rng.normal(size=(groups, dim)) * 3.0 * scale
+    supers = rng.normal(size=(SUPER_GROUPS, dim)) * SUPER_NORM * scale
+    centres = supers[np.arange(groups) % SUPER_GROUPS] + rng.normal(size=(groups, dim)) * GROUP_NORM * scale
     fam_shift = {f: rng.normal(size=dim) * 0.5 * scale for f in FAMILIES}
     lang_shift = {lang: rng.normal(size=dim) * 0.3 * scale for lang in LANGS}
     n_noun = int(round(groups * NOUN_SHARE))
@@ -230,7 +239,7 @@ def write_inputs(root, workload: str, seed: int) -> Truth:
         + f"seed = {seed}\n"
         f"copies = {spec['copies']}\n"
         f"gmm.max_iter = {GMM_MAX_ITER}\n"
-        f"k.multi = {K_MULTI}\n"
+        f"k.multi = {SUPER_GROUPS}\n"
         f"ot.epsilon = {OT_EPSILON}\n"
         f"ot.tail = {OT_TAIL}\n"
         f"ot.eta = {OT_ETA}\n"

@@ -8,10 +8,19 @@ imported, so those names are wrapped there as well.  Counts are read from
 the values the layers return (``TransportPlan`` fields, the length of a
 ``GmmModel`` trace).  The wrappers stay for the life of the process, so
 install them only in a process that runs one traced command.
+
+``python3 bench/layers.py '<argv as JSON>'`` is that process: a fresh
+interpreter that installs the wrappers, runs one ``psda.cli.main`` call
+and prints its result, with its own peak RSS, as one JSON line.  The
+peak is ``VmHWM``, which starts afresh at exec; ``ru_maxrss`` would not
+do, since Linux carries the parent's resident set over into it when the
+parent starts the child.
 """
 
 import functools
+import statistics
 import time
+import types
 from collections import defaultdict
 
 # Time keys, one per layer boundary; each command's self time is its wall
@@ -36,12 +45,14 @@ class Tracer:
     def __init__(self):
         self.seconds = defaultdict(float)
         self.counts = defaultdict(int)
+        self.calls = 0
 
     def _wrap(self, module, name, key, count=None):
         fn = getattr(module, name)
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            self.calls += 1
             start = time.perf_counter()
             try:
                 out = fn(*args, **kwargs)
@@ -61,6 +72,7 @@ class Tracer:
         def wrapper(*args, **kwargs):
             it = iter(fn(*args, **kwargs))
             while True:
+                self.calls += 1
                 start = time.perf_counter()
                 try:
                     item = next(it)
@@ -122,4 +134,48 @@ class Tracer:
         self._wrap(report, "write_report_svg", "report.write")
 
     def snapshot(self) -> dict:
-        return {"seconds": dict(self.seconds), "counts": dict(self.counts)}
+        return {"seconds": dict(self.seconds), "counts": dict(self.counts), "calls": self.calls}
+
+
+def wrapper_cost(calls: int = 20000, repeats: int = 7) -> float:
+    """Seconds one wrapper adds to a call: the median, over ``repeats``
+    batches, of the gap between a wrapped and a bare no-op call."""
+
+    def noop():
+        return None
+
+    host = types.SimpleNamespace(noop=noop)
+    wrapped = Tracer()._wrap(host, "noop", "noop")
+    gaps = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            noop()
+        mid = time.perf_counter()
+        for _ in range(calls):
+            wrapped()
+        gaps.append((time.perf_counter() - mid - (mid - start)) / calls)
+    return statistics.median(gaps)
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set since exec, in MB."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("/proc/self/status has no VmHWM line")
+
+
+if __name__ == "__main__":
+    import json
+    import sys
+
+    import run  # pins BLAS threads before numpy loads
+
+    run._load_psda()
+    tracer = Tracer()
+    tracer.install()
+    result = run._run_command(json.loads(sys.argv[1]), tracer)
+    result["rss_mb"] = peak_rss_mb()
+    print(json.dumps(result))

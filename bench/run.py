@@ -1,21 +1,23 @@
 """Benchmark of the psda pipeline: cluster -> augment -> loss -> report.
 
     python3 bench/run.py                      # every workload, seed 1
-    python3 bench/run.py --workload many-pairs --seed 3 --seconds 45 --trace 0
+    python3 bench/run.py --workload many-pairs --seed 3 --trace 0
 
 Each run writes seeded inputs (``gen.py``), then runs whole rounds of the
-workload's schedule through ``psda.cli.main`` in this process while
-another round still fits in ``--seconds`` (at least one round).  The
-first round's outputs go through the independent checks in
-``checks.py``; every later round must reproduce them byte for byte.
-Outputs live in a scratch directory under ``bench/.work`` that the run
-removes.
+workload's schedule through ``psda.cli.main`` while another round still
+fits in the measuring time (at least one round).  That time is
+``--seconds``, by default ``run_seconds`` from ``BENCHMARK.json``, shared
+out equally when the run covers every workload.  The first round's
+outputs go through the independent checks in ``checks.py``; every later
+round must reproduce them byte for byte.  Outputs live in a scratch
+directory under ``bench/.work`` that the run removes.
 
-``--trace 0`` reports the end-to-end metrics, timed with nothing
-installed.  ``--trace 1`` runs every command in a forked child so that
-``os.wait4`` yields that command's own peak RSS, alternates untraced and
-traced rounds, and reports the per-layer metrics of ``layers.py`` plus
-the tracing overhead: the gap between the two kinds of round.
+``--trace 0`` reports the end-to-end metrics, timed in this process with
+nothing installed and scaled to a reference machine speed (see
+``reference_kernel``).  ``--trace 1`` runs every command in a fresh
+interpreter (``layers.py``) that installs the per-layer wrappers and
+reports its own peak RSS, and prints the per-layer metrics plus the
+tracing overhead: the wrapper calls times the measured cost of one.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  Each command
@@ -52,6 +54,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
+SPEC = ROOT / "BENCHMARK.json"
 SRC = ROOT / "src"
 WORK = BENCH / ".work"
 COMMANDS = ("cluster", "augment", "loss", "report")
@@ -72,6 +75,10 @@ EXPECTED_FAILURE = ("large-vocab", "report", "cluster_stats")
 # the machine's overcommit policy, and keeps a run from exhausting memory.
 ADDRESS_SPACE_LIMIT = 8 << 30
 SETUP_REPEATS = 7
+# Every end-to-end time is reported as on a machine where
+# ``reference_kernel`` takes this long (about its median on the 2-CPU
+# machine the benchmark was tuned on).
+REFERENCE_SECONDS = 0.05
 PSDA_MODULES = ("cli", "config", "taxonomy", "embeddings", "corpus", "gmm", "domino",
                 "model_io", "augment", "binio", "otreg", "report")
 SETUP_IMPORTS = "import " + ", ".join(f"psda.{m}" for m in PSDA_MODULES)
@@ -89,15 +96,38 @@ def _load_psda():
         sys.exit(f"imported psda from {module.__file__}, not from {SRC}")
 
 
-def measure_setup() -> float:
+def reference_kernel() -> float:
+    """Wall time of a fixed numpy computation, taken before every timed
+    command and set-up.
+
+    The machines this benchmark was tuned on change speed by up to a half
+    for minutes at a time (the same ``loss`` took 5.0 s in one run and
+    8.0 s in another), which no number of samples within one run evens
+    out.  This kernel slows down and speeds up with them, so end-to-end
+    times are multiplied by REFERENCE_SECONDS over the run's median kernel
+    time: they are the times on a machine where the kernel takes
+    REFERENCE_SECONDS.  It is the benchmark's own code and stays the same
+    from one version of psda to the next.
+    """
+    import numpy as np
+
+    a = np.random.default_rng(0).normal(size=(3000, 117))
+    start = time.perf_counter()
+    for _ in range(60):
+        float(((a - a[:8].mean(axis=0)) ** 2).sum())
+    return time.perf_counter() - start
+
+
+def measure_setup(kernel_s: list) -> float:
     """Median wall time of a fresh interpreter importing psda's command
     modules (numpy and scipy included), after one untimed warm-up that
-    fills the bytecode cache."""
+    fills the bytecode cache.  Appends a kernel time per repeat."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [sys.executable, "-c", SETUP_IMPORTS]
     subprocess.run(argv, env=env, check=True, cwd=ROOT)
     times = []
     for _ in range(SETUP_REPEATS):
+        kernel_s.append(reference_kernel())
         start = time.perf_counter()
         subprocess.run(argv, env=env, check=True, cwd=ROOT)
         times.append(time.perf_counter() - start)
@@ -140,36 +170,16 @@ def _run_command(argv: list, tracer=None) -> dict:
     return result
 
 
-def _run_forked(argv: list, traced: bool) -> dict:
-    """Run one command in a forked child; adds the child's peak RSS."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        try:
-            tracer = None
-            if traced:
-                from layers import Tracer
-
-                tracer = Tracer()
-                tracer.install()
-            payload = json.dumps(_run_command(argv, tracer))
-        except BaseException:
-            payload = json.dumps({"rc": None, "wall": 0.0, "stdout": "", "stderr": "",
-                                  "error": {"type": "BenchmarkChildError", "frames": [],
-                                            "message": traceback.format_exc()[-400:]}})
-        with os.fdopen(write_fd, "w") as fh:
-            fh.write(payload)
-        os._exit(0)
-    os.close(write_fd)
-    with os.fdopen(read_fd) as fh:
-        payload = fh.read()
-    _, _, usage = os.wait4(pid, 0)
-    result = json.loads(payload)
-    result["rss_mb"] = usage.ru_maxrss / 1024.0
-    return result
+def _run_traced(argv: list) -> dict:
+    """One command in a fresh interpreter with the layer wrappers
+    installed; the result adds that process's peak RSS."""
+    proc = subprocess.run([sys.executable, str(BENCH / "layers.py"), json.dumps(argv)],
+                          capture_output=True, text=True, cwd=ROOT)
+    if proc.returncode != 0:
+        return {"rc": None, "wall": 0.0, "stdout": "", "stderr": proc.stderr[-400:],
+                "error": {"type": "TracedChildError", "frames": [],
+                          "message": f"exit {proc.returncode}"}}
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _digest(out: dict, results: dict) -> str:
@@ -203,6 +213,7 @@ class Run:
         self.problems = []
         self.facts = {}
         self.first_digest = None
+        self.kernel_s = []
 
     def _expected_failure(self, command: str, result: dict) -> bool:
         workload, cmd, frame = EXPECTED_FAILURE
@@ -210,13 +221,18 @@ class Run:
         return (self.workload == workload and command == cmd and err is not None
                 and err["type"] == "MemoryError" and frame in err["frames"])
 
-    def round(self, forked: bool, traced: bool) -> dict:
+    def round(self, traced: bool) -> dict:
         """One pass over the schedule; maps each command to the list of
-        its invocation results."""
+        its invocation results, and ``_elapsed`` to the pass's wall time."""
         results = {c: [] for c in COMMANDS}
+        start = time.perf_counter()
         for command in self.schedule:
             argv = _argv(command, self.truth, self.out)
-            res = _run_forked(argv, traced) if forked else _run_command(argv)
+            if traced:
+                res = _run_traced(argv)
+            else:
+                self.kernel_s.append(reference_kernel())
+                res = _run_command(argv)
             results[command].append(res)
             self.attempted += 1
             if res["rc"] == 0:
@@ -228,7 +244,7 @@ class Run:
                     f"{command} failed: rc={res['rc']} error={res['error']} "
                     f"stderr={res['stderr'][-400:]!r}"
                 )
-        results["_traced"] = traced
+        results["_elapsed"] = time.perf_counter() - start
         self.rounds.append(results)
         if self.first_digest is None:
             self.first_digest = _digest(self.out, results)
@@ -259,14 +275,12 @@ class Run:
 
 def measure(run: Run, seconds: float, trace: bool) -> None:
     """Whole rounds while the next one, as long as the last, still fits in
-    ``seconds``; at least one round, and with tracing one of each kind."""
+    ``seconds``; at least one round."""
     spent = 0.0
     while True:
-        traced = trace and len(run.rounds) % 2 == 1
-        results = run.round(forked=trace, traced=traced)
-        last = sum(res["wall"] for c in COMMANDS for res in results[c])
+        last = run.round(traced=trace)["_elapsed"]
         spent += last
-        if run.problems or (len(run.rounds) >= 1 + trace and spent + last > seconds):
+        if run.problems or spent + last > seconds:
             return
 
 
@@ -275,12 +289,15 @@ def _median(values):
 
 
 def end_to_end(run: Run, setup_s: float) -> dict:
+    """Throughputs and set-up time in reference-machine seconds: each
+    median wall time times REFERENCE_SECONDS over the median kernel time."""
     rounds = run.rounds
     truth = run.truth
-    wall = {c: _median([res["wall"] for r in rounds for res in r[c]]) for c in COMMANDS}
+    scale = REFERENCE_SECONDS / _median(run.kernel_s)
+    wall = {c: scale * _median([res["wall"] for r in rounds for res in r[c]]) for c in COMMANDS}
     records = len(truth.sentences) * truth.copies
     return {
-        "setup_s": (setup_s, "s"),
+        "setup_s": (scale * setup_s, "s"),
         "cluster_words_per_s": (truth.word_count() / wall["cluster"], "words/s"),
         "augment_records_per_s": (records / wall["augment"], "records/s"),
         "loss_pairs_per_s": (records / wall["loss"], "pairs/s"),
@@ -289,13 +306,11 @@ def end_to_end(run: Run, setup_s: float) -> dict:
     }
 
 
-def per_layer(run: Run) -> dict:
+def per_layer(run: Run, call_cost: float) -> dict:
     from layers import self_seconds
 
-    traced = [r for r in run.rounds if r["_traced"]]
-    plain = [r for r in run.rounds if not r["_traced"]]
     samples = []
-    for r in traced:
+    for r in run.rounds:
         # one pipeline pass: per command, the mean over its invocations
         seconds, counts, wall, rss, self_s = defaultdict(float), defaultdict(int), {}, {}, {}
         for command in COMMANDS:
@@ -311,6 +326,7 @@ def per_layer(run: Run) -> dict:
                 seconds[k] += v
             for k, v in runs[0]["trace"]["counts"].items():
                 counts[k] += v
+            counts["calls"] += runs[0]["trace"]["calls"]
         s, n = seconds.__getitem__, counts.__getitem__
         samples.append({
             "embeddings.load_s": (s("embeddings.load"), "s"),
@@ -347,15 +363,10 @@ def per_layer(run: Run) -> dict:
             "rss.augment_mb": (rss["augment"], "MB"),
             "rss.loss_mb": (rss["loss"], "MB"),
             "rss.report_mb": (rss["report"], "MB"),
+            "trace.overhead_pct": (100.0 * n("calls") * call_cost / sum(wall.values()), "%"),
         })
-    metrics = {k: (_median([smp[k][0] for smp in samples]), unit)
-               for k, (_, unit) in samples[0].items()}
-    def round_wall(rounds):
-        return _median([sum(statistics.fmean(x["wall"] for x in r[c]) for c in COMMANDS)
-                        for r in rounds])
-
-    metrics["trace.overhead_pct"] = (100.0 * (round_wall(traced) / round_wall(plain) - 1.0), "%")
-    return metrics
+    return {k: (_median([smp[k][0] for smp in samples]), unit)
+            for k, (_, unit) in samples[0].items()}
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -363,12 +374,17 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     root = Path(tempfile.mkdtemp(prefix=f"{workload}-{seed}-", dir=WORK))
     try:
         run = Run(workload, seed, root)
-        setup_s = None if trace else measure_setup()
+        if trace:
+            from layers import wrapper_cost
+
+            call_cost = wrapper_cost()
+        else:
+            setup_s = measure_setup(run.kernel_s)
         measure(run, seconds, trace)
         correct = not run.problems
         metrics = {}
         if correct:
-            metrics = per_layer(run) if trace else end_to_end(run, setup_s)
+            metrics = per_layer(run, call_cost) if trace else end_to_end(run, setup_s)
         for problem in run.problems:
             print(f"[{workload}] {problem}", file=sys.stderr)
         rounds = len(run.rounds)
@@ -377,6 +393,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
               f"is the expected MemoryError); checks {'passed' if correct else 'FAILED'}")
         if run.facts:
             print(f"[{workload}] {json.dumps(run.facts, sort_keys=True)}")
+        if run.kernel_s:
+            print(f"[{workload}] reference kernel: median {_median(run.kernel_s):.4f} s of "
+                  f"{len(run.kernel_s)}; times below are scaled to {REFERENCE_SECONDS} s")
         for name, (value, unit) in metrics.items():
             print(f"[{workload}] {name:28s} {value:14.6g} {unit}")
         return {
@@ -396,7 +415,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=sorted(gen.WORKLOADS),
                     help="one workload; default runs every workload in turn")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=45.0)
+    ap.add_argument("--seconds", type=float,
+                    help="measuring time of the whole run; default run_seconds from BENCHMARK.json")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -406,7 +426,11 @@ def main(argv=None) -> int:
         resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
     workloads = [args.workload] if args.workload else list(gen.WORKLOADS)
-    results = [run_workload(w, args.seed, args.seconds, bool(args.trace)) for w in workloads]
+    seconds = args.seconds
+    if seconds is None:
+        seconds = json.loads(SPEC.read_text(encoding="utf-8"))["run_seconds"]
+    share = seconds / len(workloads)
+    results = [run_workload(w, args.seed, share, bool(args.trace)) for w in workloads]
     for result in results:
         print(json.dumps(result, sort_keys=True))
     return 0 if all(r["correct"] for r in results) else 1

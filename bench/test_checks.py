@@ -30,7 +30,7 @@ def done(request, tmp_path_factory):
     name = "small-sidecar" if request.param else "small-inline"
     gen.WORKLOADS[name] = dict(SMALL, sidecar=request.param)
     r = run.Run(name, 5, tmp_path_factory.mktemp(name))
-    results = r.round(forked=False, traced=False)
+    results = r.round(traced=False)
     return r, results
 
 
@@ -79,6 +79,42 @@ def test_corrupt_augmented_row_fails(done, restore):
         checks.check_augment(r.out, r.truth, model)
 
 
+def test_candidate_from_other_cluster_fails(done, restore):
+    """A candidate from another top-level cluster fails even when its row
+    holds that candidate's own vector."""
+    r, _ = done
+    model = checks.read_model(r.out["model"])
+    lines = r.out["aug"].read_text(encoding="utf-8").splitlines()
+    k, rec = next((k, json.loads(line)) for k, line in enumerate(lines)
+                  if json.loads(line).get("replacements"))
+    rep = rec["replacements"][0]
+    chains = model.manifest["chain"][rep["candidate_lang"]]
+    word = next(w for w, chain in chains.items() if chain[2] != rep["multi_cluster"])
+    rep["candidate_word"] = word
+    vector = r.truth.vectors[rep["candidate_lang"]][word]
+    if r.truth.sidecar:
+        ref = rec["matrix_ref"]["offset"]
+        side = bytearray(r.out["side"].read_bytes())
+        (ndim,) = struct.unpack_from("<I", side, ref + 8)
+        at = ref + 12 + 8 * ndim + 4 * rep["position"] * r.truth.dim
+        struct.pack_into(f"<{r.truth.dim}f", side, at, *vector)
+        r.out["side"].write_bytes(bytes(side))
+    else:
+        rec["matrix"][rep["position"]] = vector.tolist()
+    lines[k] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    r.out["aug"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(checks.CheckFailed, match="outside the source word's cluster"):
+        checks.check_augment(r.out, r.truth, model)
+
+
+def test_merged_top_level_clusters_fail(done):
+    r, _ = done
+    model = checks.read_model(r.out["model"])
+    model.manifest["stages"]["multi"]["members"].pop()
+    with pytest.raises(checks.CheckFailed, match="top-level clusters"):
+        checks.check_cluster(model, r.truth)
+
+
 @pytest.mark.parametrize("key, change", [
     ("loss_ot", lambda v: -0.5),
     ("loss_eig", lambda v: v * 1.001),
@@ -97,15 +133,19 @@ def test_corrupt_loss_value_fails(done, key, change):
         checks.check_loss("\n".join(lines), pairs)
 
 
-def test_corrupt_csv_coordinate_fails(done, restore):
+@pytest.mark.parametrize("column, match", [
+    ("pc1", "PCA coordinates"),
+    ("mean_nearest_other", "separation"),
+])
+def test_corrupt_csv_value_fails(done, restore, column, match):
     r, results = done
     model = checks.read_model(r.out["model"])
     text = r.out["csv"].read_text(encoding="utf-8").splitlines()
     header = text[1].split(",")
-    row = text[2].split(",")
-    col = header.index("pc1")
+    row = text[-1].split(",")
+    col = header.index(column)
     row[col] = repr(float(row[col]) + 1e-3)
-    text[2] = ",".join(row)
+    text[-1] = ",".join(row)
     r.out["csv"].write_text("\n".join(text) + "\n", encoding="utf-8")
-    with pytest.raises(checks.CheckFailed, match="PCA coordinates"):
+    with pytest.raises(checks.CheckFailed, match=match):
         checks.check_report(r.out, json.loads(results["report"][-1]["stdout"]), model)
