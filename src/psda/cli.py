@@ -7,9 +7,10 @@ analytic gradients, ``report`` renders a fitted model to CSV and SVG.
 
 Exit codes: 0 on success, 1 when a verification ran and failed (a
 gradient check out of tolerance, a non-finite loss), 2 for usage,
-configuration or input errors.  Errors are emitted to stderr as one
-JSON object.  Streams are line-delimited JSON with sorted keys; the
-first line of a stream is a ``meta`` record echoing the configuration.
+configuration or input errors and for running out of memory.  Errors
+are emitted to stderr as one JSON object.  Streams are line-delimited
+JSON with sorted keys; the first line of a stream is a ``meta`` record
+echoing the configuration.
 
 Heavy imports stay inside the command functions so ``--threads`` can
 pin BLAS pools through the environment before numpy first loads.
@@ -550,7 +551,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _fail(exc)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _fail(exc)
         return 2
 

@@ -9,7 +9,7 @@ predicting its weighted centers upward through the fitted stages.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -113,14 +113,7 @@ def _stage_from_fit(scope_id, member_ids, points, model: GmmModel, warnings) -> 
 
 
 def _scope_cfg(cfg: GmmConfig, k: int, *scope) -> GmmConfig:
-    return GmmConfig(
-        k=k,
-        covariance=cfg.covariance,
-        max_iter=cfg.max_iter,
-        tol=cfg.tol,
-        cov_floor=cfg.cov_floor,
-        seed=derive_seed(cfg.seed, *scope),
-    )
+    return replace(cfg, k=k, seed=derive_seed(cfg.seed, *scope))
 
 
 def cluster_single_language(

@@ -7,19 +7,29 @@ computed in the log domain (log-sum-exp) so high-dimensional densities do
 not underflow, and variances are floored so duplicated points cannot
 produce singular components.
 
+Both EM steps run as matrix products over all components at once: the
+E-step expands the Mahalanobis term and the M-step takes variances as
+E[x^2] - mean^2.  Each expansion is taken about the mean of the component
+means, and the few entries whose digits cancel are recomputed from the
+differences, so results match the direct per-component sums to rounding.
+
 Everything is a pure function of (points, config); the same seed yields a
 bit-identical model.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatchError, TooFewPointsError
-from .util import require_finite
+from .util import logsumexp, require_finite
 
 _LOG_2PI = np.log(2.0 * np.pi)
+# An expanded Mahalanobis term below this fraction of its raw terms, or an
+# expanded variance below this fraction of its raw second moment, has lost
+# too many digits to cancellation and is recomputed from the differences.
+_DENSITY_CANCEL = 1e-6
+_VARIANCE_CANCEL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,14 +54,7 @@ class GmmConfig:
             raise ValueError("max_iter must be >= 1")
 
     def with_k(self, k: int) -> "GmmConfig":
-        return GmmConfig(
-            k=k,
-            covariance=self.covariance,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            cov_floor=self.cov_floor,
-            seed=self.seed,
-        )
+        return replace(self, k=k)
 
 
 @dataclass
@@ -123,15 +126,26 @@ def seed_initialization(points: np.ndarray, cfg: GmmConfig) -> tuple[np.ndarray,
 
 
 def _log_density(points, means, variances, covariance):
-    """Per-component log Gaussian densities, shape (n, k)."""
-    n, d = points.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for c in range(k):
-        var = variances[c] if covariance == "diagonal" else np.full(d, variances[c])
-        diff2 = (points - means[c]) ** 2
-        out[:, c] = -0.5 * (d * _LOG_2PI + np.log(var).sum() + (diff2 / var).sum(axis=1))
-    return out
+    """Per-component log Gaussian densities, shape (n, k).
+
+    The Mahalanobis term is x^2.P - 2 x.(m P) + m^2.P with P the precisions,
+    about an origin that depends on the model alone, so a row's density
+    does not depend on the other rows.  Entries that cancel to below 1e-6
+    of x^2.P + m^2.P are summed from the differences instead.
+    """
+    d = points.shape[1]
+    var = variances if covariance == "diagonal" else np.repeat(variances[:, None], d, axis=1)
+    prec = 1.0 / var
+    shift = means.mean(axis=0)
+    x = points - shift
+    mu = means - shift
+    raw = (x * x) @ prec.T + np.sum(mu * mu * prec, axis=1)
+    quad = raw - 2.0 * (x @ (mu * prec).T)
+    cancelled = quad <= _DENSITY_CANCEL * raw
+    for c in np.flatnonzero(cancelled.any(axis=0)):
+        rows = np.flatnonzero(cancelled[:, c])
+        quad[rows, c] = ((points[rows] - means[c]) ** 2 / var[c]).sum(axis=1)
+    return -0.5 * (d * _LOG_2PI + np.log(var).sum(axis=1) + quad)
 
 
 def _log_responsibilities(points, means, variances, weights, covariance):
@@ -153,6 +167,28 @@ def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
         points, model.means, model.variances, model.mixing_weights, model.covariance
     )
     return np.exp(log_resp)
+
+
+def _m_step_variances(points, resp, means, counts, cfg: GmmConfig) -> np.ndarray:
+    """Floored centred second moments, the constrained M-step argmax.
+
+    Taken as E[x^2] - mean^2 about the mean of the component means.  A
+    component where 1e-8 of E[x^2] exceeds its floored variance in some
+    dimension is recomputed from the differences; the floor is part of
+    the test because a dimension shared by every member (zero variance)
+    only needs to land below it.
+    """
+    shift = means.mean(axis=0)
+    x = points - shift
+    mu = means - shift
+    second = (resp.T @ (x * x)) / counts[:, None]
+    sq = second - mu * mu
+    cancelled = (_VARIANCE_CANCEL * second > np.maximum(sq, cfg.cov_floor)).any(axis=1)
+    for c in np.flatnonzero(cancelled):
+        sq[c] = resp[:, c] @ (points - means[c]) ** 2 / counts[c]
+    if cfg.covariance == "diagonal":
+        return np.maximum(sq, cfg.cov_floor)
+    return np.maximum(sq.mean(axis=1), cfg.cov_floor)
 
 
 def gmm_fit(points, cfg: GmmConfig) -> GmmModel:
@@ -181,15 +217,7 @@ def gmm_fit(points, cfg: GmmConfig) -> GmmModel:
         safe_counts = np.maximum(counts, np.finfo(np.float64).tiny)
         weights = counts / n
         means = (resp.T @ points) / safe_counts[:, None]
-        new_vars = np.empty_like(variances)
-        for c in range(cfg.k):
-            # centered second moment, the constrained M-step argmax
-            sq = resp[:, c] @ (points - means[c]) ** 2 / safe_counts[c]
-            if cfg.covariance == "diagonal":
-                new_vars[c] = np.maximum(sq, cfg.cov_floor)
-            else:
-                new_vars[c] = max(float(sq.mean()), cfg.cov_floor)
-        variances = new_vars
+        variances = _m_step_variances(points, resp, means, safe_counts, cfg)
     if not converged:
         # refresh so assignments reflect the final parameters
         log_resp, norm = _log_responsibilities(points, means, variances, weights, cfg.covariance)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateSpectrumWarning,
@@ -29,7 +28,7 @@ from .errors import (
     ZeroMassMarginalError,
     ZeroVectorError,
 )
-from .util import require_finite
+from .util import logsumexp, require_finite
 
 WEIGHT_SUM_TOL = 1e-9
 SPECTRUM_TIE_TOL = 1e-8

@@ -30,6 +30,9 @@ PALETTE = (
     "#cc3311",
 )
 
+# rows of the distance matrix (and pairs summed exactly) held at once by cluster_stats
+_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class WordPoint:
@@ -101,26 +104,64 @@ def collect_points(model: ClusterModel) -> tuple[list[WordPoint], np.ndarray]:
     return points, explained
 
 
+def _pairwise_distances(
+    matrix: np.ndarray, centered: np.ndarray, sq: np.ndarray, rows: slice
+) -> np.ndarray:
+    """Euclidean distances from ``matrix[rows]`` to every row.
+
+    Uses |a|^2 + |b|^2 - 2 a.b on the centred rows; where that leaves less
+    than 1e-3 of |a|^2 + |b|^2 (the diagonal, near-duplicates) its digits
+    have cancelled and the squared distance is summed from the difference.
+    """
+    d2 = centered[rows] @ centered.T
+    d2 *= -2.0
+    raw = sq[rows, None] + sq[None, :]
+    d2 += raw
+    raw *= 1e-3
+    ii, jj = np.nonzero(d2 <= raw)
+    for s in range(0, ii.size, _BLOCK_ROWS):
+        i, j = ii[s : s + _BLOCK_ROWS], jj[s : s + _BLOCK_ROWS]
+        diff = matrix[rows.start + i] - matrix[j]
+        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+
+
 def cluster_stats(model: ClusterModel) -> list[ClusterStat]:
-    """Cohesion and separation per top-level cluster, in embedding space."""
+    """Cohesion and separation per top-level cluster, in embedding space.
+
+    Distances are taken a block of rows at a time against all N rows, so
+    memory grows as block x N, not N x N x d.
+    """
     keys, matrix = _stacked_embeddings(model)
-    labels = np.array([model.chain[lang][word][2] for lang, word in keys])
-    diff = matrix[:, None, :] - matrix[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    multi = [model.chain[lang][word][2] for lang, word in keys]
+    ids, labels = np.unique(multi, return_inverse=True)
+    # rows sorted by cluster, so each cluster's columns are one slice
+    order = np.argsort(labels, kind="stable")
+    matrix, labels = matrix[order], labels[order]
+    bounds = np.searchsorted(labels, np.arange(ids.size + 1))
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    sizes = np.diff(bounds)
+    centered = matrix - matrix.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centered, centered)
+    intra_sum = np.zeros(ids.size)
+    nearest_sum = np.zeros(ids.size)
+    for start in range(0, labels.size, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, labels.size))
+        dist = _pairwise_distances(matrix, centered, sq, rows)
+        own = labels[rows]
+        at = np.arange(own.size)
+        sums = np.stack([dist[:, lo:hi].sum(axis=1) for lo, hi in spans], axis=1)
+        intra_sum += np.bincount(own, weights=sums[at, own], minlength=ids.size)
+        if ids.size > 1:
+            mins = np.stack([dist[:, lo:hi].min(axis=1) for lo, hi in spans], axis=1)
+            mins[at, own] = np.inf
+            nearest_sum += np.bincount(own, weights=mins.min(axis=1), minlength=ids.size)
     stats = []
-    for q in sorted(set(int(v) for v in labels)):
-        inside = np.flatnonzero(labels == q)
-        outside = np.flatnonzero(labels != q)
-        if inside.size >= 2:
-            block = dist[np.ix_(inside, inside)]
-            intra = float(block[np.triu_indices(inside.size, k=1)].mean())
-        else:
-            intra = 0.0
-        if outside.size:
-            nearest = float(dist[np.ix_(inside, outside)].min(axis=1).mean())
-        else:
-            nearest = None
-        stats.append(ClusterStat(q, int(inside.size), intra, nearest))
+    for q, size, intra, nearest in zip(ids, sizes, intra_sum, nearest_sum):
+        # every pair was summed from both of its rows
+        intra = float(intra / (size * (size - 1))) if size >= 2 else 0.0
+        nearest = float(nearest / size) if ids.size > 1 else None
+        stats.append(ClusterStat(int(q), int(size), intra, nearest))
     return stats
 
 

@@ -1,4 +1,5 @@
-"""Small shared helpers: stable seed derivation and finiteness checks."""
+"""Small shared helpers: stable seed derivation, finiteness checks and a
+stable log-sum-exp."""
 
 import hashlib
 
@@ -26,3 +27,13 @@ def require_finite(arr: np.ndarray, what: str) -> None:
     """Raise NonFiniteInputError if ``arr`` contains NaN or Inf."""
     if not np.isfinite(arr).all():
         raise NonFiniteInputError(f"{what} contains NaN or Inf")
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis``, shifted by the maximum so large
+    entries do not overflow.  A slice that is all ``-inf`` gives ``-inf``."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max[~np.isfinite(a_max)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - a_max), axis=axis, keepdims=True)) + a_max
+    return np.squeeze(out, axis=axis)

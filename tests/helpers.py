@@ -6,6 +6,8 @@ corpus whose ground-truth grouping is known by construction.
 """
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -103,3 +105,17 @@ def synonym_stores(
                 group_of[(lang, word)] = g
         stores[lang] = store_from(lang, entries)
     return stores, group_of
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the psda under test.
+
+    The directory holding the imported package goes first on PYTHONPATH,
+    so the child neither depends on its cwd nor picks up another install.
+    """
+    import psda
+
+    env = dict(os.environ)
+    package_root = str(Path(psda.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env

@@ -8,7 +8,6 @@ assert on summaries, stream layouts, exit codes and determinism.
 import contextlib
 import io
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -19,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import conllu_block, read_stream, write_conllu
+from helpers import child_env, conllu_block, read_stream, write_conllu
 
 from psda.binio import read_array
 
@@ -453,22 +452,27 @@ class TestReport:
         assert csv2.read_bytes() == rendered.csv.read_bytes()
         assert svg2.read_bytes() == rendered.svg.read_bytes()
 
+    def test_memory_error_exits_2_with_json_line(self, built, tmp_path, monkeypatch):
+        import psda.report
+
+        def exhausted(model):
+            raise MemoryError("Unable to allocate 126. GiB")
+
+        monkeypatch.setattr(psda.report, "cluster_stats", exhausted)
+        code, stdout, err = invoke(
+            "report", "--model", built.model,
+            "--out-csv", tmp_path / "r.csv", "--out-svg", tmp_path / "r.svg",
+        )
+        assert code == 2
+        assert stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "MemoryError", "message": "Unable to allocate 126. GiB"
+        }
+
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def child_env() -> dict:
-    """Environment for a child interpreter that imports the psda under test.
-
-    The directory holding the imported package goes first on PYTHONPATH,
-    so the child neither depends on its cwd nor picks up another install.
-    """
-    import psda
-
-    env = dict(os.environ)
-    package_root = str(Path(psda.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
 
 
 def declared_console_script(tmp_path: Path) -> Path:

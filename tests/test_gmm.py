@@ -103,6 +103,40 @@ class TestGmmFit:
         assert np.max(np.abs(responsibilities(model, points) - resp)) <= 1e-8
 
     @pytest.mark.parametrize("covariance", ["diagonal", "spherical"])
+    def test_matches_reference_em_with_shared_constant_block(self, covariance):
+        # Groups 1e5 apart with a small spread, plus a block of columns that
+        # is constant within each group (like a frozen POS block): the
+        # expanded variances cancel in the spread columns and sit at zero,
+        # below the floor, in the constant ones.
+        rng = np.random.default_rng(21)
+        groups, per_group, free, fixed = 3, 10, 4, 3
+        rows = []
+        for g in range(groups):
+            center = rng.normal(size=free) * 1e5
+            spread = center + rng.normal(size=(per_group, free)) * 0.1
+            block = np.tile(rng.normal(size=fixed), (per_group, 1))
+            rows.append(np.hstack([spread, block]))
+        points = np.vstack(rows)
+        cfg = GmmConfig(k=groups, covariance=covariance, seed=2)
+        model = gmm_fit(points, cfg)
+        means, variances, weights, resp, trace = reference_em(points, cfg)
+        assert len(model.log_likelihood_trace) == len(trace)
+        assert np.max(np.abs(np.array(model.log_likelihood_trace) - trace)) <= 1e-8
+        assert np.max(np.abs(model.means - means)) <= 1e-8
+        assert np.max(np.abs(model.variances - variances)) <= 1e-8
+        assert np.max(np.abs(model.mixing_weights - weights)) <= 1e-8
+        assert np.max(np.abs(responsibilities(model, points) - resp)) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 31, 36, 37, 39, 64, 71, 96, 98])
+    def test_trace_monotone_on_cancellation_prone_fits(self, seed):
+        # acceptance #4's data at n=20, dim=50, k=5, on the seeds where an
+        # unguarded E-step expansion broke monotonicity
+        n, dim, k = 20, 50, 5
+        points = np.random.default_rng((seed, n, dim, k)).normal(size=(n, dim))
+        trace = np.asarray(gmm_fit(points, GmmConfig(k=k, seed=seed)).log_likelihood_trace)
+        assert np.all(np.diff(trace) >= -MONOTONE_SLACK)
+
+    @pytest.mark.parametrize("covariance", ["diagonal", "spherical"])
     @pytest.mark.parametrize("seed", range(5))
     def test_trace_monotone(self, covariance, seed):
         rng = np.random.default_rng(seed)
@@ -223,6 +257,14 @@ class TestPredict:
                 ]
             )
             assert gmm_predict(model, x) == int(np.argmax(log_joint))
+
+    @pytest.mark.parametrize("covariance", ["diagonal", "spherical"])
+    def test_matches_batch_responsibilities(self, covariance):
+        rng = np.random.default_rng(13)
+        points = rng.normal(size=(60, 5)) * 3.0 + 10.0
+        model = gmm_fit(points, GmmConfig(k=4, covariance=covariance, seed=6))
+        expected = np.argmax(responsibilities(model, points), axis=1)
+        assert [gmm_predict(model, x) for x in points] == expected.tolist()
 
     def test_dimension_mismatch(self):
         points = np.zeros((5, 2)) + np.arange(5)[:, None]

@@ -1,11 +1,17 @@
 """Projection, cluster summaries, and the flat-file report writers."""
 
 import csv
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from helpers import child_env
+
+import psda.report
 from psda.report import (
     ClusterStat,
     WordPoint,
@@ -214,6 +220,46 @@ class TestClusterStats:
                 assert stat.mean_nearest_other == pytest.approx(nearest, abs=1e-12)
             else:
                 assert stat.mean_nearest_other is None
+
+    def test_row_blocks_agree_with_one_block(self, pair_model, monkeypatch):
+        whole = cluster_stats(pair_model.model)
+        monkeypatch.setattr(psda.report, "_BLOCK_ROWS", 4)
+        blocked = cluster_stats(pair_model.model)
+        assert [(s.multi, s.size) for s in blocked] == [(s.multi, s.size) for s in whole]
+        for a, b in zip(blocked, whole):
+            assert a.mean_intra_distance == pytest.approx(b.mean_intra_distance, abs=1e-12)
+            assert a.mean_nearest_other == pytest.approx(b.mean_nearest_other, abs=1e-12)
+
+    def test_ten_thousand_words_fit_in_bounded_memory(self):
+        # An N x N x d difference array would need 87 GiB here; the child
+        # may map at most 1 GiB in all, interpreter and numpy included.
+        script = textwrap.dedent(
+            """
+            import resource
+            limit = 1 << 30
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            from types import SimpleNamespace
+            import numpy as np
+            from psda.report import cluster_stats
+            rng = np.random.default_rng(0)
+            chain, emb = {}, {}
+            for lang in ("aa", "bb"):
+                labels = rng.integers(0, 4, size=5000)
+                chain[lang] = {f"w{i}": (0, 0, int(q)) for i, q in enumerate(labels)}
+                emb[lang] = rng.normal(size=(5000, 117)) + labels[:, None]
+            stats = cluster_stats(SimpleNamespace(chain=chain, word_embeddings=emb))
+            assert [s.multi for s in stats] == [0, 1, 2, 3]
+            assert sum(s.size for s in stats) == 10000
+            for s in stats:
+                assert 0 < s.mean_intra_distance < 20 and 0 < s.mean_nearest_other < 20
+            """
+        )
+        env = child_env()
+        env.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_separated_groups_are_cohesive(self, pair_model):
         # synthetic groups sit far apart, so cohesion must beat separation

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psda.errors import NonFiniteInputError
-from psda.util import derive_seed, require_finite
+from psda.util import derive_seed, logsumexp, require_finite
 
 
 def test_derive_seed_is_stable():
@@ -42,3 +42,28 @@ def test_require_finite_passes_finite():
 def test_require_finite_rejects(bad):
     with pytest.raises(NonFiniteInputError, match="values"):
         require_finite(np.array([1.0, bad]), "values")
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_matches_direct_sum(axis):
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(4, 5)) * 10.0
+    direct = np.log(np.sum(np.exp(a), axis=axis))
+    assert np.max(np.abs(logsumexp(a, axis=axis) - direct)) <= 1e-12
+
+
+def test_logsumexp_large_entries_do_not_overflow():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(3, 6))
+    offset = 1.0e4
+    expected = offset + np.log(np.sum(np.exp(a), axis=1))
+    got = logsumexp(a + offset, axis=1)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - expected)) <= 1e-9
+
+
+def test_logsumexp_all_minus_inf_rows():
+    a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, np.log(3.0)]])
+    got = logsumexp(a, axis=1)
+    assert got[0] == -np.inf
+    assert got[1] == pytest.approx(np.log(4.0), abs=1e-15)
