@@ -175,9 +175,17 @@ def cmd_augment(args) -> int:
                     raise UnknownLanguageError(
                         f"no embeddings configured for language {rec.lang!r}"
                     )
+                mat = assemble_sentence(rec, stores[rec.lang], cfg.oov)
+                if not any(token in stores[rec.lang] for token in rec.tokens):
+                    # its matrix is all zero, a pair that loss cannot score; under
+                    # oov = error, assemble_sentence has raised already
+                    parse_warnings.append(
+                        f"{cfg.corpus_path}: sentence {' '.join(rec.tokens)!r} has no "
+                        f"token in the {rec.lang} vocabulary; skipped"
+                    )
+                    continue
                 source_id = f"s{parsed:06d}"
                 parsed += 1
-                mat = assemble_sentence(rec, stores[rec.lang], cfg.oov)
                 svo = {"subject": rec.subject, "verb": rec.verb, "object": rec.object}
                 if orig_fh is not None:
                     record = {
@@ -390,6 +398,7 @@ def cmd_loss(args) -> int:
                     "non_convergence_any": any_nonconv,
                     "max_marginal_error": max_err,
                     "config": cfg.echo(),
+                    "stream_config": (aug_meta or {}).get("config"),
                 }
             }
         )

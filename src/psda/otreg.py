@@ -17,7 +17,7 @@ task loss.  Both weight vectors must sum to one.
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -72,17 +72,21 @@ def cost_matrix(orig: np.ndarray, aug: np.ndarray, power: float = 1.0) -> np.nda
 
 @dataclass
 class TransportPlan:
-    """Converged (or best-effort) entropic transport plan and its scalings."""
+    """Entropic transport plan, converged or best-effort.
+
+    ``marginal_error`` is the number ``converged`` was decided on: the
+    largest row-marginal deviation of the last iterate, whose columns the
+    final update matched to b up to rounding.  After zero iterations the
+    plan is the kernel exp(-C/eps) and the error covers rows and columns.
+    """
 
     plan: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    kernel: np.ndarray
     epsilon: float
     iterations_used: int
     marginal_error: float
     converged: bool
-    log_domain: bool
+    # every solve runs in the log domain; kept for readers of the old field
+    log_domain: ClassVar[bool] = True
 
 
 def _check_marginal(w, size: int, name: str) -> np.ndarray:
@@ -100,37 +104,6 @@ def _check_marginal(w, size: int, name: str) -> np.ndarray:
     return w
 
 
-def _plan_error(plan, a, b) -> float:
-    row = np.abs(plan.sum(axis=1) - a).max()
-    col = np.abs(plan.sum(axis=0) - b).max()
-    return float(max(row, col))
-
-
-def _sinkhorn_log(cost, epsilon, a, b, max_iter, tol):
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
-    g = np.zeros(cost.shape[1])
-    f = np.zeros(cost.shape[0])
-    iterations = 0
-    converged = False
-    plan = np.exp(-cost / epsilon)
-    error = _plan_error(plan, a, b)
-    for it in range(1, max_iter + 1):
-        f = epsilon * log_a - epsilon * logsumexp((g[None, :] - cost) / epsilon, axis=1)
-        g = epsilon * log_b - epsilon * logsumexp((f[:, None] - cost) / epsilon, axis=0)
-        plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
-        error = _plan_error(plan, a, b)
-        iterations = it
-        if error <= tol:
-            converged = True
-            break
-    with np.errstate(over="ignore"):
-        u = np.exp(f / epsilon)
-        v = np.exp(g / epsilon)
-    return plan, u, v, iterations, error, converged
-
-
 def sinkhorn(
     cost: np.ndarray,
     epsilon: float,
@@ -138,15 +111,21 @@ def sinkhorn(
     b: Optional[np.ndarray] = None,
     max_iter: int = 1000,
     tol: float = 1e-9,
-    log_domain: Optional[bool] = None,
 ) -> TransportPlan:
     """Entropic OT between discrete marginals a and b under ``cost``.
 
-    Marginals default to uniform.  Scaling updates start from v = 1 and
-    alternate u = a / (K v), v = b / (K^T u) with K = exp(-cost/epsilon).
-    When the kernel underflows and a scaling denominator hits zero, the
-    solve restarts in the log domain (``log_domain=None`` is this auto
-    mode; True forces log domain, False forbids the fallback).
+    Marginals default to uniform.  One log-domain iteration, with no
+    plain-scaling path: starting from g = 0, each iteration sets
+
+        f = eps log a - eps logsumexp_j((g_j - C_ij)/eps)
+        g = eps log b - eps logsumexp_i((f_i - C_ij)/eps)
+
+    which is the scaling iteration u = a / (K v), v = b / (K^T u) with
+    K = exp(-C/eps), u = exp(f/eps), v = exp(g/eps), but stays finite
+    where K underflows.  The plan is exp((f_i + g_j - C_ij)/eps).  After
+    the g update the columns match b, so each iteration checks the row
+    marginals alone; the row log-sum-exp that check needs is the one the
+    next f update uses.  The plan is built once, at exit.
 
     Failure to reach ``tol`` within ``max_iter`` iterations is reported
     through ``converged=False``, never as an exception.
@@ -165,47 +144,36 @@ def sinkhorn(
     a = np.full(n, 1.0 / n) if a is None else _check_marginal(a, n, "row marginal")
     b = np.full(m, 1.0 / m) if b is None else _check_marginal(b, m, "column marginal")
 
-    kernel = np.exp(-cost / epsilon)
-    if log_domain:
-        plan, u, v, iterations, error, converged = _sinkhorn_log(
-            cost, epsilon, a, b, max_iter, tol
-        )
-        return TransportPlan(plan, u, v, kernel, epsilon, iterations, error, converged, True)
-
-    u = np.ones(n)
-    v = np.ones(m)
+    # f and g below hold the potentials divided by epsilon
+    neg_scaled = -cost / epsilon
+    with np.errstate(divide="ignore"):
+        log_a = np.log(a)
+        log_b = np.log(b)
+    f = np.zeros(n)
+    g = np.zeros(m)
+    row_lse = logsumexp(neg_scaled, axis=1)
     iterations = 0
     converged = False
-    broke_down = False
-    plan = u[:, None] * kernel * v[None, :]
-    error = _plan_error(plan, a, b)
-    for it in range(1, max_iter + 1):
-        kv = kernel @ v
-        if np.any(kv == 0) or not np.all(np.isfinite(kv)):
-            broke_down = True
-            break
-        u = a / kv
-        ktu = kernel.T @ u
-        if np.any(ktu == 0) or not np.all(np.isfinite(ktu)):
-            broke_down = True
-            break
-        v = b / ktu
-        plan = u[:, None] * kernel * v[None, :]
-        error = _plan_error(plan, a, b)
-        iterations = it
+    # These log-sum-exps need none of logsumexp's guards: a and b each have
+    # a positive entry, so every column of f + neg_scaled and every row of
+    # g + neg_scaled has a finite maximum and a shifted sum of at least 1.
+    for iterations in range(1, max_iter + 1):
+        f = log_a - row_lse
+        z = f[:, None] + neg_scaled
+        z_max = z.max(axis=0)
+        g = log_b - z_max - np.log(np.exp(z - z_max).sum(axis=0))
+        z = g + neg_scaled
+        z_max = z.max(axis=1)
+        row_lse = z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))
+        error = float(np.abs(np.exp(f + row_lse) - a).max())
         if error <= tol:
             converged = True
             break
-    if broke_down:
-        if log_domain is False:
-            raise FloatingPointError(
-                "scaling underflow in plain Sinkhorn and log-domain fallback disabled"
-            )
-        plan, u, v, iterations, error, converged = _sinkhorn_log(
-            cost, epsilon, a, b, max_iter, tol
-        )
-        return TransportPlan(plan, u, v, kernel, epsilon, iterations, error, converged, True)
-    return TransportPlan(plan, u, v, kernel, epsilon, iterations, error, converged, False)
+    plan = np.exp(f[:, None] + g[None, :] + neg_scaled)
+    if iterations == 0:
+        row_error = np.abs(plan.sum(axis=1) - a).max()
+        error = float(max(row_error, np.abs(plan.sum(axis=0) - b).max()))
+    return TransportPlan(plan, epsilon, iterations, error, converged)
 
 
 def ot_loss(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> float:
@@ -429,7 +397,6 @@ class LossBreakdown:
     lam: tuple[float, float]
     tail_count: int
     singular_values: np.ndarray = field(repr=False)
-    alignment_map: np.ndarray = field(repr=False)
     sinkhorn_iterations: int = 0
     sinkhorn_marginal_error: float = 0.0
     sinkhorn_converged: bool = True
@@ -458,7 +425,7 @@ def affinity_regularization(
     l_ot = ot_loss(plan, cost)
     g_ot = ot_loss_gradient(orig, aug, plan, power=params.power)
 
-    w, s, u, vt = procrustes_map(orig, aug)
+    _, s, u, vt = procrustes_map(orig, aug)
     k = min(params.tail_count, s.size)
     l_eig = eig_shrinkage_loss(s, k, params.eta)
     g_eig = eig_shrinkage_gradient(orig, u, vt, s, k, params.eta)
@@ -482,7 +449,6 @@ def affinity_regularization(
         lam=params.lam,
         tail_count=k,
         singular_values=s,
-        alignment_map=w,
         sinkhorn_iterations=plan.iterations_used,
         sinkhorn_marginal_error=plan.marginal_error,
         sinkhorn_converged=plan.converged,

@@ -119,3 +119,24 @@ def child_env() -> dict:
     package_root = str(Path(psda.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+def reference_sinkhorn(cost, epsilon, max_iter, tol):
+    """Plain-scaling Sinkhorn with uniform marginals, the textbook form.
+
+    Alternates u = a / (K v), v = b / (K^T u) from v = 1 with
+    K = exp(-cost/epsilon), and stops once both marginals of the plan are
+    within ``tol``.  Returns (plan, iterations used).
+    """
+    n, m = cost.shape
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    kernel = np.exp(-cost / epsilon)
+    v = np.ones(m)
+    plan = kernel
+    for it in range(1, max_iter + 1):
+        u = a / (kernel @ v)
+        v = b / (kernel.T @ u)
+        plan = u[:, None] * kernel * v[None, :]
+        if max(np.abs(plan.sum(1) - a).max(), np.abs(plan.sum(0) - b).max()) <= tol:
+            return plan, it
+    return plan, max_iter

@@ -249,6 +249,30 @@ class TestAugment:
         assert payload["error"] == "ParseError"
         assert "failed to parse" in payload["message"]
 
+    def test_all_oov_sentence_is_skipped(self, built, cli_workspace, tmp_path, run_cli):
+        corpus = cli_workspace.root / "corpus_oov.conllu"
+        oov_block = conllu_block("aa", [("zork", "NOUN", 2, "nsubj"), ("blarg", "VERB", 0, "root")])
+        corpus.write_text(
+            (cli_workspace.root / "corpus.conllu").read_text(encoding="utf-8")
+            + "\n" + oov_block + "\n",
+            encoding="utf-8",
+        )
+        aug, orig = tmp_path / "aug.jsonl", tmp_path / "orig.jsonl"
+        code, stdout, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--set", "corpus=corpus_oov.conllu",
+            "--model", built.model, "--out", aug, "--orig-out", orig,
+        )
+        assert code == 0, err
+        summary = json.loads(stdout)
+        assert summary["sentences"] == 3
+        assert summary["parse_failures"] == 1
+        assert "'zork blarg'" in summary["parse_warnings"][0]
+        _, records = read_stream(aug)
+        assert [r["source"] for r in records] == ["s000000", "s000001", "s000002"]
+        code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
+        assert code == 0, err
+        assert json.loads(stdout.strip().splitlines()[-1])["aggregate"]["pairs"] == 3
+
 
 class TestLoss:
     def run_loss(self, built, *extra):
@@ -314,6 +338,8 @@ class TestLoss:
         pair = json.loads(stdout.strip().splitlines()[0])
         assert pair["loss_ot"] == 0.0
         assert pair["loss_dis"] == 0.0
+        # a meta line without a config echoes null
+        assert json.loads(stdout.strip().splitlines()[-1])["aggregate"]["stream_config"] is None
 
     def test_unmatched_source_id(self, built, tmp_path, run_cli):
         aug = tmp_path / "aug.jsonl"
@@ -369,6 +395,21 @@ class TestLoss:
         inline_pairs, _ = self.run_loss(built)
         for inline, quantized in zip(inline_pairs, lines[:-1]):
             assert quantized["loss_total"] == pytest.approx(inline["loss_total"], rel=1e-5)
+
+    def test_echoes_stream_config(self, built, cli_workspace, tmp_path, run_cli):
+        aug, orig = tmp_path / "aug.jsonl", tmp_path / "orig.jsonl"
+        code, _, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--set", "copies=2",
+            "--model", built.model, "--out", aug, "--orig-out", orig,
+        )
+        assert code == 0, err
+        code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
+        assert code == 0, err
+        aggregate = json.loads(stdout.strip().splitlines()[-1])["aggregate"]
+        assert aggregate["pairs"] == 6
+        assert aggregate["config"]["copies"] == "1"
+        assert aggregate["stream_config"] == read_stream(aug)[0]["config"]
+        assert aggregate["stream_config"]["copies"] == "2"
 
     def test_missing_stream_file(self, tmp_path, run_cli):
         code, _, err = run_cli(
