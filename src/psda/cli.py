@@ -96,7 +96,7 @@ def cmd_cluster(args) -> int:
     tax = load_taxonomy(cfg.taxonomy_path)
     stores = _load_stores(cfg)
     pos = _pos_tagging(cfg)
-    model = build_cluster_model(stores, pos, tax, cfg.k_policy(), cfg.gmm_config())
+    model = build_cluster_model(stores, pos, tax, cfg.k, cfg.gmm)
     save_model(args.out, model, config=cfg.echo())
 
     def stage_info(stage):
@@ -128,7 +128,7 @@ def _attach_matrix(record: dict, matrix, sidecar_fh) -> None:
     """Embed the matrix as nested lists, or as an offset into the open
     binary sidecar when one is being written."""
     if sidecar_fh is None:
-        record["matrix"] = [[float(v) for v in row] for row in matrix]
+        record["matrix"] = matrix.tolist()
     else:
         from .binio import write_array
 
@@ -261,7 +261,9 @@ def _read_stream(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError("not valid JSON", path=str(path), line=lineno) from exc
-            if isinstance(obj, dict) and "meta" in obj:
+            if not isinstance(obj, dict):
+                raise ParseError("record is not a JSON object", path=str(path), line=lineno)
+            if "meta" in obj:
                 if meta is None:
                     meta = obj["meta"]
                 continue
@@ -317,7 +319,6 @@ def cmd_loss(args) -> int:
     from .otreg import affinity_regularization
 
     cfg = _pipeline_config(args)
-    params = cfg.ot_params()
 
     orig_meta, orig_records = _read_stream(args.orig)
     originals = {}
@@ -351,7 +352,7 @@ def cmd_loss(args) -> int:
                     path=str(args.aug),
                 )
             bd = affinity_regularization(
-                orig_mats.matrix(originals[source]), aug_mats.matrix(rec), params
+                orig_mats.matrix(originals[source]), aug_mats.matrix(rec), cfg.ot
             )
             if not all(
                 math.isfinite(v)
@@ -411,7 +412,7 @@ def cmd_gradcheck(args) -> int:
 
     params = None
     if args.config or args.set:
-        params = _pipeline_config(args).ot_params()
+        params = _pipeline_config(args).ot
     seed = args.seed if args.seed is not None else 0
     report = run_gradcheck(
         instances=args.instances,
@@ -554,13 +555,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except PsdaError as exc:
-        _fail(exc)
-        return 2
-    except FileNotFoundError as exc:
-        _fail(exc)
-        return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (PsdaError, ValueError, OSError, MemoryError) as exc:
         _fail(exc)
         return 2
 

@@ -5,11 +5,14 @@ Relative paths are resolved against the config file's own directory, so
 a config can be invoked from anywhere.  Command-line ``--set key=value``
 pairs override the file, and ``--seed`` overrides both.
 
-``echo()`` renders the effective configuration in canonical form; it is
-embedded in command output so results carry their provenance.  Output
-locations are deliberately not configuration, which keeps the echoed
-provenance, and therefore the output bytes, independent of where
-results are written.
+The settings of the clustering chain and of the regularizer live in the
+dataclasses that consume them (``GmmConfig``, ``KPolicy``, ``OtParams``),
+which own their defaults and range checks; ``_KEYS`` maps each config key
+onto one of their fields.  ``echo()`` renders the effective configuration
+in canonical form; it is embedded in command output so results carry
+their provenance.  Output locations are deliberately not configuration,
+which keeps the echoed provenance, and therefore the output bytes,
+independent of where results are written.
 """
 
 from dataclasses import dataclass, field
@@ -17,38 +20,83 @@ from pathlib import Path
 from typing import Optional
 
 from .domino import KPolicy
-from .errors import ConfigError
+from .errors import ConfigError, PsdaError
 from .gmm import GmmConfig
 from .otreg import OtParams
 
-DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "copies": "1",
-    "oov": "zero",
-    "pos.seed": "0",
-    "pos.dim": "17",
-    "k.single": "auto",
-    "k.family": "auto",
-    "k.multi": "auto",
-    "gmm.covariance": "diagonal",
-    "gmm.max_iter": "200",
-    "gmm.tol": "1e-06",
-    "gmm.cov_floor": "1e-06",
-    "ot.epsilon": "0.1",
-    "ot.tail": "300",
-    "ot.eta": "0.001",
-    "ot.power": "1.0",
-    "ot.max_iter": "1000",
-    "ot.tol": "1e-09",
-    "rho": "0.4,0.2,0.4",
-    "lam": "0.5,0.5",
+
+def _parse_int(raw: str, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
+
+
+def _parse_float(raw: str, key: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: expected a number, got {raw!r}") from None
+
+
+def _parse_str(raw: str, key: str) -> str:
+    return raw
+
+
+def _parse_k(raw: str, key: str) -> Optional[int]:
+    return None if raw == "auto" else _parse_int(raw, key)
+
+
+def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
+    return tuple(_parse_float(p.strip(), key) for p in raw.split(","))
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(repr(x) for x in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+# config key -> (section of PipelineConfig, or None for its own fields; field; parser)
+_KEYS = {
+    "seed": (None, "seed", _parse_int),
+    "copies": (None, "copies", _parse_int),
+    "oov": (None, "oov", _parse_str),
+    "pos.seed": (None, "pos_seed", _parse_int),
+    "pos.dim": (None, "pos_dim", _parse_int),
+    "k.single": ("k", "single", _parse_k),
+    "k.family": ("k", "family", _parse_k),
+    "k.multi": ("k", "multi", _parse_k),
+    "gmm.covariance": ("gmm", "covariance", _parse_str),
+    "gmm.max_iter": ("gmm", "max_iter", _parse_int),
+    "gmm.tol": ("gmm", "tol", _parse_float),
+    "gmm.cov_floor": ("gmm", "cov_floor", _parse_float),
+    "ot.epsilon": ("ot", "epsilon", _parse_float),
+    "ot.tail": ("ot", "tail_count", _parse_int),
+    "ot.eta": ("ot", "eta", _parse_float),
+    "ot.power": ("ot", "power", _parse_float),
+    "ot.max_iter": ("ot", "max_iter", _parse_int),
+    "ot.tol": ("ot", "tol", _parse_float),
+    "rho": ("ot", "rho", _parse_floats),
+    "lam": ("ot", "lam", _parse_floats),
+}
+
+# section -> (dataclass, name used in its error messages)
+_SECTIONS = {
+    "gmm": (GmmConfig, "clustering"),
+    "ot": (OtParams, "transport"),
+    "k": (KPolicy, "cluster count"),
 }
 
 _PATH_KEYS = ("taxonomy", "corpus")
 
 
 def _known_key(key: str) -> bool:
-    return key in DEFAULTS or key in _PATH_KEYS or key.startswith("embeddings.")
+    return key in _KEYS or key in _PATH_KEYS or key.startswith("embeddings.")
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -78,44 +126,15 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected a number, got {raw!r}") from None
-
-
-def _parse_k(raw: str, key: str) -> Optional[int]:
-    if raw == "auto":
-        return None
-    k = _parse_int(raw, key)
-    if k < 1:
-        raise ConfigError(f"config key {key!r}: cluster count must be positive, got {k}")
-    return k
-
-
-def _parse_floats(raw: str, key: str, count: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != count:
-        raise ConfigError(f"config key {key!r}: expected {count} comma-separated numbers")
-    return tuple(_parse_float(p, key) for p in parts)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass
 class PipelineConfig:
+    """Input paths and run-wide settings, plus the settings of each stage.
+
+    ``gmm`` is the template every clustering scope derives its fit from:
+    its ``k`` is a placeholder the stages resolve through ``k``, and its
+    seed is the run seed.
+    """
+
     taxonomy_path: Optional[Path] = None
     corpus_path: Optional[Path] = None
     embedding_paths: dict[str, Path] = field(default_factory=dict)
@@ -124,70 +143,23 @@ class PipelineConfig:
     oov: str = "zero"
     pos_seed: int = 0
     pos_dim: int = 17
-    k_single: Optional[int] = None
-    k_family: Optional[int] = None
-    k_multi: Optional[int] = None
-    gmm_covariance: str = "diagonal"
-    gmm_max_iter: int = 200
-    gmm_tol: float = 1e-6
-    gmm_cov_floor: float = 1e-6
-    ot_epsilon: float = 0.1
-    ot_tail: int = 300
-    ot_eta: float = 0.001
-    ot_power: float = 1.0
-    ot_max_iter: int = 1000
-    ot_tol: float = 1e-9
-    rho: tuple[float, float, float] = (0.4, 0.2, 0.4)
-    lam: tuple[float, float] = (0.5, 0.5)
+    gmm: GmmConfig = GmmConfig(k=1)
+    ot: OtParams = OtParams()
+    k: KPolicy = KPolicy()
 
-    def k_policy(self) -> KPolicy:
-        return KPolicy(single=self.k_single, family=self.k_family, multi=self.k_multi)
-
-    def gmm_config(self) -> GmmConfig:
-        return GmmConfig(
-            k=1,  # stages resolve their own k; this is a template
-            covariance=self.gmm_covariance,
-            max_iter=self.gmm_max_iter,
-            tol=self.gmm_tol,
-            cov_floor=self.gmm_cov_floor,
-            seed=self.seed,
-        )
-
-    def ot_params(self) -> OtParams:
-        return OtParams(
-            epsilon=self.ot_epsilon,
-            tail_count=self.ot_tail,
-            eta=self.ot_eta,
-            rho=self.rho,
-            lam=self.lam,
-            power=self.ot_power,
-            max_iter=self.ot_max_iter,
-            tol=self.ot_tol,
-        )
+    def __post_init__(self):
+        if self.copies < 1:
+            raise ValueError(f"copies must be at least 1, got {self.copies}")
+        if self.oov not in ("zero", "error"):
+            raise ValueError(f"oov must be zero or error, got {self.oov!r}")
+        if self.pos_dim < 0:
+            raise ValueError(f"pos.dim must be nonnegative, got {self.pos_dim}")
 
     def echo(self) -> dict[str, str]:
         """Effective configuration in canonical string form, sorted keys."""
         out = {
-            "seed": _fmt(self.seed),
-            "copies": _fmt(self.copies),
-            "oov": self.oov,
-            "pos.seed": _fmt(self.pos_seed),
-            "pos.dim": _fmt(self.pos_dim),
-            "k.single": "auto" if self.k_single is None else _fmt(self.k_single),
-            "k.family": "auto" if self.k_family is None else _fmt(self.k_family),
-            "k.multi": "auto" if self.k_multi is None else _fmt(self.k_multi),
-            "gmm.covariance": self.gmm_covariance,
-            "gmm.max_iter": _fmt(self.gmm_max_iter),
-            "gmm.tol": _fmt(self.gmm_tol),
-            "gmm.cov_floor": _fmt(self.gmm_cov_floor),
-            "ot.epsilon": _fmt(self.ot_epsilon),
-            "ot.tail": _fmt(self.ot_tail),
-            "ot.eta": _fmt(self.ot_eta),
-            "ot.power": _fmt(self.ot_power),
-            "ot.max_iter": _fmt(self.ot_max_iter),
-            "ot.tol": _fmt(self.ot_tol),
-            "rho": ",".join(repr(x) for x in self.rho),
-            "lam": ",".join(repr(x) for x in self.lam),
+            key: _fmt(getattr(self if section is None else getattr(self, section), name))
+            for key, (section, name, _) in _KEYS.items()
         }
         if self.taxonomy_path is not None:
             out["taxonomy"] = str(self.taxonomy_path)
@@ -198,17 +170,35 @@ class PipelineConfig:
         return dict(sorted(out.items()))
 
 
+DEFAULTS: dict[str, str] = PipelineConfig().echo()
+
+
+def _construct(cls, what: str, **values):
+    try:
+        return cls(**values)
+    except (ValueError, PsdaError) as exc:
+        raise ConfigError(f"invalid {what} settings: {exc}") from exc
+
+
 def build_config(raw: dict[str, str], base_dir: Optional[Path] = None) -> PipelineConfig:
     """Materialize a typed config from merged raw values.
 
     Unset keys take the documented defaults; relative paths are resolved
-    against ``base_dir`` when given.
+    against ``base_dir`` when given.  Every value the pipeline would
+    reject later is rejected here, before any input is read.
     """
-    merged = dict(DEFAULTS)
-    merged.update(raw)
-    for key in merged:
+    for key in raw:
         if not _known_key(key):
             raise ConfigError(f"unknown config key {key!r}")
+    merged = {**DEFAULTS, **raw}
+    values: dict[Optional[str], dict] = {section: {} for section in (None, *_SECTIONS)}
+    for key, (section, name, parse) in _KEYS.items():
+        values[section][name] = parse(merged[key], key)
+    values["gmm"].update(k=1, seed=values[None]["seed"])
+    sections = {
+        section: _construct(cls, what, **values[section])
+        for section, (cls, what) in _SECTIONS.items()
+    }
 
     def resolve(p: str) -> Path:
         path = Path(p)
@@ -216,57 +206,19 @@ def build_config(raw: dict[str, str], base_dir: Optional[Path] = None) -> Pipeli
             path = base_dir / path
         return path
 
-    oov = merged["oov"]
-    if oov not in ("zero", "error"):
-        raise ConfigError(f"config key 'oov': expected zero or error, got {oov!r}")
-    covariance = merged["gmm.covariance"]
-    if covariance not in ("diagonal", "spherical"):
-        raise ConfigError(
-            f"config key 'gmm.covariance': expected diagonal or spherical, got {covariance!r}"
-        )
-
-    embedding_paths = {
-        key.split(".", 1)[1]: resolve(value)
-        for key, value in merged.items()
-        if key.startswith("embeddings.")
-    }
-    copies = _parse_int(merged["copies"], "copies")
-    if copies < 1:
-        raise ConfigError(f"config key 'copies': must be at least 1, got {copies}")
-
-    try:
-        cfg = PipelineConfig(
-            taxonomy_path=resolve(merged["taxonomy"]) if "taxonomy" in merged else None,
-            corpus_path=resolve(merged["corpus"]) if "corpus" in merged else None,
-            embedding_paths=embedding_paths,
-            seed=_parse_int(merged["seed"], "seed"),
-            copies=copies,
-            oov=oov,
-            pos_seed=_parse_int(merged["pos.seed"], "pos.seed"),
-            pos_dim=_parse_int(merged["pos.dim"], "pos.dim"),
-            k_single=_parse_k(merged["k.single"], "k.single"),
-            k_family=_parse_k(merged["k.family"], "k.family"),
-            k_multi=_parse_k(merged["k.multi"], "k.multi"),
-            gmm_covariance=covariance,
-            gmm_max_iter=_parse_int(merged["gmm.max_iter"], "gmm.max_iter"),
-            gmm_tol=_parse_float(merged["gmm.tol"], "gmm.tol"),
-            gmm_cov_floor=_parse_float(merged["gmm.cov_floor"], "gmm.cov_floor"),
-            ot_epsilon=_parse_float(merged["ot.epsilon"], "ot.epsilon"),
-            ot_tail=_parse_int(merged["ot.tail"], "ot.tail"),
-            ot_eta=_parse_float(merged["ot.eta"], "ot.eta"),
-            ot_power=_parse_float(merged["ot.power"], "ot.power"),
-            ot_max_iter=_parse_int(merged["ot.max_iter"], "ot.max_iter"),
-            ot_tol=_parse_float(merged["ot.tol"], "ot.tol"),
-            rho=_parse_floats(merged["rho"], "rho", 3),
-            lam=_parse_floats(merged["lam"], "lam", 2),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # fail fast on values the math layer would reject later
-    try:
-        cfg.ot_params()
-    except Exception as exc:
-        raise ConfigError(f"invalid transport settings: {exc}") from exc
+    cfg = _construct(
+        PipelineConfig,
+        "pipeline",
+        taxonomy_path=resolve(merged["taxonomy"]) if "taxonomy" in merged else None,
+        corpus_path=resolve(merged["corpus"]) if "corpus" in merged else None,
+        embedding_paths={
+            key.split(".", 1)[1]: resolve(value)
+            for key, value in merged.items()
+            if key.startswith("embeddings.")
+        },
+        **values[None],
+        **sections,
+    )
     # every referenced path must exist up front, not at first use
     named = [("taxonomy", cfg.taxonomy_path), ("corpus", cfg.corpus_path)]
     named += [(f"embeddings.{lang}", p) for lang, p in sorted(cfg.embedding_paths.items())]

@@ -31,6 +31,12 @@ class KPolicy:
     family: Optional[int] = None
     multi: Optional[int] = None
 
+    def __post_init__(self):
+        for stage in ("single", "family", "multi"):
+            k = getattr(self, stage)
+            if k is not None and k < 1:
+                raise ValueError(f"k for stage {stage!r} must be at least 1, got {k}")
+
     def resolve(self, stage: str, n: int) -> tuple[int, Optional[str]]:
         requested = getattr(self, stage)
         k = requested if requested is not None else max(1, math.ceil(math.sqrt(n)))

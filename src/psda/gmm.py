@@ -17,7 +17,7 @@ Everything is a pure function of (points, config); the same seed yields a
 bit-identical model.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class GmmConfig:
             raise ValueError("cov_floor must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-
-    def with_k(self, k: int) -> "GmmConfig":
-        return replace(self, k=k)
 
 
 @dataclass

@@ -20,7 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .otreg import (
+    SPECTRUM_TIE_TOL,
     OtParams,
+    _tail,
     cost_matrix,
     distance_shrinkage_gradient,
     distance_shrinkage_loss,
@@ -113,14 +115,13 @@ def _check_instance(
     record("ot", ot_loss_gradient(orig, aug, plan, power=params.power), ot_objective)
 
     _, s, u, vt = procrustes_map(orig, aug)
-    k = min(params.tail_count, s.size)
-    idx = np.argsort(s)[:k]
-    tail = np.sort(s)[:k]
-    if k >= 2 and np.min(np.diff(tail)) < 1e-8:
+    tail, k = _tail(s, params.tail_count)
+    if k >= 2 and np.min(np.diff(tail)) < SPECTRUM_TIE_TOL:
         checks.append(
             TermCheck(instance, "eig", 0.0, True, skipped=True, reason="near-tied tail spectrum")
         )
     else:
+        idx = np.argsort(s)[:k]
 
         def eig_objective(a):
             m = a.T @ orig

@@ -10,7 +10,7 @@ serialize to identical bytes.
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, BinaryIO
 
 import numpy as np
@@ -115,11 +115,7 @@ def save_model(path, model: ClusterModel, config: dict | None = None) -> None:
         "version": _FORMAT_VERSION,
         "seed": int(model.seed),
         "embed_dim": int(model.embed_dim),
-        "k_policy": {
-            "single": model.k_policy.single,
-            "family": model.k_policy.family,
-            "multi": model.k_policy.multi,
-        },
+        "k_policy": asdict(model.k_policy),
         "languages": sorted(model.single),
         "families": sorted(model.family),
         "stages": {
@@ -165,6 +161,8 @@ def _read_manifest(fh: BinaryIO) -> dict:
         manifest = json.loads(_read_exact(fh, body_len, "manifest"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ModelFormatError("manifest is not a JSON object")
     if manifest.get("format") != _FORMAT_NAME:
         raise ModelFormatError(f"unknown container format {manifest.get('format')!r}")
     if manifest.get("version") != _FORMAT_VERSION:
@@ -178,19 +176,16 @@ def read_manifest(path) -> dict:
         return _read_manifest(fh)
 
 
-def load_model(path) -> ClusterModel:
-    with open(path, "rb") as fh:
-        manifest = _read_manifest(fh)
-        payload_start = fh.tell()
-        arrays = []
-        for entry in manifest["arrays"]:
-            fh.seek(payload_start + entry["offset"])
-            raw = _read_exact(fh, entry["nbytes"], "array payload")
-            flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            arrays.append(flat.reshape(entry["shape"]))
+def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
+    payload_start = fh.tell()
+    arrays = []
+    for entry in manifest["arrays"]:
+        fh.seek(payload_start + entry["offset"])
+        raw = _read_exact(fh, entry["nbytes"], "array payload")
+        flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        arrays.append(flat.reshape(entry["shape"]))
 
     stages = manifest["stages"]
-    kp = manifest["k_policy"]
     return ClusterModel(
         single={lang: _stage_from_json(obj, arrays) for lang, obj in stages["single"].items()},
         family={fam: _stage_from_json(obj, arrays) for fam, obj in stages["family"].items()},
@@ -206,8 +201,20 @@ def load_model(path) -> ClusterModel:
         },
         embed_dim=int(manifest["embed_dim"]),
         seed=int(manifest["seed"]),
-        k_policy=KPolicy(single=kp["single"], family=kp["family"], multi=kp["multi"]),
+        k_policy=KPolicy(**manifest["k_policy"]),
         word_embeddings={
             lang: arrays[idx] for lang, idx in manifest["word_embeddings"].items()
         },
     )
+
+
+def load_model(path) -> ClusterModel:
+    with open(path, "rb") as fh:
+        manifest = _read_manifest(fh)
+        try:
+            return _model_from_manifest(manifest, fh)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            # a manifest entry is missing or has the wrong type or shape
+            raise ModelFormatError(
+                f"malformed model manifest: {type(exc).__name__}: {exc}"
+            ) from exc

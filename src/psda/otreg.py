@@ -16,7 +16,7 @@ task loss.  Both weight vectors must sum to one.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -375,6 +375,10 @@ class OtParams:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.tail_count < 1:
             raise ValueError(f"tail_count must be at least 1, got {self.tail_count}")
+        if not (self.power > 0):
+            raise ValueError(f"power must be positive, got {self.power}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 @dataclass
@@ -396,7 +400,6 @@ class LossBreakdown:
     rho: tuple[float, float, float]
     lam: tuple[float, float]
     tail_count: int
-    singular_values: np.ndarray = field(repr=False)
     sinkhorn_iterations: int = 0
     sinkhorn_marginal_error: float = 0.0
     sinkhorn_converged: bool = True
@@ -448,7 +451,6 @@ def affinity_regularization(
         rho=params.rho,
         lam=params.lam,
         tail_count=k,
-        singular_values=s,
         sinkhorn_iterations=plan.iterations_used,
         sinkhorn_marginal_error=plan.marginal_error,
         sinkhorn_converged=plan.converged,

@@ -10,6 +10,7 @@ import io
 import json
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -411,6 +412,20 @@ class TestLoss:
         assert aggregate["stream_config"] == read_stream(aug)[0]["config"]
         assert aggregate["stream_config"]["copies"] == "2"
 
+    def test_non_object_record_is_a_parse_error(self, built, tmp_path, run_cli):
+        aug = tmp_path / "aug.jsonl"
+        aug.write_text(
+            json.dumps({"meta": {"stream": "augmented"}}) + "\n[1, 2]\n", encoding="utf-8"
+        )
+        code, stdout, err = run_cli("loss", "--orig", built.orig, "--aug", aug)
+        assert code == 2
+        assert stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ParseError"
+        assert f"{aug}:2:" in payload["message"]
+
     def test_missing_stream_file(self, tmp_path, run_cli):
         code, _, err = run_cli(
             "loss", "--orig", tmp_path / "none.jsonl", "--aug", tmp_path / "none2.jsonl"
@@ -492,6 +507,24 @@ class TestReport:
         assert code == 0, err
         assert csv2.read_bytes() == rendered.csv.read_bytes()
         assert svg2.read_bytes() == rendered.svg.read_bytes()
+
+    def test_manifest_missing_a_key(self, tmp_path, run_cli):
+        from psda.model_io import MODEL_MAGIC
+
+        body = json.dumps({"format": "psda-model", "version": 1}).encode("utf-8")
+        model = tmp_path / "model.psda"
+        model.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(body)) + body)
+        code, stdout, err = run_cli(
+            "report", "--model", model,
+            "--out-csv", tmp_path / "r.csv", "--out-svg", tmp_path / "r.svg",
+        )
+        assert code == 2
+        assert stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ModelFormatError"
+        assert "arrays" in payload["message"]
 
     def test_memory_error_exits_2_with_json_line(self, built, tmp_path, monkeypatch):
         import psda.report

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from psda.config import DEFAULTS, build_config, load_config, read_config_file
@@ -58,23 +60,23 @@ class TestBuildConfig:
         assert cfg.copies == 1
         assert cfg.oov == "zero"
         assert cfg.pos_dim == 17
-        assert cfg.k_single is None and cfg.k_family is None and cfg.k_multi is None
-        params = cfg.ot_params()
+        assert cfg.k.single is None and cfg.k.family is None and cfg.k.multi is None
+        params = cfg.ot
         assert params.epsilon == 0.1
         assert params.tail_count == 300
         assert params.eta == 0.001
         assert params.rho == (0.4, 0.2, 0.4)
         assert params.lam == (0.5, 0.5)
         assert params.power == 1.0
-        policy = cfg.k_policy()
+        policy = cfg.k
         assert policy.single is None and policy.family is None and policy.multi is None
-        gmm = cfg.gmm_config()
+        gmm = cfg.gmm
         assert gmm.covariance == "diagonal" and gmm.max_iter == 200
 
     def test_explicit_values(self):
         cfg = build_config({"k.single": "4", "ot.epsilon": "0.5", "copies": "3"})
-        assert cfg.k_single == 4
-        assert cfg.ot_epsilon == 0.5
+        assert cfg.k.single == 4
+        assert cfg.ot.epsilon == 0.5
         assert cfg.copies == 3
 
     def test_relative_paths_resolve_against_base_dir(self, tmp_path):
@@ -109,6 +111,11 @@ class TestBuildConfig:
             {"lam": "0.5,0.5,0.0"},
             {"seed": "1.5"},
             {"ot.tail": "0"},
+            {"gmm.max_iter": "0"},
+            {"gmm.tol": "-1"},
+            {"ot.power": "0"},
+            {"ot.max_iter": "-1"},
+            {"pos.dim": "-1"},
         ],
     )
     def test_invalid_values(self, raw):
@@ -146,6 +153,52 @@ class TestEcho:
         echo = build_config({}).echo()
         assert set(DEFAULTS) <= set(echo)
 
+    def test_defaults_echo_literally(self):
+        assert build_config({}).echo() == {
+            "copies": "1",
+            "gmm.cov_floor": "1e-06",
+            "gmm.covariance": "diagonal",
+            "gmm.max_iter": "200",
+            "gmm.tol": "1e-06",
+            "k.family": "auto",
+            "k.multi": "auto",
+            "k.single": "auto",
+            "lam": "0.5,0.5",
+            "oov": "zero",
+            "ot.epsilon": "0.1",
+            "ot.eta": "0.001",
+            "ot.max_iter": "1000",
+            "ot.power": "1.0",
+            "ot.tail": "300",
+            "ot.tol": "1e-09",
+            "pos.dim": "17",
+            "pos.seed": "0",
+            "rho": "0.4,0.2,0.4",
+            "seed": "0",
+        }
+
+    def test_gmm_template_carries_the_run_seed(self):
+        gmm = build_config({"seed": "7"}).gmm
+        assert gmm.seed == 7 and gmm.k == 1
+
+    def test_readme_documents_every_default(self):
+        """Each key of the README's Configuration table, grouped rows split
+        on ' / ', shows the default that the dataclasses define."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in table.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not cells[0].startswith("`"):
+                continue
+            keys = [k.strip("`") for k in cells[0].split(" / ")]
+            defaults = [d.strip("`") for d in cells[1].split(" / ")]
+            if len(defaults) == 1:
+                defaults *= len(keys)
+            documented.update(zip(keys, defaults))
+        for key, default in DEFAULTS.items():
+            assert documented.get(key) == default, key
+
 
 class TestLoadConfig:
     def test_no_file_just_defaults(self):
@@ -161,7 +214,7 @@ class TestLoadConfig:
 
     def test_overrides_without_file(self):
         cfg = load_config(None, overrides={"ot.eta": "0.01"})
-        assert cfg.ot_eta == 0.01
+        assert cfg.ot.eta == 0.01
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         (tmp_path / "fam.txt").write_text("f: aa\n", encoding="utf-8")

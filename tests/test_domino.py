@@ -45,6 +45,11 @@ class TestKPolicy:
         assert k == 3
         assert warning is not None and "clamped" in warning
 
+    @pytest.mark.parametrize("stage", ["single", "family", "multi"])
+    def test_rejects_nonpositive_k(self, stage):
+        with pytest.raises(ValueError, match=stage):
+            KPolicy(**{stage: 0})
+
     @pytest.mark.parametrize("n", range(1, 40))
     def test_auto_never_exceeds_point_count(self, n):
         k, warning = KPolicy().resolve("single", n)

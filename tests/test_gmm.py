@@ -308,13 +308,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GmmConfig(**kwargs)
 
-    def test_with_k(self):
-        cfg = GmmConfig(k=1, covariance="spherical", seed=9)
-        other = cfg.with_k(4)
-        assert other.k == 4
-        assert other.covariance == "spherical"
-        assert other.seed == 9
-
 
 @settings(deadline=None, max_examples=30)
 @given(
