@@ -1,137 +1,8 @@
 """Pseudo-semantic data augmentation over multilingual embeddings.
 
-Submodules are imported on first attribute access so the command-line
-front end can pin BLAS thread counts before numpy loads.
+The library API is the submodules (``psda.gmm``, ``psda.otreg``, ...).
+Importing the package loads nothing else, so the command-line front end
+can pin BLAS thread counts before numpy loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    # errors
-    "PsdaError": ".errors",
-    "ParseError": ".errors",
-    "ConfigError": ".errors",
-    "ModelFormatError": ".errors",
-    "DuplicateLanguageError": ".errors",
-    "EmptyFamilyError": ".errors",
-    "UnknownLanguageError": ".errors",
-    "DimensionMismatchError": ".errors",
-    "NonFiniteInputError": ".errors",
-    "DuplicateWordError": ".errors",
-    "OovWordError": ".errors",
-    "TooFewPointsError": ".errors",
-    "WeightSumError": ".errors",
-    "ZeroVectorError": ".errors",
-    "ZeroMassMarginalError": ".errors",
-    "MissingChainError": ".errors",
-    "DegenerateSpectrumWarning": ".errors",
-    # taxonomy
-    "FamilyEntry": ".taxonomy",
-    "LanguageTaxonomy": ".taxonomy",
-    "load_taxonomy": ".taxonomy",
-    "serialize_taxonomy": ".taxonomy",
-    "family_of": ".taxonomy",
-    # embeddings
-    "UPOS_TAGS": ".embeddings",
-    "VocabStore": ".embeddings",
-    "load_vectors": ".embeddings",
-    "PosTagging": ".embeddings",
-    "pos_one_hot": ".embeddings",
-    "final_embedding": ".embeddings",
-    "final_embeddings": ".embeddings",
-    # corpus
-    "SentenceRecord": ".corpus",
-    "read_conllu": ".corpus",
-    "iter_conllu_lenient": ".corpus",
-    "collect_upos_tags": ".corpus",
-    "assemble_sentence": ".corpus",
-    # gmm
-    "GmmConfig": ".gmm",
-    "GmmModel": ".gmm",
-    "gmm_fit": ".gmm",
-    "gmm_predict": ".gmm",
-    "responsibilities": ".gmm",
-    "seed_initialization": ".gmm",
-    # domino
-    "KPolicy": ".domino",
-    "Cluster": ".domino",
-    "StageClusters": ".domino",
-    "ClusterModel": ".domino",
-    "cluster_single_language": ".domino",
-    "cluster_family": ".domino",
-    "cluster_multi": ".domino",
-    "build_cluster_model": ".domino",
-    # model container
-    "save_model": ".model_io",
-    "load_model": ".model_io",
-    "read_manifest": ".model_io",
-    # augmentation
-    "Candidate": ".augment",
-    "CandidateIndex": ".augment",
-    "Replacement": ".augment",
-    "SkippedRole": ".augment",
-    "AugmentedSentence": ".augment",
-    "build_candidate_index": ".augment",
-    "augment_sentence": ".augment",
-    "augment_corpus": ".augment",
-    "sentence_seed": ".augment",
-    # transport regularization
-    "TransportPlan": ".otreg",
-    "OtParams": ".otreg",
-    "LossBreakdown": ".otreg",
-    "pairwise_distances": ".otreg",
-    "cost_matrix": ".otreg",
-    "sinkhorn": ".otreg",
-    "ot_loss": ".otreg",
-    "ot_loss_gradient": ".otreg",
-    "procrustes_map": ".otreg",
-    "eig_shrinkage_loss": ".otreg",
-    "eig_shrinkage_gradient": ".otreg",
-    "distance_shrinkage_loss": ".otreg",
-    "distance_shrinkage_gradient": ".otreg",
-    "compose_reg": ".otreg",
-    "compose_total": ".otreg",
-    "affinity_regularization": ".otreg",
-    # gradient checking
-    "run_gradcheck": ".gradcheck",
-    "fd_gradient": ".gradcheck",
-    "GradCheckReport": ".gradcheck",
-    "TermCheck": ".gradcheck",
-    # config
-    "PipelineConfig": ".config",
-    "load_config": ".config",
-    "read_config_file": ".config",
-    "build_config": ".config",
-    # reporting
-    "WordPoint": ".report",
-    "ClusterStat": ".report",
-    "pca_coordinates": ".report",
-    "collect_points": ".report",
-    "cluster_stats": ".report",
-    "write_report_csv": ".report",
-    "write_report_svg": ".report",
-    "render_scatter_svg": ".report",
-    # utilities
-    "derive_seed": ".util",
-    "pack_array": ".binio",
-    "write_array": ".binio",
-    "read_array": ".binio",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    target = _EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(target, __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -11,7 +11,6 @@ vector goes into the matrix, never the POS-augmented vector, which
 exists only for clustering.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +102,6 @@ class AugmentedSentence:
 
     source_lang: str
     tokens: tuple[str, ...]
-    copy: int
     original: np.ndarray
     augmented: np.ndarray
     replacements: tuple[Replacement, ...]
@@ -169,7 +167,6 @@ def augment_sentence(
     return AugmentedSentence(
         source_lang=rec.lang,
         tokens=rec.tokens,
-        copy=0,
         original=mat,
         augmented=augmented,
         replacements=tuple(replacements),
@@ -181,26 +178,3 @@ def sentence_seed(base_seed: int, rec: SentenceRecord, copy: int) -> int:
     """Per-sentence, per-copy seed: base seed mixed with a stable hash
     of the sentence content.  Order-independent across the corpus."""
     return derive_seed(base_seed, rec.lang, rec.tokens, copy)
-
-
-def augment_corpus(
-    records: list[SentenceRecord],
-    mats: list[np.ndarray],
-    model: ClusterModel,
-    index: CandidateIndex,
-    copies: int = 1,
-    base_seed: int = 0,
-):
-    """Yield (record index, copy, augmented sentence) for every copy."""
-    if copies < 1:
-        raise ValueError(f"copies must be at least 1, got {copies}")
-    if len(records) != len(mats):
-        raise ValueError(
-            f"{len(records)} records paired with {len(mats)} matrices"
-        )
-    for i, (rec, mat) in enumerate(zip(records, mats)):
-        for copy in range(copies):
-            aug = augment_sentence(
-                rec, mat, model, index, sentence_seed(base_seed, rec, copy)
-            )
-            yield i, copy, dataclasses.replace(aug, copy=copy)

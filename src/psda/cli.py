@@ -42,11 +42,13 @@ def _fail(exc) -> None:
 
 
 def _parse_overrides(pairs):
+    from .errors import ConfigError
+
     overrides = {}
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep or not key.strip() or not value.strip():
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise ConfigError(f"--set expects key=value, got {pair!r}")
         overrides[key.strip()] = value.strip()
     return overrides
 
@@ -263,7 +265,12 @@ def _read_stream(path):
                 raise ParseError("not valid JSON", path=str(path), line=lineno) from exc
             if not isinstance(obj, dict):
                 raise ParseError("record is not a JSON object", path=str(path), line=lineno)
+            for key in ("id", "source"):
+                if key in obj and not isinstance(obj[key], str):
+                    raise ParseError(f"{key!r} is not a string", path=str(path), line=lineno)
             if "meta" in obj:
+                if not isinstance(obj["meta"], dict):
+                    raise ParseError("'meta' is not a JSON object", path=str(path), line=lineno)
                 if meta is None:
                     meta = obj["meta"]
                 continue
@@ -275,8 +282,12 @@ class _MatrixSource:
     """Resolves a record's matrix, inline or via the stream's sidecar."""
 
     def __init__(self, stream_path, meta):
+        from .errors import ParseError
+
         self.stream_path = str(stream_path)
         self.sidecar_name = (meta or {}).get("matrix_file")
+        if not isinstance(self.sidecar_name, (str, type(None))):
+            raise ParseError("meta 'matrix_file' is not a string", path=self.stream_path)
         self.fh = None
 
     def matrix(self, record):
@@ -285,11 +296,23 @@ class _MatrixSource:
         from .errors import ParseError
 
         if "matrix" in record:
-            return np.asarray(record["matrix"], dtype=np.float64)
+            try:
+                return np.asarray(record["matrix"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(
+                    f"record {record.get('id')!r}: 'matrix' is not a numeric array",
+                    path=self.stream_path,
+                ) from exc
         ref = record.get("matrix_ref")
         if ref is None:
             raise ParseError(
                 f"record {record.get('id')!r} carries neither 'matrix' nor 'matrix_ref'",
+                path=self.stream_path,
+            )
+        if not isinstance(ref, dict) or not isinstance(ref.get("offset"), int):
+            raise ParseError(
+                f"record {record.get('id')!r}: 'matrix_ref' is not an object "
+                "with an integer 'offset'",
                 path=self.stream_path,
             )
         if self.fh is None:
@@ -304,7 +327,7 @@ class _MatrixSource:
             self.fh = open(sidecar, "rb")
         from .binio import read_array
 
-        return read_array(self.fh, int(ref["offset"]))
+        return read_array(self.fh, ref["offset"])
 
     def close(self):
         if self.fh is not None:
@@ -544,14 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .errors import ConfigError, PsdaError
+
     args = build_parser().parse_args(argv)
     if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
+        _fail(ConfigError(f"--threads must be at least 1, got {args.threads}"))
         return 2
     for var in _THREAD_VARS:
         os.environ[var] = str(args.threads)
-
-    from .errors import PsdaError
 
     try:
         return args.func(args)

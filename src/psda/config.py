@@ -239,10 +239,7 @@ def load_config(
     if path is not None:
         raw.update(read_config_file(path))
         base_dir = Path(path).resolve().parent
-    for key, value in (overrides or {}).items():
-        if not _known_key(key):
-            raise ConfigError(f"unknown config key {key!r}")
-        raw[key] = value
+    raw.update(overrides or {})
     if seed is not None:
         raw["seed"] = str(seed)
     return build_config(raw, base_dir)

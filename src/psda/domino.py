@@ -174,7 +174,6 @@ def cluster_family(
 
 
 def cluster_multi(
-    tax: LanguageTaxonomy,
     per_family: list[StageClusters],
     k_policy: KPolicy,
     cfg: GmmConfig,
@@ -263,7 +262,7 @@ def build_cluster_model(
             fam, [single[lang] for lang in by_family[fam]], k_policy, cfg
         )
 
-    multi = cluster_multi(tax, [family[fam] for fam in sorted(family)], k_policy, cfg)
+    multi = cluster_multi([family[fam] for fam in sorted(family)], k_policy, cfg)
 
     # resolve each single cluster upward once, then chain words through
     family_of_single: dict[tuple[str, int], int] = {}

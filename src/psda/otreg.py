@@ -232,7 +232,9 @@ def procrustes_map(orig: np.ndarray, aug: np.ndarray):
     return u @ vt, s, u, vt
 
 
-def _tail(singular_values: np.ndarray, tail_count: int) -> tuple[np.ndarray, int]:
+def _tail(singular_values: np.ndarray, tail_count: int) -> tuple[np.ndarray, int, bool]:
+    """The k smallest singular values, ascending, with k, and whether two
+    of them are near-tied (gap below SPECTRUM_TIE_TOL)."""
     s = np.asarray(singular_values, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("singular values must be a nonempty 1-D array")
@@ -240,7 +242,7 @@ def _tail(singular_values: np.ndarray, tail_count: int) -> tuple[np.ndarray, int
         raise ValueError(f"tail_count must be at least 1, got {tail_count}")
     k = min(tail_count, s.size)
     tail = np.sort(s)[:k]
-    return tail, k
+    return tail, k, bool(k >= 2 and np.min(np.diff(tail)) < SPECTRUM_TIE_TOL)
 
 
 def eig_shrinkage_loss(
@@ -253,8 +255,8 @@ def eig_shrinkage_loss(
     selected tail makes the corresponding singular vectors ambiguous, so
     that case is flagged with a DegenerateSpectrumWarning.
     """
-    tail, k = _tail(singular_values, tail_count)
-    if k >= 2 and np.min(np.diff(tail)) < SPECTRUM_TIE_TOL:
+    tail, k, tied = _tail(singular_values, tail_count)
+    if tied:
         warnings.warn(
             f"near-tied singular values in the {k} smallest; "
             "their singular vectors, and hence the gradient, are not unique",
@@ -279,7 +281,7 @@ def eig_shrinkage_gradient(
     and the chain rule through M gives orig @ (d loss / d M)^T.
     """
     s = np.asarray(singular_values, dtype=np.float64)
-    _, k = _tail(s, tail_count)
+    _, k, _ = _tail(s, tail_count)
     idx = np.argsort(s)[:k]
     grad_m = -2.0 * eta * (u[:, idx] * s[idx]) @ vt[idx, :]
     return np.asarray(orig, dtype=np.float64) @ grad_m.T

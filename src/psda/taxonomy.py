@@ -59,10 +59,6 @@ class LanguageTaxonomy:
             raise UnknownLanguageError(f"language {lang!r} is not in the taxonomy") from None
 
 
-def family_of(tax: LanguageTaxonomy, lang: str) -> str:
-    return tax.family_of(lang)
-
-
 def load_taxonomy(path) -> LanguageTaxonomy:
     """Parse a taxonomy config file.  Errors carry the offending line number."""
     families = []

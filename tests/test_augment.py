@@ -5,7 +5,6 @@ from helpers import store_from, synonym_stores
 from psda.augment import (
     SKIP_EMPTY_POOL,
     SKIP_MISSING_CHAIN,
-    augment_corpus,
     augment_sentence,
     build_candidate_index,
     sentence_seed,
@@ -194,40 +193,3 @@ class TestSentenceSeed:
         }
         assert len(seeds) == 5
 
-
-class TestAugmentCorpus:
-    def records(self, pair_model):
-        recs = [svo_rec(), svo_rec(subj="aa_g0_w1", verb="aa_g1_w2", obj="aa_g2_w0")]
-        mats = [assemble_sentence(r, pair_model.stores["aa"]) for r in recs]
-        return recs, mats
-
-    def test_yields_every_copy_in_order(self, pair_model, index):
-        recs, mats = self.records(pair_model)
-        out = list(augment_corpus(recs, mats, pair_model.model, index, copies=3, base_seed=1))
-        assert [(i, c) for i, c, _ in out] == [
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
-        ]
-        assert all(aug.copy == c for _, c, aug in out)
-
-    def test_copies_differ(self, pair_model, index):
-        recs, mats = self.records(pair_model)
-        out = list(augment_corpus(recs, mats, pair_model.model, index, copies=6, base_seed=1))
-        subjects = [aug.replacements[0].candidate_word for i, _, aug in out if i == 0]
-        assert len(set(subjects)) >= 2
-
-    def test_result_independent_of_record_order(self, pair_model, index):
-        recs, mats = self.records(pair_model)
-        fwd = list(augment_corpus(recs, mats, pair_model.model, index, base_seed=9))
-        rev = list(augment_corpus(recs[::-1], mats[::-1], pair_model.model, index, base_seed=9))
-        assert np.array_equal(fwd[0][2].augmented, rev[1][2].augmented)
-        assert np.array_equal(fwd[1][2].augmented, rev[0][2].augmented)
-
-    def test_length_mismatch_rejected(self, pair_model, index):
-        recs, mats = self.records(pair_model)
-        with pytest.raises(ValueError):
-            list(augment_corpus(recs, mats[:1], pair_model.model, index))
-
-    def test_copies_must_be_positive(self, pair_model, index):
-        recs, mats = self.records(pair_model)
-        with pytest.raises(ValueError):
-            list(augment_corpus(recs, mats, pair_model.model, index, copies=0))

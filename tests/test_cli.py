@@ -126,7 +126,19 @@ class TestCluster:
             "--threads", "0", "--out", tmp_path / "m.psda",
         )
         assert code == 2
-        assert "--threads" in err
+        payload = stderr_error(err)
+        assert payload["error"] == "ConfigError"
+        assert "--threads" in payload["message"]
+
+    def test_set_needs_key_and_value(self, cli_workspace, tmp_path, run_cli):
+        code, _, err = run_cli(
+            "cluster", "--config", cli_workspace.config,
+            "--set", "foo", "--out", tmp_path / "m.psda",
+        )
+        assert code == 2
+        payload = stderr_error(err)
+        assert payload["error"] == "ConfigError"
+        assert "--set expects key=value" in payload["message"]
 
 
 class TestAugment:
@@ -426,6 +438,40 @@ class TestLoss:
         assert payload["error"] == "ParseError"
         assert f"{aug}:2:" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "stream, meta, record",
+        [
+            ("aug", [1], {"id": "y", "source": "x", "matrix": [[1.0, 2.0]]}),
+            ("aug", {"matrix_file": 7}, {"id": "y", "source": "x", "matrix_ref": {"offset": 0}}),
+            ("aug", {"matrix_file": "m.bin"}, {"id": "y", "source": "x", "matrix_ref": [0, 8]}),
+            ("aug", {"matrix_file": "m.bin"}, {"id": "y", "source": "x", "matrix_ref": {}}),
+            ("orig", {}, {"id": ["x"], "matrix": [[1.0, 2.0]]}),
+            ("aug", {}, {"id": "y", "source": ["x"], "matrix": [[1.0, 2.0]]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [[1.0, {"a": 2.0}]]}),
+        ],
+        ids=[
+            "meta-not-object", "matrix-file-not-string", "matrix-ref-not-object",
+            "matrix-ref-without-offset", "id-is-a-list", "source-is-a-list",
+            "matrix-not-numeric",
+        ],
+    )
+    def test_malformed_stream_is_a_parse_error(self, tmp_path, run_cli, stream, meta, record):
+        good = {
+            "orig": {"id": "x", "matrix": [[1.0, 2.0]]},
+            "aug": {"id": "y", "source": "x", "matrix": [[1.0, 2.0]]},
+        }
+        paths = {name: tmp_path / f"{name}.jsonl" for name in good}
+        for name, path in paths.items():
+            lines = [{"meta": meta}, record] if name == stream else [{"meta": {}}, good[name]]
+            path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        (tmp_path / "m.bin").write_bytes(b"")
+        code, stdout, err = run_cli("loss", "--orig", paths["orig"], "--aug", paths["aug"])
+        assert code == 2
+        assert stdout == ""
+        payload = stderr_error(err)
+        assert payload["error"] == "ParseError"
+        assert str(paths[stream]) in payload["message"]
+
     def test_missing_stream_file(self, tmp_path, run_cli):
         code, _, err = run_cli(
             "loss", "--orig", tmp_path / "none.jsonl", "--aug", tmp_path / "none2.jsonl"
@@ -591,6 +637,15 @@ class TestSubprocessEntryPoints:
             ["psda", "--help"], capture_output=True, text=True, timeout=120, env=child_env()
         )
         assert_help(proc)
+
+    def test_import_loads_no_numpy(self):
+        # --threads sets the BLAS environment after these imports
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, psda, psda.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_invocation(self):
         proc = subprocess.run(

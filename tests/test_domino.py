@@ -179,14 +179,10 @@ class TestFamilyStage:
 
 
 class TestMultiStage:
-    def tax(self, *families):
-        return LanguageTaxonomy(tuple(FamilyEntry(f, tuple(ls)) for f, ls in families))
-
     def test_single_family_mirrors_at_full_k(self):
         a = single_stage([[0, 0], [0.1, 0.1], [200, 0], [200.2, 0.1]], k=2, lang="aa")
         fam = cluster_family("fam", [a], KPolicy(family=2), CFG)
-        tax = self.tax(("fam", ["aa"]))
-        multi = cluster_multi(tax, [fam], KPolicy(multi=len(fam.clusters)), CFG)
+        multi = cluster_multi([fam], KPolicy(multi=len(fam.clusters)), CFG)
         assert len(multi.clusters) == len(fam.clusters)
         assert {frozenset(c.members) for c in multi.clusters} == {
             frozenset({("fam", g)}) for g in range(len(fam.clusters))
@@ -198,8 +194,7 @@ class TestMultiStage:
         for i, center in enumerate(spread):
             stage = single_stage([center, list(np.add(center, 0.1))], k=1, lang=f"l{i}")
             fams.append(cluster_family(f"f{i}", [stage], KPolicy(family=1), CFG))
-        tax = self.tax(*((f"f{i}", [f"l{i}"]) for i in range(3)))
-        multi = cluster_multi(tax, fams, KPolicy(multi=3), CFG)
+        multi = cluster_multi(fams, KPolicy(multi=3), CFG)
         assert sorted(len(c.members) for c in multi.clusters) == [1, 1, 1]
         assert {m for c in multi.clusters for m in c.members} == {
             ("f0", 0), ("f1", 0), ("f2", 0)

@@ -9,7 +9,6 @@ from psda.errors import (
 from psda.taxonomy import (
     FamilyEntry,
     LanguageTaxonomy,
-    family_of,
     load_taxonomy,
     serialize_taxonomy,
 )
@@ -26,7 +25,7 @@ def test_load_two_families(tmp_path):
     assert len(tax.families) == 2
     assert sorted(tax.languages) == ["de", "en", "zh"]
     assert tax.family_of("de") == "Germanic"
-    assert family_of(tax, "zh") == "Sino-Tibetan"
+    assert tax.family_of("zh") == "Sino-Tibetan"
 
 
 def test_load_minimal_family(tmp_path):
