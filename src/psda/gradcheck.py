@@ -5,15 +5,17 @@ objective it is documented to differentiate:
 
 * transport term: the plan is converged once at the base point and then
   held fixed while the augmented rows move,
-* spectral term: the singular factors from the base SVD are held fixed,
-  so the objective is the smooth quadratic whose exact gradient the
-  analytic formula gives,
+* spectral term: the thin singular factors from the base point are held
+  fixed, so the objective is the smooth quadratic whose exact gradient
+  the analytic formula gives (the zero singular values contribute
+  nothing to either),
 * pooled-cosine term: differentiated directly.
 
 A deliberate corruption hook scales one analytic gradient by 1%, giving
 a negative control that must fail the tolerance.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,12 +24,13 @@ import numpy as np
 from .otreg import (
     OtParams,
     _tail,
+    _thin_spectrum,
+    _thin_tail_count,
+    _thin_tail_gradient,
     cost_matrix,
     distance_shrinkage_gradient,
     distance_shrinkage_loss,
-    eig_shrinkage_gradient,
     ot_loss_gradient,
-    procrustes_map,
     sinkhorn,
 )
 from .util import derive_seed
@@ -113,21 +116,23 @@ def _check_instance(
 
     record("ot", ot_loss_gradient(orig, aug, plan, power=params.power), ot_objective)
 
-    _, s, u, vt = procrustes_map(orig, aug)
-    _, k, tied = _tail(s, params.tail_count)
+    spectrum, s, u, vt = _thin_spectrum(orig, aug)
+    _, k, tied = _tail(spectrum, params.tail_count)
     if tied:
         checks.append(
             TermCheck(instance, "eig", 0.0, True, skipped=True, reason="near-tied tail spectrum")
         )
     else:
-        idx = np.argsort(s)[:k]
+        # without a tie the tail holds at most one zero singular value
+        idx = np.argsort(s)[: max(_thin_tail_count(spectrum, s, k), 0)]
 
         def eig_objective(a):
             m = a.T @ orig
             vals = np.einsum("dr,de,er->r", u[:, idx], m, vt[idx, :].T)
             return float(-params.eta * np.sum(vals**2))
 
-        record("eig", eig_shrinkage_gradient(orig, u, vt, s, k, params.eta), eig_objective)
+        analytic = _thin_tail_gradient(orig, spectrum, s, u, vt, k, params.eta)
+        record("eig", analytic, eig_objective)
 
     def dis_objective(a):
         return distance_shrinkage_loss(orig, a)
@@ -155,6 +160,12 @@ def run_gradcheck(
     Defaults keep rows >= dim so the cross-covariance is full rank and
     the spectral check almost never hits the tied-spectrum skip.
     """
+    for name, count in (("instances", instances), ("rows", rows), ("dim", dim)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if corrupt is not None and corrupt not in TERMS:
         raise ValueError(f"corrupt must be one of {TERMS}, got {corrupt!r}")
     params = params or OtParams()

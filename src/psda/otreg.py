@@ -6,8 +6,8 @@ rows:
 * an entropic optimal-transport cost between the two point clouds,
   differentiated with the converged plan held fixed,
 * a spectral shrinkage term that pushes down the smallest singular
-  values of the cross-covariance (the same factorization yields the
-  orthogonal map aligning augmented onto original), and
+  values of the cross-covariance, taken from thin factors of rank at
+  most the number of rows, and
 * one minus the cosine similarity of the mean-pooled rows.
 
 The three are blended with convex weights, then blended again with a
@@ -52,10 +52,8 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def cost_matrix(orig: np.ndarray, aug: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """Transport cost C[i, j] = ||orig_i - aug_j||^power over paired clouds."""
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
+def _paired(orig: np.ndarray, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both clouds as float64, checked to share a shape and be finite."""
     orig = np.asarray(orig, dtype=np.float64)
     aug = np.asarray(aug, dtype=np.float64)
     if orig.shape != aug.shape:
@@ -64,10 +62,15 @@ def cost_matrix(orig: np.ndarray, aug: np.ndarray, power: float = 1.0) -> np.nda
         )
     require_finite(orig, "original embeddings")
     require_finite(aug, "augmented embeddings")
-    dist = pairwise_distances(orig, aug)
-    if power == 1.0:
-        return dist
-    return dist**power
+    return orig, aug
+
+
+def cost_matrix(orig: np.ndarray, aug: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """Transport cost C[i, j] = ||orig_i - aug_j||^power over paired clouds."""
+    if power <= 0:
+        raise ValueError(f"power must be positive, got {power}")
+    dist = pairwise_distances(*_paired(orig, aug))
+    return dist if power == 1.0 else dist**power
 
 
 @dataclass
@@ -75,9 +78,9 @@ class TransportPlan:
     """Entropic transport plan, converged or best-effort.
 
     ``marginal_error`` is the number ``converged`` was decided on: the
-    largest row-marginal deviation of the last iterate, whose columns the
-    final update matched to b up to rounding.  After zero iterations the
-    plan is the kernel exp(-C/eps) and the error covers rows and columns.
+    largest row-marginal deviation of the returned plan, whose columns
+    match b up to rounding.  After zero iterations the plan is the kernel
+    exp(-C/eps) and the error covers rows and columns.
     """
 
     plan: np.ndarray
@@ -104,6 +107,60 @@ def _check_marginal(w, size: int, name: str) -> np.ndarray:
     return w
 
 
+# Plain iterations before the Newton finish: enough to leave the far
+# field, where a Newton step on the semi-dual buys little.
+WARMUP_ITERATIONS = 20
+# Newton damping relative to the residual norm, the Armijo constant, and
+# the step halvings tried before falling back to a plain iteration.
+NEWTON_DAMPING = 1e-3
+ARMIJO = 1e-4
+MAX_HALVINGS = 30
+
+
+def _columns_matched(f: np.ndarray, neg_scaled: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The plan exp(f_i + g_j - C_ij/eps) with g eliminated so that every
+    column sums to b_j: column j is b_j times the softmax of f + column j."""
+    z = f[:, None] + neg_scaled
+    e = np.exp(z - z.max(axis=0))
+    return e * (b / e.sum(axis=0))
+
+
+def _newton_step(f, plan, a, b):
+    """One damped Newton step on the semi-dual, or None if the Armijo
+    backtracking fails.
+
+    F(f) = <f, a> + <g(f), b> with g(f) the column elimination is concave,
+    with gradient a - P1 and negative Hessian diag(P1) - P diag(1/b) P^T,
+    singular along the constant vector (the gauge f + c, g - c).  The step
+    d solves that Hessian plus mu I + 11^T/n, mu = NEWTON_DAMPING |a - P1|,
+    for the gradient.  Near the optimum the gain F(f + t d) - F(f) lies
+    far below the rounding of F, so it is computed directly as
+    t <a, d> - sum_j b_j log(sum_i pi_ij exp(t d_i)), with pi the plan
+    divided by b (each column sums to 1).
+    """
+    n = a.size
+    row_sums = plan.sum(axis=1)
+    grad = a - row_sums
+    pi = plan / b
+    hess = np.diag(row_sums) - pi @ plan.T
+    hess += NEWTON_DAMPING * np.linalg.norm(grad) * np.eye(n) + 1.0 / n
+    step = np.linalg.solve(hess, grad)
+    slope = float(grad @ step)
+    if not slope > 0:
+        return None
+    a_step = float(a @ step)
+    t = 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(MAX_HALVINGS):
+            shift = pi.T @ np.expm1(t * step)
+            gain = t * a_step - float(b @ np.log1p(shift))
+            # a column whose mass underflows gives an infinite gain: too far
+            if math.isfinite(gain) and gain >= ARMIJO * t * slope:
+                return f + t * step
+            t *= 0.5
+    return None
+
+
 def sinkhorn(
     cost: np.ndarray,
     epsilon: float,
@@ -114,18 +171,29 @@ def sinkhorn(
 ) -> TransportPlan:
     """Entropic OT between discrete marginals a and b under ``cost``.
 
-    Marginals default to uniform.  One log-domain iteration, with no
-    plain-scaling path: starting from g = 0, each iteration sets
+    Marginals default to uniform.  With the potentials f, g kept divided
+    by eps, the plan is exp(f_i + g_j - C_ij/eps).  Two phases share the
+    budget of ``max_iter`` iterations:
 
-        f = eps log a - eps logsumexp_j((g_j - C_ij)/eps)
-        g = eps log b - eps logsumexp_i((f_i - C_ij)/eps)
+    * a warm-up of up to WARMUP_ITERATIONS log-domain Sinkhorn iterations
+      from g = 0, each setting
 
-    which is the scaling iteration u = a / (K v), v = b / (K^T u) with
-    K = exp(-C/eps), u = exp(f/eps), v = exp(g/eps), but stays finite
-    where K underflows.  The plan is exp((f_i + g_j - C_ij)/eps).  After
-    the g update the columns match b, so each iteration checks the row
-    marginals alone; the row log-sum-exp that check needs is the one the
-    next f update uses.  The plan is built once, at exit.
+          f = log a - logsumexp_j(g_j - C_ij/eps)
+          g = log b - logsumexp_i(f_i - C_ij/eps),
+
+      the scaling iteration u = a / (K v), v = b / (K^T u) kept finite
+      where K = exp(-C/eps) underflows;
+    * a damped Newton finish on the semi-dual in f, with g eliminated by
+      the column log-sum-exp so every column matches b (Brauer, Clason,
+      Lorenz & Wirth 2017, "A Sinkhorn-Newton method for entropic optimal
+      transport").  Each step solves an n x n system and backtracks with
+      an Armijo rule; a step whose backtracking fails is replaced by one
+      warm-up iteration.
+
+    Both phases stop as soon as the row error of the plan is within
+    ``tol``; the columns match b up to rounding throughout, so the row
+    error is the marginal error.  The solve runs on the support of a and
+    b: rows and columns of zero mass get exactly zero plan entries.
 
     Failure to reach ``tol`` within ``max_iter`` iterations is reported
     through ``converged=False``, never as an exception.
@@ -144,20 +212,23 @@ def sinkhorn(
     a = np.full(n, 1.0 / n) if a is None else _check_marginal(a, n, "row marginal")
     b = np.full(m, 1.0 / m) if b is None else _check_marginal(b, m, "column marginal")
 
-    # f and g below hold the potentials divided by epsilon
     neg_scaled = -cost / epsilon
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
-    f = np.zeros(n)
-    g = np.zeros(m)
+    if max_iter == 0:
+        plan = np.exp(neg_scaled)
+        error = float(max(np.abs(plan.sum(axis=1) - a).max(), np.abs(plan.sum(axis=0) - b).max()))
+        return TransportPlan(plan, epsilon, 0, error, error <= tol)
+
+    rows, cols = np.flatnonzero(a), np.flatnonzero(b)
+    support = rows.size < n or cols.size < m
+    if support:
+        neg_scaled, a, b = neg_scaled[np.ix_(rows, cols)], a[rows], b[cols]
+    log_a, log_b = np.log(a), np.log(b)
+
+    # Warm-up.  These log-sum-exps need none of logsumexp's guards: every
+    # entry of a and b is positive here, so every column of f + neg_scaled
+    # and every row of g + neg_scaled has a finite maximum.
     row_lse = logsumexp(neg_scaled, axis=1)
-    iterations = 0
-    converged = False
-    # These log-sum-exps need none of logsumexp's guards: a and b each have
-    # a positive entry, so every column of f + neg_scaled and every row of
-    # g + neg_scaled has a finite maximum and a shifted sum of at least 1.
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, min(max_iter, WARMUP_ITERATIONS) + 1):
         f = log_a - row_lse
         z = f[:, None] + neg_scaled
         z_max = z.max(axis=0)
@@ -167,13 +238,28 @@ def sinkhorn(
         row_lse = z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))
         error = float(np.abs(np.exp(f + row_lse) - a).max())
         if error <= tol:
-            converged = True
             break
-    plan = np.exp(f[:, None] + g[None, :] + neg_scaled)
-    if iterations == 0:
-        row_error = np.abs(plan.sum(axis=1) - a).max()
-        error = float(max(row_error, np.abs(plan.sum(axis=0) - b).max()))
-    return TransportPlan(plan, epsilon, iterations, error, converged)
+    if error <= tol or iterations == max_iter:
+        # a solve the warm-up ends returns the plain loop's plan bit for bit
+        plan = np.exp(f[:, None] + g[None, :] + neg_scaled)
+    else:
+        plan = _columns_matched(f, neg_scaled, b)
+        error = float(np.abs(plan.sum(axis=1) - a).max())
+    while error > tol and iterations < max_iter:
+        iterations += 1
+        stepped = _newton_step(f, plan, a, b)
+        if stepped is None:
+            g = log_b - logsumexp(f[:, None] + neg_scaled, axis=0)
+            stepped = log_a - logsumexp(g + neg_scaled, axis=1)
+        f = stepped
+        plan = _columns_matched(f, neg_scaled, b)
+        error = float(np.abs(plan.sum(axis=1) - a).max())
+
+    if support:
+        full = np.zeros((n, m))
+        full[np.ix_(rows, cols)] = plan
+        plan = full
+    return TransportPlan(plan, epsilon, iterations, error, error <= tol)
 
 
 def ot_loss(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> float:
@@ -204,9 +290,13 @@ def ot_loss_gradient(
             f"plan shape {p.shape} does not pair {orig.shape[0]} originals "
             f"with {aug.shape[0]} augmented rows"
         )
-    dist = pairwise_distances(orig, aug)
+    return _ot_gradient(orig, aug, p, pairwise_distances(orig, aug), power)
+
+
+def _ot_gradient(orig, aug, plan, dist, power):
+    """ot_loss_gradient given the pairwise distances of the two clouds."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        weight = p * power * dist ** (power - 2.0)
+        weight = plan * power * dist ** (power - 2.0)
     weight[dist == 0] = 0.0
     col = weight.sum(axis=0)
     return col[:, None] * aug - weight.T @ orig
@@ -219,17 +309,42 @@ def procrustes_map(orig: np.ndarray, aug: np.ndarray):
     singular values in descending order.  W = U V^T depends only on the
     factors, so rescaling either cloud leaves it unchanged.
     """
-    orig = np.asarray(orig, dtype=np.float64)
-    aug = np.asarray(aug, dtype=np.float64)
-    if orig.shape != aug.shape:
-        raise DimensionMismatchError(
-            f"paired clouds must share a shape, got {orig.shape} and {aug.shape}"
-        )
-    require_finite(orig, "original embeddings")
-    require_finite(aug, "augmented embeddings")
-    m = aug.T @ orig
-    u, s, vt = np.linalg.svd(m)
+    orig, aug = _paired(orig, aug)
+    u, s, vt = np.linalg.svd(aug.T @ orig)
     return u @ vt, s, u, vt
+
+
+def _thin_spectrum(orig: np.ndarray, aug: np.ndarray):
+    """Spectrum of M = aug^T @ orig without a d x d factorization.
+
+    With thin QRs aug^T = Q_a R_a and orig^T = Q_o R_o, M = Q_a (R_a R_o^T)
+    Q_o^T, so the SVD of the r x r core (r = min(n, d)) holds every
+    nonzero singular value.  Returns (spectrum, s, u, vt): the d singular
+    values, the core's r in descending order followed by d - r zeros;
+    the core's r alone; and their thin factors u = Q_a U_c (d, r) and
+    vt = V_c^T Q_o^T (r, d).
+    """
+    q_a, r_a = np.linalg.qr(aug.T)
+    q_o, r_o = np.linalg.qr(orig.T)
+    u_c, s, vt_c = np.linalg.svd(r_a @ r_o.T)
+    spectrum = np.concatenate([s, np.zeros(orig.shape[1] - s.size)])
+    return spectrum, s, q_a @ u_c, vt_c @ q_o.T
+
+
+def _thin_tail_count(spectrum: np.ndarray, s: np.ndarray, k: int) -> int:
+    """How many of the k smallest of ``spectrum`` are singular values of
+    the core: the tail takes the d - r zeros first.  Below 1 when the
+    zeros fill the tail."""
+    return k - (spectrum.size - s.size)
+
+
+def _thin_tail_gradient(orig, spectrum, s, u, vt, k: int, eta: float) -> np.ndarray:
+    """eig_shrinkage_gradient for the k smallest of ``spectrum``, from the
+    thin factors of ``_thin_spectrum``; zero singular values add nothing."""
+    thin_k = _thin_tail_count(spectrum, s, k)
+    if thin_k < 1:
+        return np.zeros((orig.shape[0], u.shape[0]))
+    return eig_shrinkage_gradient(orig, u, vt, s, thin_k, eta)
 
 
 def _tail(singular_values: np.ndarray, tail_count: int) -> tuple[np.ndarray, int, bool]:
@@ -414,26 +529,23 @@ def affinity_regularization(
     task_loss: float = 0.0,
 ) -> LossBreakdown:
     """Evaluate all terms between paired original and augmented clouds."""
-    orig = np.asarray(orig, dtype=np.float64)
-    aug = np.asarray(aug, dtype=np.float64)
-    if orig.shape != aug.shape:
-        raise DimensionMismatchError(
-            f"paired clouds must share a shape, got {orig.shape} and {aug.shape}"
-        )
+    orig, aug = _paired(orig, aug)
     if orig.ndim != 2 or orig.shape[0] == 0:
         raise ValueError("clouds must be nonempty 2-D arrays")
 
-    cost = cost_matrix(orig, aug, power=params.power)
+    # one n x n x d difference serves the cost and the transport gradient
+    dist = pairwise_distances(orig, aug)
+    cost = dist if params.power == 1.0 else dist**params.power
     plan = sinkhorn(
         cost, params.epsilon, max_iter=params.max_iter, tol=params.tol
     )
     l_ot = ot_loss(plan, cost)
-    g_ot = ot_loss_gradient(orig, aug, plan, power=params.power)
+    g_ot = _ot_gradient(orig, aug, plan.plan, dist, params.power)
 
-    _, s, u, vt = procrustes_map(orig, aug)
-    k = min(params.tail_count, s.size)
-    l_eig = eig_shrinkage_loss(s, k, params.eta)
-    g_eig = eig_shrinkage_gradient(orig, u, vt, s, k, params.eta)
+    spectrum, s, u, vt = _thin_spectrum(orig, aug)
+    k = min(params.tail_count, spectrum.size)
+    l_eig = eig_shrinkage_loss(spectrum, k, params.eta)
+    g_eig = _thin_tail_gradient(orig, spectrum, s, u, vt, k, params.eta)
 
     l_dis = distance_shrinkage_loss(orig, aug)
     g_dis = distance_shrinkage_gradient(orig, aug)

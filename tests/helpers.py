@@ -140,3 +140,24 @@ def reference_sinkhorn(cost, epsilon, max_iter, tol):
         if max(np.abs(plan.sum(1) - a).max(), np.abs(plan.sum(0) - b).max()) <= tol:
             return plan, it
     return plan, max_iter
+
+
+def sentence_clouds(rng, n: int, dim: int = 300, replaced: int = 3):
+    """An (original, augmented) pair shaped like the benchmark's sentences.
+
+    Words are a super-group centre (norm 3) plus a group offset (1.5) plus
+    word noise (0.6), so rows have norms of about 3 to 4; a sentence draws
+    ``n`` words with repeats, and its augmented copy swaps ``replaced``
+    rows for words of the same group.  The many zero and near-equal
+    distances make the plain Sinkhorn iteration slow at eps=0.1.
+    """
+    scale = 1.0 / np.sqrt(dim)
+    supers = rng.normal(size=(3, dim)) * 3.0 * scale
+    centres = supers[np.arange(15) % 3] + rng.normal(size=(15, dim)) * 1.5 * scale
+    words = centres[np.arange(150) % 15] + rng.normal(size=(150, dim)) * 0.6 * scale
+    ids = rng.integers(0, 150, size=n)
+    orig = words[ids]
+    aug = orig.copy()
+    for pos in rng.choice(n, size=replaced, replace=False):
+        aug[pos] = words[(ids[pos] + 15 * rng.integers(1, 10)) % 150]
+    return orig, aug

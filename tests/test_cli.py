@@ -367,6 +367,14 @@ class TestLoss:
         assert payload["error"] == "ParseError"
         assert "q0" in payload["message"]
 
+    def test_converges_at_the_default_operating_point(self, built):
+        code, stdout, err = invoke("loss", "--orig", built.orig, "--aug", built.aug)
+        assert code == 0, err
+        lines = [json.loads(ln) for ln in stdout.strip().splitlines()]
+        assert len(lines) == 4
+        assert all(line["non_convergence"] is False for line in lines[:-1])
+        assert lines[-1]["aggregate"]["non_convergence_any"] is False
+
     def test_non_convergence_is_flagged_not_fatal(self, built):
         # a soft kernel needs many balancing sweeps; one is not enough
         # (at the default epsilon the kernel underflows to a permutation
@@ -503,6 +511,25 @@ class TestGradcheck:
     def test_rejects_unknown_corrupt_target(self):
         with pytest.raises(SystemExit):
             invoke("gradcheck", "--corrupt", "spectral")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
+            ("--tolerance", "0"), ("--tolerance", "-1e-4"), ("--tolerance", "nan"),
+            ("--instances", "0"), ("--instances", "-3"),
+            ("--rows", "0"), ("--dim", "0"),
+        ],
+    )
+    def test_rejects_bad_arguments_before_checking(self, run_cli, flag, value):
+        code, stdout, err = run_cli("gradcheck", "--instances", "1", f"{flag}={value}")
+        assert code == 2
+        assert stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ValueError"
+        assert flag.lstrip("-") in payload["message"]
 
 
 class TestReport:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_sinkhorn
+from helpers import reference_sinkhorn, sentence_clouds
 
 from psda.errors import (
     DegenerateSpectrumWarning,
@@ -19,6 +19,7 @@ from psda.errors import (
     ZeroVectorError,
 )
 from psda.otreg import (
+    WARMUP_ITERATIONS,
     LossBreakdown,
     OtParams,
     affinity_regularization,
@@ -211,6 +212,41 @@ class TestSinkhorn:
         result = sinkhorn(cost, epsilon=0.1, max_iter=0)
         assert result.iterations_used == 0
         assert not result.converged
+        # no iteration: the plan is the kernel, its error covers both sides
+        kernel = np.exp(-cost / 0.1)
+        assert np.array_equal(result.plan, kernel)
+        error = max(np.abs(kernel.sum(axis=1) - 0.5).max(), np.abs(kernel.sum(axis=0) - 0.5).max())
+        assert result.marginal_error == error
+
+    def test_zero_iterations_on_a_feasible_kernel_converge(self):
+        result = sinkhorn(np.array([[0.0]]), epsilon=0.1, max_iter=0)
+        assert result.iterations_used == 0
+        assert result.marginal_error == 0.0
+        assert result.converged
+
+    @pytest.mark.parametrize("max_iter", [1, 5, WARMUP_ITERATIONS])
+    def test_budget_inside_the_warm_up_is_plain_sinkhorn(self, max_iter):
+        rng = np.random.default_rng(9)
+        cost = cost_matrix(rng.normal(size=(12, 3)) * 2.0, rng.normal(size=(12, 3)) * 2.0)
+        result = sinkhorn(cost, epsilon=0.1, max_iter=max_iter, tol=1e-12)
+        ref_plan, ref_iterations = reference_sinkhorn(cost, 0.1, max_iter=max_iter, tol=1e-12)
+        assert ref_iterations == max_iter
+        assert result.iterations_used == max_iter
+        assert not result.converged
+        assert np.max(np.abs(result.plan - ref_plan)) <= 1e-13
+        row_error = np.abs(result.plan.sum(axis=1) - 1.0 / 12).max()
+        assert abs(result.marginal_error - row_error) <= 1e-15
+        assert np.max(np.abs(result.plan.sum(axis=0) - 1.0 / 12)) <= 1e-15
+
+    def test_budget_bounds_warm_up_and_newton_together(self):
+        rng = np.random.default_rng(9)
+        cost = cost_matrix(rng.normal(size=(12, 3)) * 2.0, rng.normal(size=(12, 3)) * 2.0)
+        full = sinkhorn(cost, epsilon=0.1, tol=1e-12)
+        assert full.converged and full.iterations_used > WARMUP_ITERATIONS + 1
+        short = sinkhorn(cost, epsilon=0.1, max_iter=full.iterations_used - 1, tol=1e-12)
+        assert short.iterations_used == full.iterations_used - 1
+        assert not short.converged
+        assert short.marginal_error > 1e-12
 
     def test_underflowing_kernel_converges(self):
         # exp(-cost/eps) is exactly zero in every cell
@@ -227,19 +263,33 @@ class TestSinkhorn:
         assert result.converged
         assert np.max(np.abs(result.plan - ref_plan)) <= 1e-8
 
-    def test_stops_at_the_reference_iteration(self):
-        # slow convergence (hundreds of iterations at eps=0.1) on clouds of
-        # norm 3 to 4, the scale of real sentence embeddings
+    def test_converged_plan_matches_a_tighter_reference(self):
+        # slow plain convergence (hundreds of iterations at eps=0.1) on
+        # clouds of norm 3 to 4, the scale of real sentence embeddings
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 18, 3))
         clouds = x / np.linalg.norm(x, axis=2, keepdims=True) * rng.uniform(3, 4, size=(2, 18, 1))
         cost = cost_matrix(clouds[0], clouds[1])
-        result = sinkhorn(cost, epsilon=0.1, max_iter=5000, tol=1e-9)
-        _, ref_iterations = reference_sinkhorn(cost, 0.1, max_iter=5000, tol=1e-9)
+        result = sinkhorn(cost, epsilon=0.1)
+        ref_plan, ref_iterations = reference_sinkhorn(cost, 0.1, max_iter=20000, tol=1e-13)
+        assert ref_iterations < 20000
         assert result.converged
-        assert ref_iterations < 5000
-        assert result.iterations_used == ref_iterations
+        assert result.iterations_used < ref_iterations
+        row_error = np.abs(result.plan.sum(axis=1) - 1.0 / 18).max()
+        assert abs(result.marginal_error - row_error) <= 1e-15
         assert result.marginal_error <= 1e-9
+        assert np.max(np.abs(result.plan - ref_plan)) <= 1e-10
+
+    def test_benchmark_shaped_clouds_converge_at_the_defaults(self):
+        # sentence pairs at d=300 with row norms 3 to 4: 1000 plain
+        # iterations leave every one of these short of 1e-9 (6e-9 to 6e-6)
+        rng = np.random.default_rng(10)
+        params = OtParams()
+        for n in np.linspace(18, 48, 20).astype(int):
+            cost = cost_matrix(*sentence_clouds(rng, n))
+            result = sinkhorn(cost, params.epsilon, max_iter=params.max_iter, tol=params.tol)
+            assert result.converged, (n, result.marginal_error)
+            assert result.marginal_error <= params.tol
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -446,6 +496,61 @@ class TestEigShrinkage:
 
         fd = central_fd(full_loss, aug)
         assert rel_error(fd, grad) <= 1e-4
+
+
+def full_svd_spectral_term(orig, aug, tail, eta):
+    """The spectral loss and gradient from the full d x d SVD of
+    aug^T @ orig, and whether the loss warned of a tie."""
+    _, s, u, vt = procrustes_map(orig, aug)
+    k = min(tail, s.size)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loss = eig_shrinkage_loss(s, k, eta)
+    grad = eig_shrinkage_gradient(orig, u, vt, s, k, eta)
+    return loss, grad, any(issubclass(w.category, DegenerateSpectrumWarning) for w in caught)
+
+
+def rank_aware_spectral_term(orig, aug, tail, eta):
+    """The spectral loss and gradient as affinity_regularization computes
+    them (rho puts all weight on the spectral term), and the tie warning."""
+    params = OtParams(tail_count=tail, eta=eta, rho=(0.0, 1.0, 0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = affinity_regularization(orig, aug, params)
+    warned = any(issubclass(w.category, DegenerateSpectrumWarning) for w in caught)
+    return out.loss_eig, out.grad_augmented, warned
+
+
+class TestRankAwareSpectrum:
+    # d = 6; tails below d - n, at d - n, between d - n and d, at d, above d
+    @pytest.mark.parametrize("rows", [3, 6, 9])
+    @pytest.mark.parametrize("tail", [1, 2, 3, 4, 5, 6, 10])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_full_svd(self, rows, tail, seed):
+        rng = np.random.default_rng(seed + 40)
+        orig = rng.normal(size=(rows, 6)) + 0.5
+        aug = orig + rng.normal(size=(rows, 6)) * 0.3
+        eta = 0.01
+        ref_loss, ref_grad, ref_warned = full_svd_spectral_term(orig, aug, tail, eta)
+        loss, grad, warned = rank_aware_spectral_term(orig, aug, tail, eta)
+        # relative to the whole term: eta ||M||_F^2 and 2 eta ||orig|| ||M||
+        m_norm = np.linalg.norm(aug.T @ orig)
+        assert abs(loss - ref_loss) <= 1e-12 * eta * m_norm**2
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * 2 * eta * np.linalg.norm(orig) * m_norm
+        assert warned == ref_warned
+        # the d - n zeros tie as soon as the tail holds two of them
+        assert warned == (rows < 6 and tail >= 2)
+
+    @pytest.mark.parametrize("tail", [1, 2, 4, 10])
+    def test_tied_nonzero_spectrum_warns_alike(self, tail):
+        # orig = aug = 2Q with Q orthogonal: M = 4 I, four equal singular
+        # values and no zeros
+        q, _ = np.linalg.qr(np.random.default_rng(50).normal(size=(4, 4)))
+        orig = 2.0 * q
+        ref_loss, _, ref_warned = full_svd_spectral_term(orig, orig.copy(), tail, 0.1)
+        loss, _, warned = rank_aware_spectral_term(orig, orig.copy(), tail, 0.1)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert warned == ref_warned == (tail >= 2)
 
 
 class TestDistanceShrinkage:
