@@ -58,14 +58,26 @@ class CandidateIndex:
 
     Pools hold (lang, word, raw embedding) entries in sorted-language,
     vocabulary order, so draws are identical across runs and processes.
+    Each (cluster, excluded language) pool is filtered once, on first
+    use, and shared by every later draw from it.
     """
 
     by_multi_cluster: dict[int, list[Candidate]] = field(default_factory=dict)
+    _eligible: dict[tuple[int, str], list[Candidate]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def eligible(self, multi_cluster: int, exclude_lang: str) -> list[Candidate]:
-        """Pool for one cluster, restricted to other languages."""
-        pool = self.by_multi_cluster.get(multi_cluster, [])
-        return [c for c in pool if c.lang != exclude_lang]
+        """Pool for one cluster, restricted to other languages.
+
+        The returned list is shared; callers must not modify it.
+        """
+        key = (multi_cluster, exclude_lang)
+        pool = self._eligible.get(key)
+        if pool is None:
+            everyone = self.by_multi_cluster.get(multi_cluster, [])
+            pool = self._eligible[key] = [c for c in everyone if c.lang != exclude_lang]
+        return pool
 
 
 def build_candidate_index(

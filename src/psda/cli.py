@@ -12,6 +12,11 @@ are emitted to stderr as one JSON object.  Streams are line-delimited
 JSON with sorted keys; the first line of a stream is a ``meta`` record
 echoing the configuration.
 
+``augment`` encodes each distinct inline matrix row once per run and
+splices the row texts into each record's line, whose bytes stay those
+of ``json.dumps`` on the whole record.  ``loss`` validates each inline
+matrix and packs it into one float64 array as it reads the line.
+
 Heavy imports stay inside the command functions so ``--threads`` can
 pin BLAS pools through the environment before numpy first loads.
 """
@@ -126,16 +131,35 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _attach_matrix(record: dict, matrix, sidecar_fh) -> None:
-    """Embed the matrix as nested lists, or as an offset into the open
-    binary sidecar when one is being written."""
-    if sidecar_fh is None:
-        record["matrix"] = matrix.tolist()
-    else:
+def _matrix_json(matrix, row_text: dict) -> str:
+    """``json.dumps(matrix.tolist())`` in compact form, encoding each
+    distinct row once: ``row_text`` maps a row's bytes to its JSON text.
+    Bytes, not values, key it, so ``-0.0`` and ``0.0`` stay apart."""
+    texts = []
+    for row in matrix:
+        key = row.tobytes()
+        text = row_text.get(key)
+        if text is None:
+            text = row_text[key] = json.dumps(row.tolist(), separators=(",", ":"))
+        texts.append(text)
+    return "[" + ",".join(texts) + "]"
+
+
+def _write_record(fh, record: dict, matrix, sidecar_fh, row_text: dict) -> None:
+    """Write one stream line carrying ``matrix``: inline as nested arrays,
+    or as an offset into the open binary sidecar when one is being
+    written.  An inline line is byte-identical to ``_jsonl_line`` of the
+    record with ``matrix.tolist()`` under ``"matrix"``."""
+    if sidecar_fh is not None:
         from .binio import write_array
 
         offset, nbytes = write_array(sidecar_fh, matrix)
-        record["matrix_ref"] = {"offset": offset, "nbytes": nbytes}
+        ref = {"offset": offset, "nbytes": nbytes}
+        fh.write(_jsonl_line({**record, "matrix_ref": ref}) + "\n")
+        return
+    fields = {key: _jsonl_line(value) for key, value in record.items()}
+    fields["matrix"] = _matrix_json(matrix, row_text)
+    fh.write("{" + ",".join(f"{_jsonl_line(k)}:{fields[k]}" for k in sorted(fields)) + "}\n")
 
 
 def cmd_augment(args) -> int:
@@ -157,6 +181,9 @@ def cmd_augment(args) -> int:
     parsed = 0
     written = 0
     changed = 0
+    # JSON text of each distinct inline row: every row written is a
+    # vocabulary vector or a zero row, so most repeat across records
+    row_text = {}
 
     sidecar_name = os.path.basename(args.matrix_out) if args.matrix_out else None
     sidecar_fh = open(args.matrix_out, "wb") if args.matrix_out else None
@@ -196,8 +223,7 @@ def cmd_augment(args) -> int:
                         "tokens": list(rec.tokens),
                         "svo": svo,
                     }
-                    _attach_matrix(record, mat, sidecar_fh)
-                    orig_fh.write(_jsonl_line(record) + "\n")
+                    _write_record(orig_fh, record, mat, sidecar_fh, row_text)
                 for copy in range(cfg.copies):
                     aug = augment_sentence(
                         rec, mat, model, index, sentence_seed(cfg.seed, rec, copy)
@@ -218,8 +244,7 @@ def cmd_augment(args) -> int:
                         "replacements": [asdict(r) for r in aug.replacements],
                         "skipped": [asdict(s) for s in aug.skipped],
                     }
-                    _attach_matrix(record, aug.augmented, sidecar_fh)
-                    fh.write(_jsonl_line(record) + "\n")
+                    _write_record(fh, record, aug.augmented, sidecar_fh, row_text)
     finally:
         if orig_fh is not None:
             orig_fh.close()
@@ -249,7 +274,13 @@ def cmd_augment(args) -> int:
 
 
 def _read_stream(path):
-    """Read one JSONL stream; returns (meta record or None, data records)."""
+    """Read one JSONL stream; returns (meta record or None, data records).
+
+    An inline ``matrix`` is packed into one float64 array as its line is
+    read, so the nested lists of only one line are alive at a time.
+    """
+    import numpy as np
+
     from .errors import ParseError
 
     meta = None
@@ -274,6 +305,14 @@ def _read_stream(path):
                 if meta is None:
                     meta = obj["meta"]
                 continue
+            if "matrix" in obj:
+                try:
+                    obj["matrix"] = np.asarray(obj["matrix"], dtype=np.float64)
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(
+                        f"record {obj.get('id')!r}: 'matrix' is not a numeric array",
+                        path=str(path),
+                    ) from exc
             records.append(obj)
     return meta, records
 
@@ -291,18 +330,10 @@ class _MatrixSource:
         self.fh = None
 
     def matrix(self, record):
-        import numpy as np
-
         from .errors import ParseError
 
         if "matrix" in record:
-            try:
-                return np.asarray(record["matrix"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(
-                    f"record {record.get('id')!r}: 'matrix' is not a numeric array",
-                    path=self.stream_path,
-                ) from exc
+            return record["matrix"]  # packed by _read_stream
         ref = record.get("matrix_ref")
         if ref is None:
             raise ParseError(

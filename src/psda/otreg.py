@@ -393,13 +393,15 @@ def eig_shrinkage_gradient(
 
     With M = aug^T @ orig = U diag(s) V^T and the factors held fixed,
     d loss / d M = -2 eta * sum over the k smallest of s_r u_r v_r^T,
-    and the chain rule through M gives orig @ (d loss / d M)^T.
+    and the chain rule through M gives orig @ (d loss / d M)^T.  The
+    product is taken through the k tail directions, O(n d k), without
+    forming the d x d matrix d loss / d M.
     """
     s = np.asarray(singular_values, dtype=np.float64)
     _, k, _ = _tail(s, tail_count)
     idx = np.argsort(s)[:k]
-    grad_m = -2.0 * eta * (u[:, idx] * s[idx]) @ vt[idx, :]
-    return np.asarray(orig, dtype=np.float64) @ grad_m.T
+    orig = np.asarray(orig, dtype=np.float64)
+    return -2.0 * eta * ((orig @ vt[idx, :].T) * s[idx]) @ u[:, idx].T
 
 
 POOL_NORM_TOL = 1e-12

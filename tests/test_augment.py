@@ -51,6 +51,15 @@ class TestCandidateIndex:
             assert all(c.lang == "bb" for c in index.eligible(q, "aa"))
             assert all(c.lang == "aa" for c in index.eligible(q, "bb"))
 
+    def test_eligible_pool_is_filtered_once_in_pool_order(self, index):
+        for q, pool in index.by_multi_cluster.items():
+            for lang in ("aa", "bb"):
+                first = index.eligible(q, lang)
+                expected = [c for c in pool if c.lang != lang]
+                assert len(first) == len(expected)
+                assert all(a is b for a, b in zip(first, expected))
+                assert index.eligible(q, lang) is first
+
     def test_eligible_unknown_cluster_is_empty(self, index):
         assert index.eligible(9999, "aa") == []
 

@@ -13,15 +13,27 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import child_env, conllu_block, read_stream, write_conllu
+from helpers import (
+    child_env,
+    conllu_block,
+    read_stream,
+    write_conllu,
+    write_vectors,
+)
 
+from psda.augment import augment_sentence, build_candidate_index, sentence_seed
 from psda.binio import read_array
+from psda.config import load_config
+from psda.corpus import assemble_sentence, iter_conllu_lenient
+from psda.embeddings import load_vectors
+from psda.model_io import load_model
 
 
 def invoke(*argv):
@@ -287,6 +299,95 @@ class TestAugment:
         assert json.loads(stdout.strip().splitlines()[-1])["aggregate"]["pairs"] == 3
 
 
+@pytest.fixture(scope="module")
+def format_run(cli_workspace, tmp_path_factory):
+    """One cluster + augment run over inputs that stress the inline row
+    encoding: a non-ASCII word, an out-of-vocabulary token, two copies,
+    and two words whose vectors differ only in the sign of one zero."""
+    root = cli_workspace.root
+    aa = dict(cli_workspace.stores["aa"].entries)
+    aa["äpfel"] = aa["aa_g0_w1"] + 0.01
+    aa["aa_pos_zero"] = aa["aa_g1_w2"].copy()
+    aa["aa_pos_zero"][2] = 0.0
+    aa["aa_neg_zero"] = aa["aa_pos_zero"].copy()
+    aa["aa_neg_zero"][2] = -0.0
+    write_vectors(root / "vec_aa_format.txt", "aa", aa)
+    blocks = [
+        conllu_block("aa", [
+            ("äpfel", "NOUN", 2, "nsubj"), ("aa_g1_w0", "VERB", 0, "root"),
+            ("aa_g2_w1", "NOUN", 2, "obj"), ("aa_pos_zero", "X", 2, "dep"),
+            ("zz_unknown", "X", 2, "dep"), ("aa_neg_zero", "X", 2, "dep"),
+        ]),
+        conllu_block("bb", [
+            ("bb_g0_w1", "NOUN", 2, "nsubj"), ("bb_g1_w1", "VERB", 0, "root"),
+            ("bb_g2_w0", "NOUN", 2, "obj"),
+        ]),
+        conllu_block("aa", [
+            ("aa_neg_zero", "NOUN", 2, "nsubj"), ("aa_g1_w1", "VERB", 0, "root"),
+            ("aa_pos_zero", "NOUN", 2, "obj"), ("äpfel", "X", 2, "dep"),
+        ]),
+    ]
+    write_conllu(root / "corpus_format.conllu", blocks)
+    overrides = {
+        "embeddings.aa": "vec_aa_format.txt", "corpus": "corpus_format.conllu", "copies": "2"
+    }
+    settings = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+    out = tmp_path_factory.mktemp("stream_format")
+    model, aug, orig = out / "model.psda", out / "aug.jsonl", out / "orig.jsonl"
+    code, _, err = invoke("cluster", "--config", cli_workspace.config, *settings, "--out", model)
+    assert code == 0, err
+    code, _, err = invoke(
+        "augment", "--config", cli_workspace.config, *settings,
+        "--model", model, "--out", aug, "--orig-out", orig,
+    )
+    assert code == 0, err
+    cfg = load_config(cli_workspace.config, overrides)
+    return SimpleNamespace(cfg=cfg, model=str(model), aug=aug, orig=orig)
+
+
+class TestStreamFormat:
+    def test_every_line_is_canonical_json(self, format_run):
+        for path in (format_run.aug, format_run.orig):
+            text = path.read_text(encoding="utf-8")
+            assert "äpfel" in text  # written raw, not as a \u escape
+            lines = text.splitlines()
+            assert len(lines) == (7 if path == format_run.aug else 4)
+            for line in lines:
+                assert line == json.dumps(
+                    json.loads(line), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+                )
+
+    def test_matrices_bit_equal_the_library(self, format_run):
+        cfg = format_run.cfg
+        stores = {lang: load_vectors(p, lang) for lang, p in cfg.embedding_paths.items()}
+        pos, neg = stores["aa"]["aa_pos_zero"], stores["aa"]["aa_neg_zero"]
+        assert np.array_equal(pos, neg) and pos.tobytes() != neg.tobytes()
+        model = load_model(format_run.model)
+        index = build_candidate_index(model, stores)
+        _, origs = read_stream(format_run.orig)
+        _, augs = read_stream(format_run.aug)
+        recs = [rec for rec, _ in iter_conllu_lenient(cfg.corpus_path)]
+        assert cfg.copies == 2
+        assert len(origs) == len(recs) and len(augs) == 2 * len(recs)
+
+        def packed(matrix):
+            return np.asarray(matrix, dtype=np.float64).tobytes()
+
+        for i, rec in enumerate(recs):
+            mat = assemble_sentence(rec, stores[rec.lang], cfg.oov)
+            assert packed(origs[i]["matrix"]) == mat.tobytes()
+            for copy in range(cfg.copies):
+                aug = augment_sentence(
+                    rec, mat, model, index, sentence_seed(cfg.seed, rec, copy)
+                )
+                assert packed(augs[2 * i + copy]["matrix"]) == aug.augmented.tobytes()
+        # the first sentence carries both signed zeros and the OOV zero row
+        first = np.asarray(origs[0]["matrix"])
+        assert packed(first[3]) == pos.tobytes()
+        assert packed(first[5]) == neg.tobytes()
+        assert packed(first[4]) == np.zeros(6).tobytes()
+
+
 class TestLoss:
     def run_loss(self, built, *extra):
         code, stdout, err = invoke(
@@ -479,6 +580,34 @@ class TestLoss:
         payload = stderr_error(err)
         assert payload["error"] == "ParseError"
         assert str(paths[stream]) in payload["message"]
+
+    @pytest.mark.filterwarnings("ignore::psda.errors.DegenerateSpectrumWarning")
+    def test_inline_matrices_are_packed_as_they_are_read(self, tmp_path, run_cli):
+        rng = np.random.default_rng(3)
+        rows, dim, sources, copies = 12, 100, 60, 2
+        orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
+        with open(orig, "w", encoding="utf-8") as fo, open(aug, "w", encoding="utf-8") as fa:
+            fo.write(json.dumps({"meta": {"stream": "original"}}) + "\n")
+            fa.write(json.dumps({"meta": {"stream": "augmented"}}) + "\n")
+            for i in range(sources):
+                mat = rng.normal(size=(rows, dim))
+                fo.write(json.dumps({"id": f"s{i}", "matrix": mat.tolist()}) + "\n")
+                for c in range(copies):
+                    mat[0] = rng.normal(size=dim)
+                    record = {"id": f"s{i}c{c}", "source": f"s{i}", "matrix": mat.tolist()}
+                    fa.write(json.dumps(record) + "\n")
+        packed_bytes = sources * (1 + copies) * rows * dim * 8
+        argv = ("loss", "--orig", orig, "--aug", aug)
+        # a first run keeps lazy imports out of the measured one
+        assert run_cli(*argv)[0] == 0
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(*argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 2 * packed_bytes
 
     def test_missing_stream_file(self, tmp_path, run_cli):
         code, _, err = run_cli(
