@@ -30,18 +30,23 @@ def write_array(fh, arr: np.ndarray) -> tuple[int, int]:
     return offset, len(data)
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ModelFormatError(f"truncated file while reading {what}")
+    return data
+
+
 def read_array(fh, offset: int | None = None) -> np.ndarray:
     if offset is not None:
         fh.seek(offset)
     magic = fh.read(8)
     if magic != ARRAY_MAGIC:
         raise ModelFormatError(f"bad array magic {magic!r}")
-    (ndim,) = struct.unpack("<I", fh.read(4))
+    (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "array ndim"))
     if ndim > 8:
         raise ModelFormatError(f"implausible ndim {ndim}")
-    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+    shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "array shape"))
     count = int(np.prod(shape)) if ndim else 1
-    payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise ModelFormatError("truncated array payload")
+    payload = _read_exact(fh, 4 * count, "array payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)

@@ -74,5 +74,7 @@ class ModelFormatError(PsdaError):
 
 
 class DegenerateSpectrumWarning(UserWarning):
-    """Two of the penalized singular values are too close for a reliable
-    gradient; loss values are still well defined."""
+    """Two nonzero penalized singular values (both above 1e-8) lie within
+    1e-8 of each other, so their singular vectors and the gradient are
+    not unique; loss values are still well defined.  Zero singular
+    values, such as those of a rank-deficient cloud, never trigger it."""

@@ -5,10 +5,11 @@ objective it is documented to differentiate:
 
 * transport term: the plan is converged once at the base point and then
   held fixed while the augmented rows move,
-* spectral term: the thin singular factors from the base point are held
-  fixed, so the objective is the smooth quadratic whose exact gradient
-  the analytic formula gives (the zero singular values contribute
-  nothing to either),
+* spectral term: the singular factors of the r x r core from the base
+  point are held fixed, so the objective is the smooth quadratic whose
+  exact gradient the analytic formula gives (the d - r structural zeros
+  contribute nothing to either); it is skipped only when two nonzero
+  tail values are near-tied,
 * pooled-cosine term: differentiated directly.
 
 A deliberate corruption hook scales one analytic gradient by 1%, giving
@@ -23,13 +24,12 @@ import numpy as np
 
 from .otreg import (
     OtParams,
+    _core_spectrum,
     _tail,
-    _thin_spectrum,
-    _thin_tail_count,
-    _thin_tail_gradient,
     cost_matrix,
     distance_shrinkage_gradient,
     distance_shrinkage_loss,
+    eig_shrinkage_gradient,
     ot_loss_gradient,
     sinkhorn,
 )
@@ -116,22 +116,23 @@ def _check_instance(
 
     record("ot", ot_loss_gradient(orig, aug, plan, power=params.power), ot_objective)
 
-    spectrum, s, u, vt = _thin_spectrum(orig, aug)
-    _, k, tied = _tail(spectrum, params.tail_count)
-    if tied:
+    s, u, vt, k = _core_spectrum(orig, aug, params.tail_count)
+    if k >= 1 and _tail(s, k)[2]:
         checks.append(
             TermCheck(instance, "eig", 0.0, True, skipped=True, reason="near-tied tail spectrum")
         )
     else:
-        # without a tie the tail holds at most one zero singular value
-        idx = np.argsort(s)[: max(_thin_tail_count(spectrum, s, k), 0)]
+        idx = np.argsort(s)[: max(k, 0)]
 
         def eig_objective(a):
             m = a.T @ orig
             vals = np.einsum("dr,de,er->r", u[:, idx], m, vt[idx, :].T)
             return float(-params.eta * np.sum(vals**2))
 
-        analytic = _thin_tail_gradient(orig, spectrum, s, u, vt, k, params.eta)
+        if k >= 1:
+            analytic = eig_shrinkage_gradient(orig, u, vt, s, k, params.eta)
+        else:
+            analytic = np.zeros_like(aug)
         record("eig", analytic, eig_objective)
 
     def dis_objective(a):
@@ -157,8 +158,10 @@ def run_gradcheck(
     before comparison; the report for that term must then fail, which
     demonstrates the harness has teeth.
 
-    Defaults keep rows >= dim so the cross-covariance is full rank and
-    the spectral check almost never hits the tied-spectrum skip.
+    The spectral check runs on any shape: with rows < dim it covers the
+    rows nonzero singular values of the cross-covariance.  It is skipped
+    only for a near-tie between two nonzero tail values, which random
+    clouds almost never produce.
     """
     for name, count in (("instances", instances), ("rows", rows), ("dim", dim)):
         if count < 1:

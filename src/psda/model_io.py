@@ -15,6 +15,7 @@ from typing import Any, BinaryIO
 
 import numpy as np
 
+from .binio import _read_exact
 from .domino import Cluster, ClusterModel, KPolicy, StageClusters
 from .errors import ModelFormatError
 from .gmm import GmmModel
@@ -143,13 +144,6 @@ def save_model(path, model: ClusterModel, config: dict | None = None) -> None:
         fh.write(body)
         for arr in reg.arrays:
             fh.write(arr.tobytes())
-
-
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ModelFormatError(f"truncated model file while reading {what}")
-    return data
 
 
 def _read_manifest(fh: BinaryIO) -> dict:

@@ -314,42 +314,31 @@ def procrustes_map(orig: np.ndarray, aug: np.ndarray):
     return u @ vt, s, u, vt
 
 
-def _thin_spectrum(orig: np.ndarray, aug: np.ndarray):
-    """Spectrum of M = aug^T @ orig without a d x d factorization.
+def _core_spectrum(orig: np.ndarray, aug: np.ndarray, tail_count: int):
+    """Singular values of M = aug^T @ orig without a d x d factorization.
 
     With thin QRs aug^T = Q_a R_a and orig^T = Q_o R_o, M = Q_a (R_a R_o^T)
     Q_o^T, so the SVD of the r x r core (r = min(n, d)) holds every
-    nonzero singular value.  Returns (spectrum, s, u, vt): the d singular
-    values, the core's r in descending order followed by d - r zeros;
-    the core's r alone; and their thin factors u = Q_a U_c (d, r) and
-    vt = V_c^T Q_o^T (r, d).
+    nonzero singular value; the other d - r are structural zeros.
+    Returns (s, u, vt, k): the core's r singular values in descending
+    order, their thin factors u = Q_a U_c (d, r) and vt = V_c^T Q_o^T
+    (r, d), and k, how many of the min(tail_count, d) smallest of all d
+    singular values are core values.  The structural zeros come first in
+    the tail and add nothing to the loss or the gradient; k is below 1
+    when they fill it.
     """
     q_a, r_a = np.linalg.qr(aug.T)
     q_o, r_o = np.linalg.qr(orig.T)
     u_c, s, vt_c = np.linalg.svd(r_a @ r_o.T)
-    spectrum = np.concatenate([s, np.zeros(orig.shape[1] - s.size)])
-    return spectrum, s, q_a @ u_c, vt_c @ q_o.T
-
-
-def _thin_tail_count(spectrum: np.ndarray, s: np.ndarray, k: int) -> int:
-    """How many of the k smallest of ``spectrum`` are singular values of
-    the core: the tail takes the d - r zeros first.  Below 1 when the
-    zeros fill the tail."""
-    return k - (spectrum.size - s.size)
-
-
-def _thin_tail_gradient(orig, spectrum, s, u, vt, k: int, eta: float) -> np.ndarray:
-    """eig_shrinkage_gradient for the k smallest of ``spectrum``, from the
-    thin factors of ``_thin_spectrum``; zero singular values add nothing."""
-    thin_k = _thin_tail_count(spectrum, s, k)
-    if thin_k < 1:
-        return np.zeros((orig.shape[0], u.shape[0]))
-    return eig_shrinkage_gradient(orig, u, vt, s, thin_k, eta)
+    d = orig.shape[1]
+    return s, q_a @ u_c, vt_c @ q_o.T, min(tail_count, d) - (d - s.size)
 
 
 def _tail(singular_values: np.ndarray, tail_count: int) -> tuple[np.ndarray, int, bool]:
     """The k smallest singular values, ascending, with k, and whether two
-    of them are near-tied (gap below SPECTRUM_TIE_TOL)."""
+    of them are near-tied (gap below SPECTRUM_TIE_TOL).  Values at or
+    below SPECTRUM_TIE_TOL never count as tied: a zero singular value adds
+    nothing to the loss or the gradient, whichever vectors go with it."""
     s = np.asarray(singular_values, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("singular values must be a nonempty 1-D array")
@@ -357,7 +346,8 @@ def _tail(singular_values: np.ndarray, tail_count: int) -> tuple[np.ndarray, int
         raise ValueError(f"tail_count must be at least 1, got {tail_count}")
     k = min(tail_count, s.size)
     tail = np.sort(s)[:k]
-    return tail, k, bool(k >= 2 and np.min(np.diff(tail)) < SPECTRUM_TIE_TOL)
+    live = tail[tail > SPECTRUM_TIE_TOL]
+    return tail, k, bool(live.size >= 2 and np.min(np.diff(live)) < SPECTRUM_TIE_TOL)
 
 
 def eig_shrinkage_loss(
@@ -366,9 +356,11 @@ def eig_shrinkage_loss(
     """Negative eta-weighted energy of the k smallest singular values.
 
     Minimizing it inflates the weakest directions of the cross-covariance
-    between the two clouds.  A near-tie (gap below 1e-8) inside the
-    selected tail makes the corresponding singular vectors ambiguous, so
-    that case is flagged with a DegenerateSpectrumWarning.
+    between the two clouds.  A near-tie (gap below 1e-8) between two
+    values of the selected tail above 1e-8 makes the corresponding
+    singular vectors ambiguous, so that case is flagged with a
+    DegenerateSpectrumWarning; ties among (numerically) zero values add
+    nothing to the loss or its gradient and are not flagged.
     """
     tail, k, tied = _tail(singular_values, tail_count)
     if tied:
@@ -544,10 +536,12 @@ def affinity_regularization(
     l_ot = ot_loss(plan, cost)
     g_ot = _ot_gradient(orig, aug, plan.plan, dist, params.power)
 
-    spectrum, s, u, vt = _thin_spectrum(orig, aug)
-    k = min(params.tail_count, spectrum.size)
-    l_eig = eig_shrinkage_loss(spectrum, k, params.eta)
-    g_eig = _thin_tail_gradient(orig, spectrum, s, u, vt, k, params.eta)
+    s, u, vt, k = _core_spectrum(orig, aug, params.tail_count)
+    if k < 1:
+        l_eig, g_eig = -0.0, np.zeros_like(aug)
+    else:
+        l_eig = eig_shrinkage_loss(s, k, params.eta)
+        g_eig = eig_shrinkage_gradient(orig, u, vt, s, k, params.eta)
 
     l_dis = distance_shrinkage_loss(orig, aug)
     g_dis = distance_shrinkage_gradient(orig, aug)
@@ -566,7 +560,7 @@ def affinity_regularization(
         grad_augmented=grad,
         rho=params.rho,
         lam=params.lam,
-        tail_count=k,
+        tail_count=min(params.tail_count, orig.shape[1]),
         sinkhorn_iterations=plan.iterations_used,
         sinkhorn_marginal_error=plan.marginal_error,
         sinkhorn_converged=plan.converged,

@@ -548,6 +548,33 @@ class TestLoss:
         assert f"{aug}:2:" in payload["message"]
 
     @pytest.mark.parametrize(
+        "header",
+        [b"", b"\x02\x00", b"\x02\x00\x00\x00\x03"],
+        ids=["after-magic", "inside-ndim", "inside-shape"],
+    )
+    def test_truncated_sidecar_header(self, tmp_path, run_cli, header):
+        (tmp_path / "m.bin").write_bytes(b"PSDAF32\x00" + header)
+        orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
+        orig.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + json.dumps({"id": "x", "matrix": [[1.0, 2.0]]}) + "\n",
+            encoding="utf-8",
+        )
+        aug.write_text(
+            json.dumps({"meta": {"matrix_file": "m.bin"}}) + "\n"
+            + json.dumps({"id": "y", "source": "x", "matrix_ref": {"offset": 0}}) + "\n",
+            encoding="utf-8",
+        )
+        code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
+        assert code == 2
+        assert stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ModelFormatError"
+        assert "truncated" in payload["message"]
+
+    @pytest.mark.parametrize(
         "stream, meta, record",
         [
             ("aug", [1], {"id": "y", "source": "x", "matrix": [[1.0, 2.0]]}),
@@ -581,7 +608,6 @@ class TestLoss:
         assert payload["error"] == "ParseError"
         assert str(paths[stream]) in payload["message"]
 
-    @pytest.mark.filterwarnings("ignore::psda.errors.DegenerateSpectrumWarning")
     def test_inline_matrices_are_packed_as_they_are_read(self, tmp_path, run_cli):
         rng = np.random.default_rng(3)
         rows, dim, sources, copies = 12, 100, 60, 2
@@ -635,6 +661,17 @@ class TestGradcheck:
         summary = json.loads(stdout)
         assert summary["passed"] is False
         assert summary["failed"]
+        assert {f["term"] for f in summary["failed"]} == {"eig"}
+
+    def test_corrupted_gradient_fails_on_wide_clouds(self, run_cli):
+        # rows < dim: the spectral check runs on the core and still has teeth
+        code, stdout, _ = run_cli(
+            "gradcheck", "--instances", "3", "--rows", "2", "--dim", "5", "--corrupt", "eig"
+        )
+        assert code == 1
+        summary = json.loads(stdout)
+        assert summary["passed"] is False
+        assert summary["skipped"] == []
         assert {f["term"] for f in summary["failed"]} == {"eig"}
 
     def test_rejects_unknown_corrupt_target(self):
