@@ -15,7 +15,11 @@ echoing the configuration.
 ``augment`` encodes each distinct inline matrix row once per run and
 splices the row texts into each record's line, whose bytes stay those
 of ``json.dumps`` on the whole record.  ``loss`` validates each inline
-matrix and packs it into one float64 array as it reads the line.
+matrix and packs it into one float64 array as it reads the line, then
+scores the pairs in blocks of one shape (``otreg.score_block``) and
+prints their lines in input order; a pair's line and gradient do not
+depend on its block, and the first pair that cannot be scored still
+aborts right after the lines of the pairs before it.
 
 Heavy imports stay inside the command functions so ``--threads`` can
 pin BLAS pools through the environment before numpy first loads.
@@ -25,6 +29,11 @@ import argparse
 import json
 import os
 import sys
+
+from .errors import PsdaError
+
+# What main reports with exit 2 and one JSON error line.
+_INPUT_ERRORS = (PsdaError, ValueError, OSError, MemoryError)
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -365,12 +374,60 @@ class _MatrixSource:
             self.fh.close()
 
 
+def _scored_in_order(pairs, params, keep_grads: bool):
+    """Score (orig, aug) matrix pairs in blocks that share a shape and
+    yield each pair's breakdown, or the input error its scoring raised,
+    in input order.
+
+    Blocks hold up to BLOCK_PAIRS pairs of one shape, taken in input
+    order, and are scored in the order of their first pair; a pair's
+    result waits only for the pairs before it.  A block that raises is
+    scored again one pair at a time, so an error surfaces at the pair
+    that caused it.  Since a pair's breakdown does not depend on its
+    block, that changes no other pair's result.  Without ``keep_grads``
+    a breakdown's gradient is dropped as soon as it is scored.
+    """
+    from .otreg import BLOCK_PAIRS, score_block
+
+    groups = {}
+    for i, (orig, aug) in enumerate(pairs):
+        groups.setdefault((orig.shape, aug.shape), []).append(i)
+    blocks = sorted(
+        (
+            idx[s : s + BLOCK_PAIRS]
+            for idx in groups.values()
+            for s in range(0, len(idx), BLOCK_PAIRS)
+        ),
+        key=lambda block: block[0],
+    )
+    done = {}
+    ready = 0
+    for block in blocks:
+        try:
+            results = score_block(
+                [pairs[i][0] for i in block], [pairs[i][1] for i in block], params
+            )
+        except _INPUT_ERRORS:
+            results = []
+            for i in block:
+                try:
+                    results.append(score_block([pairs[i][0]], [pairs[i][1]], params)[0])
+                except _INPUT_ERRORS as exc:
+                    results.append(exc)
+        for i, result in zip(block, results):
+            if not (keep_grads or isinstance(result, _INPUT_ERRORS)):
+                result.grad_augmented = None
+            done[i] = result
+        while ready in done:
+            yield done.pop(ready)
+            ready += 1
+
+
 def cmd_loss(args) -> int:
     import math
 
     from .binio import write_array
     from .errors import ParseError
-    from .otreg import affinity_regularization
 
     cfg = _pipeline_config(args)
 
@@ -396,18 +453,29 @@ def cmd_loss(args) -> int:
     any_nonconv = False
     max_err = 0.0
     try:
-        for rec in aug_records:
-            rid = rec.get("id")
-            source = rec.get("source", rid)
-            if source not in originals:
-                raise ParseError(
-                    f"augmented record {rid!r} names original {source!r}, "
-                    "which the original stream does not hold",
-                    path=str(args.aug),
-                )
-            bd = affinity_regularization(
-                orig_mats.matrix(originals[source]), aug_mats.matrix(rec), cfg.ot
-            )
+        # Pair the records in input order.  The first record that cannot be
+        # paired ends the list; its error is raised once the pairs before
+        # it have printed.
+        ids, pairs, unpaired = [], [], None
+        try:
+            for rec in aug_records:
+                rid = rec.get("id")
+                source = rec.get("source", rid)
+                if source not in originals:
+                    raise ParseError(
+                        f"augmented record {rid!r} names original {source!r}, "
+                        "which the original stream does not hold",
+                        path=str(args.aug),
+                    )
+                pairs.append((orig_mats.matrix(originals[source]), aug_mats.matrix(rec)))
+                ids.append((rid, source))
+        except _INPUT_ERRORS as exc:
+            unpaired = exc
+
+        scored = _scored_in_order(pairs, cfg.ot, keep_grads=grad_fh is not None)
+        for (rid, source), bd in zip(ids, scored):
+            if isinstance(bd, _INPUT_ERRORS):
+                raise bd
             if not all(
                 math.isfinite(v)
                 for v in (bd.loss_ot, bd.loss_eig, bd.loss_dis, bd.loss_reg, bd.loss_total)
@@ -436,6 +504,8 @@ def cmd_loss(args) -> int:
             any_nonconv = any_nonconv or out["non_convergence"]
             max_err = max(max_err, out["marginal_error"])
             print(_jsonl_line(out))
+        if unpaired is not None:
+            raise unpaired
     finally:
         if grad_fh is not None:
             grad_fh.close()
@@ -598,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import ConfigError, PsdaError
+    from .errors import ConfigError
 
     args = build_parser().parse_args(argv)
     if args.threads < 1:
@@ -609,7 +679,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (PsdaError, ValueError, OSError, MemoryError) as exc:
+    except _INPUT_ERRORS as exc:
         _fail(exc)
         return 2
 

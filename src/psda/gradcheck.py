@@ -12,6 +12,10 @@ objective it is documented to differentiate:
   tail values are near-tied,
 * pooled-cosine term: differentiated directly.
 
+Errors are relative, with an absolute floor tied to the rounding error
+of the central differences (``fd_rounding``), so a gradient that is
+exactly zero is not failed on that rounding alone.
+
 A deliberate corruption hook scales one analytic gradient by 1%, giving
 a negative control that must fail the tolerance.
 """
@@ -56,8 +60,26 @@ def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -
     return grad
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    scale = max(np.linalg.norm(analytic), np.linalg.norm(numeric), np.finfo(np.float64).tiny)
+def fd_rounding(value: float, step: float, size: int) -> float:
+    """Norm of the rounding error in a central-difference gradient.
+
+    Each quotient (f(x + h) - f(x - h)) / 2h carries an error of about
+    eps |f| / h, eps the machine epsilon, so ``size`` entries carry about
+    sqrt(size) eps |f| / h.  |f| counts as at least 1: a term such as
+    1 - cos is formed from values of size 1 even where it is near zero.
+    """
+    return math.sqrt(size) * np.finfo(np.float64).eps * max(abs(value), 1.0) / step
+
+
+def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 0.0) -> float:
+    """Norm of the difference over the larger of the two norms, or over
+    ``floor`` when both are smaller.  The floor keeps a gradient that is
+    exactly zero from failing on the rounding error of its finite
+    differences: with floor = fd_rounding(...) / tolerance, a difference
+    that is all rounding stays within the tolerance."""
+    scale = max(
+        np.linalg.norm(analytic), np.linalg.norm(numeric), floor, np.finfo(np.float64).tiny
+    )
     return float(np.linalg.norm(analytic - numeric) / scale)
 
 
@@ -105,7 +127,8 @@ def _check_instance(
     def record(term, analytic, objective):
         if corrupt == term:
             analytic = analytic * 1.01
-        err = relative_error(analytic, fd_gradient(objective, aug, step))
+        floor = fd_rounding(objective(aug), step, aug.size) / tolerance
+        err = relative_error(analytic, fd_gradient(objective, aug, step), floor)
         checks.append(TermCheck(instance, term, err, err <= tolerance))
 
     cost = cost_matrix(orig, aug, power=params.power)

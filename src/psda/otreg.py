@@ -12,6 +12,11 @@ rows:
 
 The three are blended with convex weights, then blended again with a
 task loss.  Both weight vectors must sum to one.
+
+``score_block`` evaluates a block of pairs that share a shape, with the
+distances, the transport solve and the transport gradient stacked across
+the block; a pair's result is bit for bit the same in any block, and
+``affinity_regularization`` is a block of one.
 """
 
 import math
@@ -28,28 +33,10 @@ from .errors import (
     ZeroMassMarginalError,
     ZeroVectorError,
 )
-from .util import logsumexp, require_finite
+from .util import logsumexp, pairwise_distances, require_finite
 
 WEIGHT_SUM_TOL = 1e-9
 SPECTRUM_TIE_TOL = 1e-8
-
-
-def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distances between all row pairs of x (n,d) and y (m,d).
-
-    Computed from explicit differences, so identical rows give an exact
-    zero rather than sqrt of a tiny negative from cancellation.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("point sets must be 2-D arrays")
-    if x.shape[1] != y.shape[1]:
-        raise DimensionMismatchError(
-            f"point sets have dims {x.shape[1]} and {y.shape[1]}"
-        )
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def _paired(orig: np.ndarray, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,17 +104,26 @@ ARMIJO = 1e-4
 MAX_HALVINGS = 30
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of two stacks of vectors, as one (1, n) @
+    (n, 1) product per row: each row gets the bits of its own 1-D dot
+    product, whatever the stack around it."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _columns_matched(f: np.ndarray, neg_scaled: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The plan exp(f_i + g_j - C_ij/eps) with g eliminated so that every
-    column sums to b_j: column j is b_j times the softmax of f + column j."""
-    z = f[:, None] + neg_scaled
-    e = np.exp(z - z.max(axis=0))
-    return e * (b / e.sum(axis=0))
+    """The plans exp(f_i + g_j - C_ij/eps) with g eliminated so that every
+    column sums to b_j: column j is b_j times the softmax of f + column j.
+    Stacked: f (B, n), neg_scaled (B, n, m), b (B, m)."""
+    z = f[:, :, None] + neg_scaled
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e * (b[:, None, :] / e.sum(axis=1, keepdims=True))
 
 
 def _newton_step(f, plan, a, b):
-    """One damped Newton step on the semi-dual, or None if the Armijo
-    backtracking fails.
+    """One damped Newton step on the semi-dual for each of a stack of
+    problems; returns the stepped f and whether each step was taken (a
+    row that is not keeps its f, for the caller to replace).
 
     F(f) = <f, a> + <g(f), b> with g(f) the column elimination is concave,
     with gradient a - P1 and negative Hessian diag(P1) - P diag(1/b) P^T,
@@ -136,29 +132,123 @@ def _newton_step(f, plan, a, b):
     for the gradient.  Near the optimum the gain F(f + t d) - F(f) lies
     far below the rounding of F, so it is computed directly as
     t <a, d> - sum_j b_j log(sum_i pi_ij exp(t d_i)), with pi the plan
-    divided by b (each column sums to 1).
+    divided by b (each column sums to 1).  Each problem backtracks on its
+    own t until the Armijo rule holds, for up to MAX_HALVINGS halvings.
     """
-    n = a.size
-    row_sums = plan.sum(axis=1)
+    n = a.shape[1]
+    eye = np.eye(n)
+    row_sums = plan.sum(axis=2)
     grad = a - row_sums
-    pi = plan / b
-    hess = np.diag(row_sums) - pi @ plan.T
-    hess += NEWTON_DAMPING * np.linalg.norm(grad) * np.eye(n) + 1.0 / n
-    step = np.linalg.solve(hess, grad)
-    slope = float(grad @ step)
-    if not slope > 0:
-        return None
-    a_step = float(a @ step)
-    t = 1.0
+    pi = plan / b[:, None, :]
+    hess = row_sums[:, :, None] * eye - pi @ np.swapaxes(plan, 1, 2)
+    damping = NEWTON_DAMPING * np.sqrt(_dot(grad, grad))
+    hess += damping[:, None, None] * eye + 1.0 / n
+    step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    slope = _dot(grad, step)
+    a_step = _dot(a, step)
+    stepped = f.copy()
+    taken = np.zeros(f.shape[0], dtype=bool)
+    t = np.ones(f.shape[0])
+    search = np.flatnonzero(slope > 0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(MAX_HALVINGS):
-            shift = pi.T @ np.expm1(t * step)
-            gain = t * a_step - float(b @ np.log1p(shift))
+            if search.size == 0:
+                break
+            ts = t[search]
+            move = ts[:, None] * step[search]
+            shift = (np.swapaxes(pi[search], 1, 2) @ np.expm1(move)[:, :, None])[:, :, 0]
+            gain = ts * a_step[search] - _dot(b[search], np.log1p(shift))
             # a column whose mass underflows gives an infinite gain: too far
-            if math.isfinite(gain) and gain >= ARMIJO * t * slope:
-                return f + t * step
-            t *= 0.5
-    return None
+            ok = np.isfinite(gain) & (gain >= ARMIJO * ts * slope[search])
+            won = search[ok]
+            stepped[won] = f[won] + move[ok]
+            taken[won] = True
+            search = search[~ok]
+            t[search] *= 0.5
+    return stepped, taken
+
+
+def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
+    """The solver behind ``sinkhorn`` on a stack of B problems at once.
+
+    neg_scaled (B, n, m) holds -C/eps, a (B, n) and b (B, m) the
+    marginals, all entries positive when max_iter > 0.  Every problem
+    keeps its own stopping test, iteration count and fallback step: the
+    problems still iterating form a working set, and one leaves it as
+    soon as it stops.  Every operation acts on each problem's rows alone,
+    so a problem's result does not depend on the others or on B.
+    Returns the plans (B, n, m), the iterations used (B,) and the
+    marginal errors (B,).
+    """
+    count = neg_scaled.shape[0]
+    iterations = np.zeros(count, dtype=np.int64)
+    if max_iter == 0:
+        plan = np.exp(neg_scaled)
+        error = np.maximum(
+            np.abs(plan.sum(axis=2) - a).max(axis=1), np.abs(plan.sum(axis=1) - b).max(axis=1)
+        )
+        return plan, iterations, error
+    plan = np.empty_like(neg_scaled)
+    error = np.empty(count)
+    # The working set: problem numbers and their slices of every operand.
+    # All of its problems have run the same number of iterations.
+    work = [np.arange(count), neg_scaled, a, b, np.log(a), np.log(b)]
+
+    def settle(done, plans, errors, it):
+        """Record the problems marked ``done`` as stopped after ``it``
+        iterations and drop them from the working set; returns the mask
+        of the problems kept."""
+        at = work[0][done]
+        plan[at], error[at], iterations[at] = plans, errors[done], it
+        keep = ~done
+        work[:] = [x[keep] for x in work]
+        return keep
+
+    # Warm-up.  These log-sum-exps need none of logsumexp's guards: every
+    # entry of a and b is positive here, so every column of f + neg_scaled
+    # and every row of g + neg_scaled has a finite maximum.
+    row_lse = logsumexp(neg_scaled, axis=2)
+    for it in range(1, min(max_iter, WARMUP_ITERATIONS) + 1):
+        _, ns, aw, _, log_a, log_b = work
+        f = log_a - row_lse
+        z = f[:, :, None] + ns
+        z_max = z.max(axis=1)
+        g = log_b - z_max - np.log(np.exp(z - z_max[:, None, :]).sum(axis=1))
+        z = g[:, None, :] + ns
+        z_max = z.max(axis=2)
+        row_lse = z_max + np.log(np.exp(z - z_max[:, :, None]).sum(axis=2))
+        err = np.abs(np.exp(f + row_lse) - aw).max(axis=1)
+        done = (err <= tol) | (it == max_iter)
+        if done.any():
+            # a solve the warm-up ends returns the plain loop's plan bit for bit
+            plans = np.exp(f[done][:, :, None] + g[done][:, None, :] + ns[done])
+            keep = settle(done, plans, err, it)
+            f, row_lse = f[keep], row_lse[keep]
+        if work[0].size == 0:
+            return plan, iterations, error
+
+    # Newton finish.
+    _, ns, aw, bw, _, _ = work
+    p = _columns_matched(f, ns, bw)
+    err = np.abs(p.sum(axis=2) - aw).max(axis=1)
+    while True:
+        done = (err <= tol) | (it == max_iter)
+        if done.any():
+            keep = settle(done, p[done], err, it)
+            f, p = f[keep], p[keep]
+            if work[0].size == 0:
+                return plan, iterations, error
+        it += 1
+        _, ns, aw, bw, log_a, log_b = work
+        stepped, taken = _newton_step(f, p, aw, bw)
+        if not taken.all():
+            # a failed backtracking is replaced by one warm-up iteration
+            back = ~taken
+            g = log_b[back] - logsumexp(f[back][:, :, None] + ns[back], axis=1)
+            stepped[back] = log_a[back] - logsumexp(g[:, None, :] + ns[back], axis=2)
+        f = stepped
+        p = _columns_matched(f, ns, bw)
+        err = np.abs(p.sum(axis=2) - aw).max(axis=1)
 
 
 def sinkhorn(
@@ -195,6 +285,10 @@ def sinkhorn(
     error is the marginal error.  The solve runs on the support of a and
     b: rows and columns of zero mass get exactly zero plan entries.
 
+    This is the stacked solver ``score_block`` runs on many problems at
+    once (batched as in Peyre & Cuturi 2019, "Computational Optimal
+    Transport", section 4), applied to a stack of one.
+
     Failure to reach ``tol`` within ``max_iter`` iterations is reported
     through ``converged=False``, never as an exception.
     """
@@ -213,53 +307,20 @@ def sinkhorn(
     b = np.full(m, 1.0 / m) if b is None else _check_marginal(b, m, "column marginal")
 
     neg_scaled = -cost / epsilon
-    if max_iter == 0:
-        plan = np.exp(neg_scaled)
-        error = float(max(np.abs(plan.sum(axis=1) - a).max(), np.abs(plan.sum(axis=0) - b).max()))
-        return TransportPlan(plan, epsilon, 0, error, error <= tol)
-
     rows, cols = np.flatnonzero(a), np.flatnonzero(b)
-    support = rows.size < n or cols.size < m
+    # zero iterations return the kernel itself, zero-mass rows included
+    support = max_iter > 0 and (rows.size < n or cols.size < m)
     if support:
         neg_scaled, a, b = neg_scaled[np.ix_(rows, cols)], a[rows], b[cols]
-    log_a, log_b = np.log(a), np.log(b)
-
-    # Warm-up.  These log-sum-exps need none of logsumexp's guards: every
-    # entry of a and b is positive here, so every column of f + neg_scaled
-    # and every row of g + neg_scaled has a finite maximum.
-    row_lse = logsumexp(neg_scaled, axis=1)
-    for iterations in range(1, min(max_iter, WARMUP_ITERATIONS) + 1):
-        f = log_a - row_lse
-        z = f[:, None] + neg_scaled
-        z_max = z.max(axis=0)
-        g = log_b - z_max - np.log(np.exp(z - z_max).sum(axis=0))
-        z = g + neg_scaled
-        z_max = z.max(axis=1)
-        row_lse = z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))
-        error = float(np.abs(np.exp(f + row_lse) - a).max())
-        if error <= tol:
-            break
-    if error <= tol or iterations == max_iter:
-        # a solve the warm-up ends returns the plain loop's plan bit for bit
-        plan = np.exp(f[:, None] + g[None, :] + neg_scaled)
-    else:
-        plan = _columns_matched(f, neg_scaled, b)
-        error = float(np.abs(plan.sum(axis=1) - a).max())
-    while error > tol and iterations < max_iter:
-        iterations += 1
-        stepped = _newton_step(f, plan, a, b)
-        if stepped is None:
-            g = log_b - logsumexp(f[:, None] + neg_scaled, axis=0)
-            stepped = log_a - logsumexp(g + neg_scaled, axis=1)
-        f = stepped
-        plan = _columns_matched(f, neg_scaled, b)
-        error = float(np.abs(plan.sum(axis=1) - a).max())
-
+    plans, iterations, errors = _solve_stacked(
+        neg_scaled[None], a[None], b[None], max_iter, tol
+    )
+    plan, error = plans[0], float(errors[0])
     if support:
         full = np.zeros((n, m))
         full[np.ix_(rows, cols)] = plan
         plan = full
-    return TransportPlan(plan, epsilon, iterations, error, error <= tol)
+    return TransportPlan(plan, epsilon, int(iterations[0]), error, error <= tol)
 
 
 def ot_loss(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> float:
@@ -294,12 +355,13 @@ def ot_loss_gradient(
 
 
 def _ot_gradient(orig, aug, plan, dist, power):
-    """ot_loss_gradient given the pairwise distances of the two clouds."""
+    """ot_loss_gradient given the pairwise distances of the two clouds;
+    takes single clouds or stacks of them."""
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = plan * power * dist ** (power - 2.0)
     weight[dist == 0] = 0.0
-    col = weight.sum(axis=0)
-    return col[:, None] * aug - weight.T @ orig
+    col = weight.sum(axis=-2)
+    return col[..., None] * aug - np.swapaxes(weight, -1, -2) @ orig
 
 
 def procrustes_map(orig: np.ndarray, aug: np.ndarray):
@@ -516,26 +578,17 @@ class LossBreakdown:
     sinkhorn_converged: bool = True
 
 
-def affinity_regularization(
-    orig: np.ndarray,
-    aug: np.ndarray,
-    params: OtParams = OtParams(),
-    task_loss: float = 0.0,
-) -> LossBreakdown:
-    """Evaluate all terms between paired original and augmented clouds."""
-    orig, aug = _paired(orig, aug)
-    if orig.ndim != 2 or orig.shape[0] == 0:
-        raise ValueError("clouds must be nonempty 2-D arrays")
+# The most pairs ``psda loss`` passes to one score_block call.
+BLOCK_PAIRS = 64
+# float64 values in one stacked (k, n, d) cloud: the distances and the
+# transport gradient stack as many pairs as fit (at least one), so the
+# clouds a block stacks at once stay small whatever its size.
+STACK_VALUES = 1 << 13
 
-    # one n x n x d difference serves the cost and the transport gradient
-    dist = pairwise_distances(orig, aug)
-    cost = dist if params.power == 1.0 else dist**params.power
-    plan = sinkhorn(
-        cost, params.epsilon, max_iter=params.max_iter, tol=params.tol
-    )
-    l_ot = ot_loss(plan, cost)
-    g_ot = _ot_gradient(orig, aug, plan.plan, dist, params.power)
 
+def _term_breakdown(orig, aug, l_ot, g_ot, iterations, error, params, task_loss):
+    """The spectral and direction terms of one pair, blended with its
+    transport term into a LossBreakdown."""
     s, u, vt, k = _core_spectrum(orig, aug, params.tail_count)
     if k < 1:
         l_eig, g_eig = -0.0, np.zeros_like(aug)
@@ -549,7 +602,6 @@ def affinity_regularization(
     l_reg = compose_reg(l_ot, l_eig, l_dis, params.rho)
     l_total = compose_total(task_loss, l_reg, params.lam)
     grad = params.rho[0] * g_ot + params.rho[1] * g_eig + params.rho[2] * g_dis
-
     return LossBreakdown(
         loss_ot=l_ot,
         loss_eig=l_eig,
@@ -561,7 +613,78 @@ def affinity_regularization(
         rho=params.rho,
         lam=params.lam,
         tail_count=min(params.tail_count, orig.shape[1]),
-        sinkhorn_iterations=plan.iterations_used,
-        sinkhorn_marginal_error=plan.marginal_error,
-        sinkhorn_converged=plan.converged,
+        sinkhorn_iterations=int(iterations),
+        sinkhorn_marginal_error=float(error),
+        sinkhorn_converged=bool(error <= params.tol),
     )
+
+
+def score_block(
+    origs,
+    augs,
+    params: OtParams = OtParams(),
+    task_loss: float = 0.0,
+) -> list[LossBreakdown]:
+    """Evaluate all terms for a block of pairs that share one shape (n, d).
+
+    ``origs`` and ``augs`` are equal-length sequences of (n, d) clouds (a
+    (B, n, d) array is one).  The transport solve runs on the whole block
+    at once, through the stacked solver behind ``sinkhorn``; the distances
+    and the transport gradient run on stacks of up to STACK_VALUES values
+    per cloud, the spectral and direction terms pair by pair.  Every
+    operation acts on each pair's own rows, so a pair's breakdown is bit
+    for bit the same alone, in any block, and at any place in it.
+    Returns one LossBreakdown per pair, in order.
+    """
+    pairs = [_paired(o, a) for o, a in zip(origs, augs, strict=True)]
+    if not pairs:
+        raise ValueError("a block needs at least one pair")
+    shape = pairs[0][0].shape
+    if len(shape) != 2 or shape[0] == 0:
+        raise ValueError("clouds must be nonempty 2-D arrays")
+    n, d = shape
+    for orig, _ in pairs:
+        if orig.shape != shape:
+            raise DimensionMismatchError(
+                f"a block holds clouds of one shape, got {shape} and {orig.shape}"
+            )
+    count = len(pairs)
+    chunk = max(1, STACK_VALUES // max(n * d, 1))
+    spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
+
+    def stacked(lo, hi):
+        return (np.stack([o for o, _ in pairs[lo:hi]]), np.stack([a for _, a in pairs[lo:hi]]))
+
+    dist = np.empty((count, n, n))
+    for lo, hi in spans:
+        dist[lo:hi] = pairwise_distances(*stacked(lo, hi))
+    cost = dist if params.power == 1.0 else dist**params.power
+    require_finite(cost, "cost matrix")
+    uniform = np.full((count, n), 1.0 / n)
+    plan, iterations, error = _solve_stacked(
+        -cost / params.epsilon, uniform, uniform, params.max_iter, params.tol
+    )
+    l_ot = (plan * cost).reshape(count, -1).sum(axis=1)
+
+    out = []
+    for lo, hi in spans:
+        g_ot = _ot_gradient(*stacked(lo, hi), plan[lo:hi], dist[lo:hi], params.power)
+        for i in range(lo, hi):
+            out.append(
+                _term_breakdown(
+                    *pairs[i], float(l_ot[i]), g_ot[i - lo], iterations[i], error[i],
+                    params, task_loss,
+                )
+            )
+    return out
+
+
+def affinity_regularization(
+    orig: np.ndarray,
+    aug: np.ndarray,
+    params: OtParams = OtParams(),
+    task_loss: float = 0.0,
+) -> LossBreakdown:
+    """Evaluate all terms between paired original and augmented clouds:
+    ``score_block`` on a block of one."""
+    return score_block([orig], [aug], params, task_loss)[0]

@@ -16,6 +16,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .domino import ClusterModel
+from .util import pairwise_distances
 
 PALETTE = (
     "#4477aa",
@@ -30,7 +31,7 @@ PALETTE = (
     "#cc3311",
 )
 
-# rows of the distance matrix (and pairs summed exactly) held at once by cluster_stats
+# rows of the distance matrix held at once by cluster_stats
 _BLOCK_ROWS = 512
 
 
@@ -104,28 +105,6 @@ def collect_points(model: ClusterModel) -> tuple[list[WordPoint], np.ndarray]:
     return points, explained
 
 
-def _pairwise_distances(
-    matrix: np.ndarray, centered: np.ndarray, sq: np.ndarray, rows: slice
-) -> np.ndarray:
-    """Euclidean distances from ``matrix[rows]`` to every row.
-
-    Uses |a|^2 + |b|^2 - 2 a.b on the centred rows; where that leaves less
-    than 1e-3 of |a|^2 + |b|^2 (the diagonal, near-duplicates) its digits
-    have cancelled and the squared distance is summed from the difference.
-    """
-    d2 = centered[rows] @ centered.T
-    d2 *= -2.0
-    raw = sq[rows, None] + sq[None, :]
-    d2 += raw
-    raw *= 1e-3
-    ii, jj = np.nonzero(d2 <= raw)
-    for s in range(0, ii.size, _BLOCK_ROWS):
-        i, j = ii[s : s + _BLOCK_ROWS], jj[s : s + _BLOCK_ROWS]
-        diff = matrix[rows.start + i] - matrix[j]
-        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-
-
 def cluster_stats(model: ClusterModel) -> list[ClusterStat]:
     """Cohesion and separation per top-level cluster, in embedding space.
 
@@ -141,13 +120,12 @@ def cluster_stats(model: ClusterModel) -> list[ClusterStat]:
     bounds = np.searchsorted(labels, np.arange(ids.size + 1))
     spans = list(zip(bounds[:-1], bounds[1:]))
     sizes = np.diff(bounds)
-    centered = matrix - matrix.mean(axis=0)
-    sq = np.einsum("ij,ij->i", centered, centered)
+    center = matrix.mean(axis=0)
     intra_sum = np.zeros(ids.size)
     nearest_sum = np.zeros(ids.size)
     for start in range(0, labels.size, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, labels.size))
-        dist = _pairwise_distances(matrix, centered, sq, rows)
+        dist = pairwise_distances(matrix[rows], matrix, center)
         own = labels[rows]
         at = np.arange(own.size)
         sums = np.stack([dist[:, lo:hi].sum(axis=1) for lo, hi in spans], axis=1)

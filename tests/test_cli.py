@@ -635,6 +635,82 @@ class TestLoss:
         assert code == 0, err
         assert peak < 2 * packed_bytes
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"source": "nowhere", "matrix": [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]}, "ParseError"),
+            ({"matrix": [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]},
+             "DimensionMismatchError"),
+            ({"matrix": [[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]]}, "ZeroVectorError"),
+        ],
+        ids=["missing-source", "shape-differs", "zero-pooled-vector"],
+    )
+    def test_first_bad_pair_aborts_after_the_pairs_before_it(self, tmp_path, run_cli, bad, error):
+        rng = np.random.default_rng(5)
+        origs = {f"o{i}": rng.normal(size=(2, 3)) + 2.0 for i in range(4)}
+        records = [
+            {"id": f"o{i}c0", "source": f"o{i}", "matrix": (origs[f"o{i}"] + 0.5).tolist()}
+            for i in range(4)
+        ]
+        records[2].update(bad)
+        orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
+        orig.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + "".join(json.dumps({"id": k, "matrix": m.tolist()}) + "\n" for k, m in origs.items()),
+            encoding="utf-8",
+        )
+        aug.write_text(
+            json.dumps({"meta": {}}) + "\n" + "".join(json.dumps(r) + "\n" for r in records),
+            encoding="utf-8",
+        )
+        code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
+        assert code == 2
+        assert [json.loads(line)["id"] for line in stdout.splitlines()] == ["o0c0", "o1c0"]
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
+    def test_a_pair_line_does_not_depend_on_its_block(self, tmp_path, run_cli):
+        # three lengths, one with more pairs than a block holds, so the
+        # permuted stream puts every pair into another block and place
+        rng = np.random.default_rng(6)
+        orig_lines, records = [json.dumps({"meta": {}})], []
+        for i in range(150):
+            rows = (4, 4, 4, 5, 7)[i % 5]
+            mat = rng.normal(size=(rows, 8)) + 1.0
+            orig_lines.append(json.dumps({"id": f"s{i}", "matrix": mat.tolist()}))
+            mat[rng.integers(rows)] = rng.normal(size=8)
+            records.append({"id": f"s{i}c0", "source": f"s{i}", "matrix": mat.tolist()})
+        orig = tmp_path / "orig.jsonl"
+        orig.write_text("\n".join(orig_lines) + "\n", encoding="utf-8")
+
+        def run(name, order):
+            aug, grads = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.bin"
+            aug.write_text(
+                json.dumps({"meta": {}}) + "\n"
+                + "".join(json.dumps(records[i]) + "\n" for i in order),
+                encoding="utf-8",
+            )
+            code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
+            assert code == 0, err
+            lines = {json.loads(line).get("id"): line for line in stdout.splitlines()[:-1]}
+            code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug, "--grad-out", grads)
+            assert code == 0, err
+            with open(grads, "rb") as fh:
+                arrays = {
+                    pair["id"]: read_array(fh, pair["grad_ref"]["offset"])
+                    for pair in map(json.loads, stdout.splitlines()[:-1])
+                }
+            return lines, arrays
+
+        lines, arrays = run("forward", range(150))
+        for name, order in (("permuted", rng.permutation(150)), ("alone", [7]), ("pair", [9, 3])):
+            got_lines, got_arrays = run(name, order)
+            assert got_lines == {k: lines[k] for k in got_lines}
+            for key, array in got_arrays.items():
+                assert np.array_equal(array, arrays[key])
+        assert len(got_lines) == 2 and len(lines) == 150
+
     def test_missing_stream_file(self, tmp_path, run_cli):
         code, _, err = run_cli(
             "loss", "--orig", tmp_path / "none.jsonl", "--aug", tmp_path / "none2.jsonl"

@@ -8,6 +8,7 @@ from psda.gradcheck import (
     GradCheckReport,
     _check_instance,
     fd_gradient,
+    fd_rounding,
     relative_error,
     run_gradcheck,
 )
@@ -45,6 +46,18 @@ class TestRelativeError:
     def test_total_disagreement_is_order_one(self):
         g = np.ones((2, 2))
         assert relative_error(g, np.zeros_like(g)) == pytest.approx(1.0)
+
+    def test_floor_scales_small_gradients_only(self):
+        noise = np.full((2, 2), 1e-11)
+        assert relative_error(np.zeros((2, 2)), noise) == pytest.approx(1.0)
+        assert relative_error(np.zeros((2, 2)), noise, floor=1e-6) == pytest.approx(2e-5)
+        g = np.ones((2, 2))
+        assert relative_error(g, 1.01 * g, floor=1e-6) == relative_error(g, 1.01 * g)
+
+    def test_rounding_estimate(self):
+        eps = np.finfo(np.float64).eps
+        assert fd_rounding(0.0, 1e-5, 16) == pytest.approx(4 * eps / 1e-5)
+        assert fd_rounding(-3.0, 1e-5, 16) == pytest.approx(12 * eps / 1e-5)
 
 
 class TestRunGradcheck:
@@ -90,6 +103,26 @@ class TestRunGradcheck:
         eig = checks[1]
         assert eig.skipped and eig.passed
         assert "tied" in eig.reason
+
+    def test_zero_direction_gradient_passes_at_identical_pools(self):
+        # orig = aug = 2Q: the pooled vectors coincide, the analytic
+        # gradient of 1 - cos is exactly zero and its central differences
+        # are rounding alone (about 2e-11)
+        q, _ = np.linalg.qr(np.random.default_rng(50).normal(size=(4, 4)))
+        orig = 2.0 * q
+        checks = _check_instance(
+            orig, orig.copy(), OtParams(), DEFAULT_STEP, DEFAULT_TOLERANCE, None, 0
+        )
+        dis = checks[2]
+        assert dis.term == "dis" and not dis.skipped
+        assert dis.passed
+        assert dis.relative_error <= DEFAULT_TOLERANCE
+
+    def test_corrupted_direction_gradient_still_fails_on_the_defaults(self):
+        report = run_gradcheck(corrupt="dis")
+        failing = {c.term for c in report.checks if not (c.passed or c.skipped)}
+        assert failing == {"dis"}
+        assert sum(c.term == "dis" and not c.passed for c in report.checks) == report.instances
 
     def test_deterministic(self):
         a = run_gradcheck(instances=3)

@@ -19,6 +19,7 @@ from psda.errors import (
     ZeroVectorError,
 )
 from psda.otreg import (
+    BLOCK_PAIRS,
     WARMUP_ITERATIONS,
     LossBreakdown,
     OtParams,
@@ -34,6 +35,7 @@ from psda.otreg import (
     ot_loss_gradient,
     pairwise_distances,
     procrustes_map,
+    score_block,
     sinkhorn,
 )
 
@@ -113,6 +115,40 @@ class TestPairwiseDistances:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros(3), np.zeros((2, 3)))
+
+    def test_stack_entries_equal_single_calls(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(7, 5, 9)) + 3.0
+        y = rng.normal(size=(7, 6, 9)) + 3.0
+        y[2, :5] = x[2]
+        dist = pairwise_distances(x, y)
+        assert dist.shape == (7, 5, 6)
+        for b in range(7):
+            assert np.array_equal(dist[b], pairwise_distances(x[b], y[b]))
+        assert np.all(np.diag(dist[2]) == 0.0)
+
+    def test_stacks_must_pair_up(self):
+        with pytest.raises(DimensionMismatchError):
+            pairwise_distances(np.zeros((2, 3, 4)), np.zeros((3, 3, 4)))
+        with pytest.raises(ValueError):
+            pairwise_distances(np.zeros((2, 3, 4)), np.zeros((3, 4)))
+
+    def test_near_duplicates_far_from_the_origin(self):
+        # the Gram expansion cancels here; the differences do not
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, 50)) + 1e3
+        y = x + rng.normal(size=(6, 50)) * 1e-6
+        dist = pairwise_distances(x, y)
+        exact = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
+        assert np.max(np.abs(dist - exact) / exact) <= 1e-12
+
+    def test_explicit_center(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 3)) + 10.0
+        dist = pairwise_distances(x[:2], x, x.mean(axis=0))
+        exact = np.sqrt(((x[:2, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        assert np.max(np.abs(dist - exact)) <= 1e-12
+        assert dist[0, 0] == dist[1, 1] == 0.0
 
 
 class TestCostMatrix:
@@ -786,6 +822,70 @@ class TestAffinityRegularization:
             out = affinity_regularization(orig, orig + rng.normal(size=(3, 5)) * 0.1)
         assert isinstance(out, LossBreakdown)
         assert out.grad_augmented.shape == (3, 5)
+
+
+def sentence_block(seed: int, count: int, n: int = 18):
+    """Benchmark-shaped pairs of one length, from identical clouds (which
+    stop inside the warm-up) to pairs with six rows replaced."""
+    rng = np.random.default_rng(seed)
+    pairs = [sentence_clouds(rng, n, replaced=(0, 1, 3, 6)[i % 4]) for i in range(count)]
+    return [o for o, _ in pairs], [a for _, a in pairs]
+
+
+def assert_same_breakdown(got: LossBreakdown, want: LossBreakdown):
+    for field in ("loss_ot", "loss_eig", "loss_dis", "loss_reg", "loss_total"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.sinkhorn_iterations == want.sinkhorn_iterations
+    assert got.sinkhorn_marginal_error == want.sinkhorn_marginal_error
+    assert got.sinkhorn_converged == want.sinkhorn_converged
+    assert np.array_equal(got.grad_augmented, want.grad_augmented)
+
+
+class TestScoreBlock:
+    @pytest.mark.parametrize(
+        "max_iter", [1000, WARMUP_ITERATIONS + 3, 5], ids=["default", "newton-cap", "warm-up-cap"]
+    )
+    def test_pair_alone_equals_pair_in_a_full_block(self, max_iter):
+        origs, augs = sentence_block(21, BLOCK_PAIRS)
+        params = OtParams(max_iter=max_iter)
+        block = score_block(origs, augs, params)
+        # the same pairs in reverse order: every pair at another place
+        reverse = score_block(origs[::-1], augs[::-1], params)[::-1]
+        iterations = set()
+        for i, (orig, aug) in enumerate(zip(origs, augs)):
+            alone = affinity_regularization(orig, aug, params)
+            assert_same_breakdown(block[i], alone)
+            assert_same_breakdown(reverse[i], alone)
+            iterations.add(alone.sinkhorn_iterations)
+        # pairs left the working set at different iterations
+        assert len(iterations) > 1
+
+    def test_stacked_solve_equals_sinkhorn_per_pair(self):
+        origs, augs = sentence_block(22, 12, n=9)
+        params = OtParams()
+        for out, orig, aug in zip(score_block(origs, augs, params), origs, augs):
+            cost = cost_matrix(orig, aug)
+            plan = sinkhorn(cost, params.epsilon, max_iter=params.max_iter, tol=params.tol)
+            assert out.sinkhorn_iterations == plan.iterations_used
+            assert out.sinkhorn_marginal_error == plan.marginal_error
+            assert out.loss_ot == ot_loss(plan, cost)
+
+    def test_converges_on_benchmark_shaped_blocks(self):
+        origs, augs = sentence_block(23, 40, n=30)
+        out = score_block(origs, augs)
+        assert all(bd.sinkhorn_converged for bd in out)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            score_block([], [])
+        with pytest.raises(ValueError):
+            score_block([np.ones((2, 2))], [np.ones((2, 2)), np.ones((2, 2))])
+        with pytest.raises(DimensionMismatchError):
+            score_block([np.ones((2, 2)), np.ones((3, 2))], [np.ones((2, 2)), np.ones((3, 2))])
+        with pytest.raises(DimensionMismatchError):
+            score_block([np.ones((2, 2))], [np.ones((3, 2))])
+        with pytest.raises(NonFiniteInputError):
+            score_block([np.ones((2, 2))], [np.array([[1.0, np.nan], [1.0, 1.0]])])
 
 
 @settings(deadline=None, max_examples=25)
