@@ -6,6 +6,7 @@ sidecars; the cluster-model container embeds bare payloads with shapes
 recorded in its JSON manifest instead.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -31,6 +32,16 @@ def write_array(fh, arr: np.ndarray) -> tuple[int, int]:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """Exactly n bytes from a seekable file.  A length field that claims
+    more than the file holds from here on fails before anything is read,
+    so a corrupt length never becomes an allocation."""
+    at = fh.tell()
+    left = fh.seek(0, 2) - at
+    fh.seek(at)
+    if not 0 <= n <= left:
+        raise ModelFormatError(
+            f"truncated file while reading {what}: {n} bytes declared, {left} left"
+        )
     data = fh.read(n)
     if len(data) != n:
         raise ModelFormatError(f"truncated file while reading {what}")
@@ -47,6 +58,6 @@ def read_array(fh, offset: int | None = None) -> np.ndarray:
     if ndim > 8:
         raise ModelFormatError(f"implausible ndim {ndim}")
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "array shape"))
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
     payload = _read_exact(fh, 4 * count, "array payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)

@@ -16,10 +16,11 @@ echoing the configuration.
 splices the row texts into each record's line, whose bytes stay those
 of ``json.dumps`` on the whole record.  ``loss`` validates each inline
 matrix and packs it into one float64 array as it reads the line, then
-scores the pairs in blocks of one shape (``otreg.score_block``) and
-prints their lines in input order; a pair's line and gradient do not
-depend on its block, and the first pair that cannot be scored still
-aborts right after the lines of the pairs before it.
+scores the pairs in blocks of one shape (``otreg.score_block``, which
+stacks only the Sinkhorn solve) and prints their lines in input order; a
+pair's line and gradient do not depend on its block, and the first pair
+that cannot be scored still aborts right after the lines of the pairs
+before it.
 
 Heavy imports stay inside the command functions so ``--threads`` can
 pin BLAS pools through the environment before numpy first loads.

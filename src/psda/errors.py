@@ -61,10 +61,6 @@ class ZeroVectorError(PsdaError):
     """A pooled sentence vector has (near-)zero norm."""
 
 
-class ZeroMassMarginalError(PsdaError):
-    """A transport marginal carries no mass."""
-
-
 class ConfigError(PsdaError):
     """Invalid or incomplete pipeline configuration."""
 

@@ -17,6 +17,7 @@ Everything is a pure function of (points, config); the same seed yields a
 bit-identical model.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,10 @@ class GmmConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.covariance not in ("diagonal", "spherical"):
             raise ValueError(f"covariance must be diagonal or spherical, got {self.covariance!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.cov_floor <= 0:
-            raise ValueError("cov_floor must be positive")
+        if not (0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (0 < self.cov_floor < math.inf):
+            raise ValueError(f"cov_floor must be positive and finite, got {self.cov_floor}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -31,8 +31,7 @@ from .otreg import (
     _core_spectrum,
     _tail,
     cost_matrix,
-    distance_shrinkage_gradient,
-    distance_shrinkage_loss,
+    distance_shrinkage,
     eig_shrinkage_gradient,
     ot_loss_gradient,
     sinkhorn,
@@ -140,12 +139,12 @@ def _check_instance(
     record("ot", ot_loss_gradient(orig, aug, plan, power=params.power), ot_objective)
 
     s, u, vt, k = _core_spectrum(orig, aug, params.tail_count)
-    if k >= 1 and _tail(s, k)[2]:
+    idx, tied = _tail(s, k) if k >= 1 else (np.arange(0), False)
+    if tied:
         checks.append(
             TermCheck(instance, "eig", 0.0, True, skipped=True, reason="near-tied tail spectrum")
         )
     else:
-        idx = np.argsort(s)[: max(k, 0)]
 
         def eig_objective(a):
             m = a.T @ orig
@@ -159,9 +158,9 @@ def _check_instance(
         record("eig", analytic, eig_objective)
 
     def dis_objective(a):
-        return distance_shrinkage_loss(orig, a)
+        return distance_shrinkage(orig, a)[0]
 
-    record("dis", distance_shrinkage_gradient(orig, aug), dis_objective)
+    record("dis", distance_shrinkage(orig, aug)[1], dis_objective)
     return checks
 
 

@@ -13,16 +13,16 @@ rows:
 The three are blended with convex weights, then blended again with a
 task loss.  Both weight vectors must sum to one.
 
-``score_block`` evaluates a block of pairs that share a shape, with the
-distances, the transport solve and the transport gradient stacked across
-the block; a pair's result is bit for bit the same in any block, and
+``score_block`` evaluates a block of pairs that share a shape: the
+Sinkhorn solve is stacked across the block, everything else runs pair by
+pair.  A pair's result is bit for bit the same in any block, and
 ``affinity_regularization`` is a block of one.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     DegenerateSpectrumWarning,
     DimensionMismatchError,
     WeightSumError,
-    ZeroMassMarginalError,
     ZeroVectorError,
 )
 from .util import logsumexp, pairwise_distances, require_finite
@@ -77,21 +76,6 @@ class TransportPlan:
     converged: bool
     # every solve runs in the log domain; kept for readers of the old field
     log_domain: ClassVar[bool] = True
-
-
-def _check_marginal(w, size: int, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {w.shape}")
-    require_finite(w, name)
-    if np.any(w < 0):
-        raise ValueError(f"{name} has negative entries")
-    total = float(w.sum())
-    if total == 0.0:
-        raise ZeroMassMarginalError(f"{name} has zero total mass")
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"{name} must sum to 1, sums to {total!r}")
-    return w
 
 
 # Plain iterations before the Newton finish: enough to leave the far
@@ -252,18 +236,14 @@ def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
 
 
 def sinkhorn(
-    cost: np.ndarray,
-    epsilon: float,
-    a: Optional[np.ndarray] = None,
-    b: Optional[np.ndarray] = None,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
+    cost: np.ndarray, epsilon: float, max_iter: int = 1000, tol: float = 1e-9
 ) -> TransportPlan:
-    """Entropic OT between discrete marginals a and b under ``cost``.
+    """Entropic OT between uniform marginals a = 1/n and b = 1/m under the
+    (n, m) ``cost``.
 
-    Marginals default to uniform.  With the potentials f, g kept divided
-    by eps, the plan is exp(f_i + g_j - C_ij/eps).  Two phases share the
-    budget of ``max_iter`` iterations:
+    With the potentials f, g kept divided by eps, the plan is
+    exp(f_i + g_j - C_ij/eps).  Two phases share the budget of
+    ``max_iter`` iterations:
 
     * a warm-up of up to WARMUP_ITERATIONS log-domain Sinkhorn iterations
       from g = 0, each setting
@@ -282,8 +262,7 @@ def sinkhorn(
 
     Both phases stop as soon as the row error of the plan is within
     ``tol``; the columns match b up to rounding throughout, so the row
-    error is the marginal error.  The solve runs on the support of a and
-    b: rows and columns of zero mass get exactly zero plan entries.
+    error is the marginal error.
 
     This is the stacked solver ``score_block`` runs on many problems at
     once (batched as in Peyre & Cuturi 2019, "Computational Optimal
@@ -303,24 +282,12 @@ def sinkhorn(
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     n, m = cost.shape
-    a = np.full(n, 1.0 / n) if a is None else _check_marginal(a, n, "row marginal")
-    b = np.full(m, 1.0 / m) if b is None else _check_marginal(b, m, "column marginal")
-
-    neg_scaled = -cost / epsilon
-    rows, cols = np.flatnonzero(a), np.flatnonzero(b)
-    # zero iterations return the kernel itself, zero-mass rows included
-    support = max_iter > 0 and (rows.size < n or cols.size < m)
-    if support:
-        neg_scaled, a, b = neg_scaled[np.ix_(rows, cols)], a[rows], b[cols]
     plans, iterations, errors = _solve_stacked(
-        neg_scaled[None], a[None], b[None], max_iter, tol
+        (-cost / epsilon)[None], np.full((1, n), 1.0 / n), np.full((1, m), 1.0 / m),
+        max_iter, tol,
     )
-    plan, error = plans[0], float(errors[0])
-    if support:
-        full = np.zeros((n, m))
-        full[np.ix_(rows, cols)] = plan
-        plan = full
-    return TransportPlan(plan, epsilon, int(iterations[0]), error, error <= tol)
+    error = float(errors[0])
+    return TransportPlan(plans[0], epsilon, int(iterations[0]), error, error <= tol)
 
 
 def ot_loss(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> float:
@@ -355,13 +322,11 @@ def ot_loss_gradient(
 
 
 def _ot_gradient(orig, aug, plan, dist, power):
-    """ot_loss_gradient given the pairwise distances of the two clouds;
-    takes single clouds or stacks of them."""
+    """ot_loss_gradient given the pairwise distances of the two clouds."""
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = plan * power * dist ** (power - 2.0)
     weight[dist == 0] = 0.0
-    col = weight.sum(axis=-2)
-    return col[..., None] * aug - np.swapaxes(weight, -1, -2) @ orig
+    return weight.sum(axis=0)[:, None] * aug - weight.T @ orig
 
 
 def procrustes_map(orig: np.ndarray, aug: np.ndarray):
@@ -396,20 +361,20 @@ def _core_spectrum(orig: np.ndarray, aug: np.ndarray, tail_count: int):
     return s, q_a @ u_c, vt_c @ q_o.T, min(tail_count, d) - (d - s.size)
 
 
-def _tail(singular_values: np.ndarray, tail_count: int) -> tuple[np.ndarray, int, bool]:
-    """The k smallest singular values, ascending, with k, and whether two
-    of them are near-tied (gap below SPECTRUM_TIE_TOL).  Values at or
-    below SPECTRUM_TIE_TOL never count as tied: a zero singular value adds
+def _tail(s: np.ndarray, tail_count: int) -> tuple[np.ndarray, bool]:
+    """The indices of the k = min(tail_count, len(s)) smallest values of
+    the 1-D float64 array s, ascending by value, and whether two of those
+    values are near-tied (gap below SPECTRUM_TIE_TOL).  Values at or below
+    SPECTRUM_TIE_TOL never count as tied: a zero singular value adds
     nothing to the loss or the gradient, whichever vectors go with it."""
-    s = np.asarray(singular_values, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("singular values must be a nonempty 1-D array")
     if tail_count < 1:
         raise ValueError(f"tail_count must be at least 1, got {tail_count}")
-    k = min(tail_count, s.size)
-    tail = np.sort(s)[:k]
+    idx = np.argsort(s)[:tail_count]
+    tail = s[idx]
     live = tail[tail > SPECTRUM_TIE_TOL]
-    return tail, k, bool(live.size >= 2 and np.min(np.diff(live)) < SPECTRUM_TIE_TOL)
+    return idx, bool(live.size >= 2 and np.min(np.diff(live)) < SPECTRUM_TIE_TOL)
 
 
 def eig_shrinkage_loss(
@@ -424,15 +389,16 @@ def eig_shrinkage_loss(
     DegenerateSpectrumWarning; ties among (numerically) zero values add
     nothing to the loss or its gradient and are not flagged.
     """
-    tail, k, tied = _tail(singular_values, tail_count)
+    s = np.asarray(singular_values, dtype=np.float64)
+    idx, tied = _tail(s, tail_count)
     if tied:
         warnings.warn(
-            f"near-tied singular values in the {k} smallest; "
+            f"near-tied singular values in the {idx.size} smallest; "
             "their singular vectors, and hence the gradient, are not unique",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-    return float(-eta * np.sum(tail**2))
+    return float(-eta * np.sum(s[idx] ** 2))
 
 
 def eig_shrinkage_gradient(
@@ -452,8 +418,7 @@ def eig_shrinkage_gradient(
     forming the d x d matrix d loss / d M.
     """
     s = np.asarray(singular_values, dtype=np.float64)
-    _, k, _ = _tail(s, tail_count)
-    idx = np.argsort(s)[:k]
+    idx, _ = _tail(s, tail_count)
     orig = np.asarray(orig, dtype=np.float64)
     return -2.0 * eta * ((orig @ vt[idx, :].T) * s[idx]) @ u[:, idx].T
 
@@ -461,35 +426,16 @@ def eig_shrinkage_gradient(
 POOL_NORM_TOL = 1e-12
 
 
-def distance_shrinkage_loss(orig: np.ndarray, aug: np.ndarray) -> float:
-    """One minus the cosine similarity of the mean-pooled clouds.
+def distance_shrinkage(orig: np.ndarray, aug: np.ndarray) -> tuple[float, np.ndarray]:
+    """One minus the cosine similarity of the mean-pooled clouds, and its
+    gradient in the augmented rows.
 
-    Cosine is clamped into [-1, 1] against rounding, so the value always
-    lands in [0, 2].
+    The cosine in the loss is clamped into [-1, 1] against rounding, so
+    the loss always lands in [0, 2].  Every row gets the same 1/n share of
+    the gradient in the pooled vector, since pooling is a plain mean.
     """
-    o = np.asarray(orig, dtype=np.float64).mean(axis=0)
-    g = np.asarray(aug, dtype=np.float64).mean(axis=0)
-    no = np.linalg.norm(o)
-    ng = np.linalg.norm(g)
-    if no < POOL_NORM_TOL or ng < POOL_NORM_TOL:
-        raise ZeroVectorError("mean-pooled embedding has near-zero norm")
-    if np.array_equal(o, g):
-        # bit-identical pools are exactly parallel; skip the division so
-        # the loss is an exact zero rather than an ulp above it
-        return 0.0
-    cos = min(1.0, max(-1.0, float((o @ g) / (no * ng))))
-    return 1.0 - cos
-
-
-def distance_shrinkage_gradient(orig: np.ndarray, aug: np.ndarray) -> np.ndarray:
-    """Gradient of the pooled-cosine distance in the augmented rows.
-
-    Every row gets the same 1/n share of the gradient in the pooled
-    vector, since pooling is a plain mean.
-    """
-    orig = np.asarray(orig, dtype=np.float64)
     aug = np.asarray(aug, dtype=np.float64)
-    o = orig.mean(axis=0)
+    o = np.asarray(orig, dtype=np.float64).mean(axis=0)
     g = aug.mean(axis=0)
     no = np.linalg.norm(o)
     ng = np.linalg.norm(g)
@@ -497,7 +443,12 @@ def distance_shrinkage_gradient(orig: np.ndarray, aug: np.ndarray) -> np.ndarray
         raise ZeroVectorError("mean-pooled embedding has near-zero norm")
     cos = (o @ g) / (no * ng)
     grad_pool = -(o / (no * ng) - cos * g / ng**2)
-    return np.tile(grad_pool / aug.shape[0], (aug.shape[0], 1))
+    grad = np.tile(grad_pool / aug.shape[0], (aug.shape[0], 1))
+    if np.array_equal(o, g):
+        # bit-identical pools are exactly parallel; skip the division so
+        # the loss is an exact zero rather than an ulp above it
+        return 0.0, grad
+    return 1.0 - min(1.0, max(-1.0, float(cos))), grad
 
 
 def _check_weights(weights, size: int, name: str) -> tuple[float, ...]:
@@ -542,16 +493,18 @@ class OtParams:
     def __post_init__(self):
         _check_weights(self.rho, 3, "regularizer weights")
         _check_weights(self.lam, 2, "total-loss weights")
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not (0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (0 <= self.eta < math.inf):
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         if self.tail_count < 1:
             raise ValueError(f"tail_count must be at least 1, got {self.tail_count}")
-        if not (self.power > 0):
-            raise ValueError(f"power must be positive, got {self.power}")
+        if not (0 < self.power < math.inf):
+            raise ValueError(f"power must be positive and finite, got {self.power}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not (0 <= self.tol < math.inf):
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
 
 
 @dataclass
@@ -580,10 +533,6 @@ class LossBreakdown:
 
 # The most pairs ``psda loss`` passes to one score_block call.
 BLOCK_PAIRS = 64
-# float64 values in one stacked (k, n, d) cloud: the distances and the
-# transport gradient stack as many pairs as fit (at least one), so the
-# clouds a block stacks at once stay small whatever its size.
-STACK_VALUES = 1 << 13
 
 
 def _term_breakdown(orig, aug, l_ot, g_ot, iterations, error, params, task_loss):
@@ -596,8 +545,7 @@ def _term_breakdown(orig, aug, l_ot, g_ot, iterations, error, params, task_loss)
         l_eig = eig_shrinkage_loss(s, k, params.eta)
         g_eig = eig_shrinkage_gradient(orig, u, vt, s, k, params.eta)
 
-    l_dis = distance_shrinkage_loss(orig, aug)
-    g_dis = distance_shrinkage_gradient(orig, aug)
+    l_dis, g_dis = distance_shrinkage(orig, aug)
 
     l_reg = compose_reg(l_ot, l_eig, l_dis, params.rho)
     l_total = compose_total(task_loss, l_reg, params.lam)
@@ -629,12 +577,11 @@ def score_block(
 
     ``origs`` and ``augs`` are equal-length sequences of (n, d) clouds (a
     (B, n, d) array is one).  The transport solve runs on the whole block
-    at once, through the stacked solver behind ``sinkhorn``; the distances
-    and the transport gradient run on stacks of up to STACK_VALUES values
-    per cloud, the spectral and direction terms pair by pair.  Every
-    operation acts on each pair's own rows, so a pair's breakdown is bit
-    for bit the same alone, in any block, and at any place in it.
-    Returns one LossBreakdown per pair, in order.
+    at once, through the stacked solver behind ``sinkhorn``; the
+    distances, the transport gradient and the spectral and direction
+    terms run pair by pair.  The solver acts on each pair's own rows, so a
+    pair's breakdown is bit for bit the same alone, in any block, and at
+    any place in it.  Returns one LossBreakdown per pair, in order.
     """
     pairs = [_paired(o, a) for o, a in zip(origs, augs, strict=True)]
     if not pairs:
@@ -642,41 +589,27 @@ def score_block(
     shape = pairs[0][0].shape
     if len(shape) != 2 or shape[0] == 0:
         raise ValueError("clouds must be nonempty 2-D arrays")
-    n, d = shape
     for orig, _ in pairs:
         if orig.shape != shape:
             raise DimensionMismatchError(
                 f"a block holds clouds of one shape, got {shape} and {orig.shape}"
             )
     count = len(pairs)
-    chunk = max(1, STACK_VALUES // max(n * d, 1))
-    spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
-
-    def stacked(lo, hi):
-        return (np.stack([o for o, _ in pairs[lo:hi]]), np.stack([a for _, a in pairs[lo:hi]]))
-
-    dist = np.empty((count, n, n))
-    for lo, hi in spans:
-        dist[lo:hi] = pairwise_distances(*stacked(lo, hi))
+    dist = np.stack([pairwise_distances(o, a) for o, a in pairs])
     cost = dist if params.power == 1.0 else dist**params.power
     require_finite(cost, "cost matrix")
-    uniform = np.full((count, n), 1.0 / n)
+    uniform = np.full((count, shape[0]), 1.0 / shape[0])
     plan, iterations, error = _solve_stacked(
         -cost / params.epsilon, uniform, uniform, params.max_iter, params.tol
     )
     l_ot = (plan * cost).reshape(count, -1).sum(axis=1)
-
-    out = []
-    for lo, hi in spans:
-        g_ot = _ot_gradient(*stacked(lo, hi), plan[lo:hi], dist[lo:hi], params.power)
-        for i in range(lo, hi):
-            out.append(
-                _term_breakdown(
-                    *pairs[i], float(l_ot[i]), g_ot[i - lo], iterations[i], error[i],
-                    params, task_loss,
-                )
-            )
-    return out
+    return [
+        _term_breakdown(
+            o, a, float(l_ot[i]), _ot_gradient(o, a, plan[i], dist[i], params.power),
+            iterations[i], error[i], params, task_loss,
+        )
+        for i, (o, a) in enumerate(pairs)
+    ]
 
 
 def affinity_regularization(

@@ -774,6 +774,30 @@ class TestGradcheck:
         assert flag.lstrip("-") in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("gradcheck", "ot.tol=-1"), ("gradcheck", "ot.tol=nan"), ("gradcheck", "ot.eta=nan"),
+        ("gradcheck", "ot.epsilon=inf"), ("cluster", "gmm.tol=nan"),
+        ("cluster", "gmm.cov_floor=nan"),
+    ],
+)
+def test_out_of_range_setting_is_a_config_error(
+    cli_workspace, tmp_path, run_cli, command, setting
+):
+    extra = ("--instances", "1") if command == "gradcheck" else ("--out", tmp_path / "m.psda")
+    code, stdout, err = run_cli(
+        command, "--config", cli_workspace.config, "--set", setting, *extra
+    )
+    assert code == 2
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert setting.split("=")[0].split(".")[1] in payload["message"]
+
+
 class TestReport:
     @pytest.fixture()
     def rendered(self, built, tmp_path):
@@ -861,6 +885,79 @@ class TestReport:
         }
 
 
+def _sidecar_streams(root: Path, shape: tuple) -> tuple:
+    """A one-pair loss input whose augmented matrix is a sidecar block
+    that declares ``shape`` and carries no payload."""
+    header = b"PSDAF32\x00" + struct.pack(f"<I{len(shape)}Q", len(shape), *shape)
+    (root / "m.bin").write_bytes(header)
+    orig, aug = root / "orig.jsonl", root / "aug.jsonl"
+    orig.write_text(
+        json.dumps({"meta": {}}) + "\n" + json.dumps({"id": "x", "matrix": [[1.0, 2.0]]}) + "\n",
+        encoding="utf-8",
+    )
+    aug.write_text(
+        json.dumps({"meta": {"matrix_file": "m.bin"}}) + "\n"
+        + json.dumps({"id": "y", "source": "x", "matrix_ref": {"offset": 0}}) + "\n",
+        encoding="utf-8",
+    )
+    return "loss", "--orig", orig, "--aug", aug
+
+
+def _model_with(root: Path, model: str, nbytes=None, body_len=None) -> tuple:
+    """A copy of ``model`` whose first array declares ``nbytes`` bytes, or
+    whose header declares a manifest of ``body_len`` bytes."""
+    from psda.model_io import MODEL_MAGIC
+
+    data = Path(model).read_bytes()
+    start = len(MODEL_MAGIC) + 8
+    (old_len,) = struct.unpack("<Q", data[len(MODEL_MAGIC) : start])
+    manifest = json.loads(data[start : start + old_len])
+    if nbytes is not None:
+        manifest["arrays"][0]["nbytes"] = nbytes
+    body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    header = struct.pack("<Q", len(body) if body_len is None else body_len)
+    corrupt = root / "model.psda"
+    corrupt.write_bytes(MODEL_MAGIC + header + body + data[start + old_len :])
+    return "report", "--model", corrupt, "--out-csv", root / "r.csv", "--out-svg", root / "r.svg"
+
+
+class TestCorruptLengthFields:
+    """A length field that claims more bytes than its file holds exits 2
+    with one JSON ModelFormatError line, before anything of that size is
+    allocated."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda root, model: _sidecar_streams(root, (2**62,)),
+            lambda root, model: _sidecar_streams(root, (2**40,)),
+            lambda root, model: _sidecar_streams(root, (2**32, 2**32)),
+            lambda root, model: _model_with(root, model, nbytes=2**64),
+            lambda root, model: _model_with(root, model, body_len=2**64 - 1),
+        ],
+        ids=[
+            "sidecar-shape-2^62", "sidecar-shape-2^40", "sidecar-shape-2^32x2^32",
+            "manifest-array-nbytes-2^64", "manifest-length-2^64-1",
+        ],
+    )
+    def test_exits_2_without_allocating(self, built, tmp_path, run_cli, corrupt):
+        argv = corrupt(tmp_path, built.model)
+        tracemalloc.start()
+        try:
+            code, stdout, err = run_cli(*argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ModelFormatError"
+        assert "truncated" in payload["message"]
+        assert peak < 1 << 26
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -889,6 +986,35 @@ def assert_help(proc):
     # substring test would also match "clustered" in the description.
     for command in ("cluster", "gradcheck"):
         assert re.search(rf"^\s+{command}\s", proc.stdout, re.MULTILINE), command
+
+
+def run_traced(argv) -> dict:
+    """One command under the benchmark's layer tracer, in a child
+    interpreter; returns the result line it prints."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "bench" / "layers.py"), json.dumps(argv)],
+        capture_output=True, text=True, timeout=300, env=child_env(), cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["error"] is None, result["error"]
+    assert result["rc"] == 0, result["stderr"]
+    return result["trace"]
+
+
+class TestTracerCompatibility:
+    """The benchmark's tracer wraps psda functions by name; a rename that
+    breaks it fails here rather than in a benchmark run."""
+
+    def test_loss(self, built, cli_workspace):
+        trace = run_traced(
+            ["loss", "--config", cli_workspace.config, "--orig", built.orig, "--aug", built.aug]
+        )
+        assert trace["seconds"]["otreg.spectral"] > 0
+
+    def test_gradcheck(self):
+        trace = run_traced(["gradcheck", "--instances", "1"])
+        assert trace["counts"]["otreg.sinkhorn_iterations"] > 0
 
 
 class TestSubprocessEntryPoints:

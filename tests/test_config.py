@@ -113,6 +113,13 @@ class TestBuildConfig:
             {"ot.tail": "0"},
             {"gmm.max_iter": "0"},
             {"gmm.tol": "-1"},
+            {"gmm.tol": "nan"},
+            {"gmm.cov_floor": "nan"},
+            {"ot.tol": "-1"},
+            {"ot.tol": "nan"},
+            {"ot.eta": "inf"},
+            {"ot.epsilon": "inf"},
+            {"ot.power": "inf"},
             {"ot.power": "0"},
             {"ot.max_iter": "-1"},
             {"pos.dim": "-1"},

@@ -301,6 +301,10 @@ class TestConfigValidation:
             {"k": 2, "covariance": "full"},
             {"k": 2, "tol": 0.0},
             {"k": 2, "cov_floor": 0.0},
+            {"k": 2, "tol": float("nan")},
+            {"k": 2, "tol": float("inf")},
+            {"k": 2, "cov_floor": float("nan")},
+            {"k": 2, "cov_floor": float("inf")},
             {"k": 2, "max_iter": 0},
         ],
     )
