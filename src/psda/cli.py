@@ -10,12 +10,11 @@ gradient check out of tolerance, a non-finite loss), 2 for usage,
 configuration or input errors and for running out of memory.  Errors
 are emitted to stderr as one JSON object.  Streams are line-delimited
 JSON with sorted keys; the first line of a stream is a ``meta`` record
-echoing the configuration.
+echoing the configuration.  ``psda.stream`` reads and writes them.
 
-``augment`` encodes each distinct inline matrix row once per run and
-splices the row texts into each record's line, whose bytes stay those
-of ``json.dumps`` on the whole record.  ``loss`` validates each inline
-matrix and packs it into one float64 array as it reads the line, then
+``augment`` encodes each distinct inline matrix row once per run.
+``loss`` decodes each distinct inline row text once across both streams
+and packs each matrix into one float64 array as it reads the line, then
 scores the pairs in blocks of one shape (``otreg.score_block``, which
 stacks only the Sinkhorn solve) and prints their lines in input order; a
 pair's line and gradient do not depend on its block, and the first pair
@@ -100,10 +99,6 @@ def _pos_tagging(cfg):
     return PosTagging.seeded(tags, projection_dim=cfg.pos_dim, seed=cfg.pos_seed)
 
 
-def _jsonl_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
 def cmd_cluster(args) -> int:
     from .domino import build_cluster_model
     from .model_io import save_model
@@ -141,37 +136,6 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _matrix_json(matrix, row_text: dict) -> str:
-    """``json.dumps(matrix.tolist())`` in compact form, encoding each
-    distinct row once: ``row_text`` maps a row's bytes to its JSON text.
-    Bytes, not values, key it, so ``-0.0`` and ``0.0`` stay apart."""
-    texts = []
-    for row in matrix:
-        key = row.tobytes()
-        text = row_text.get(key)
-        if text is None:
-            text = row_text[key] = json.dumps(row.tolist(), separators=(",", ":"))
-        texts.append(text)
-    return "[" + ",".join(texts) + "]"
-
-
-def _write_record(fh, record: dict, matrix, sidecar_fh, row_text: dict) -> None:
-    """Write one stream line carrying ``matrix``: inline as nested arrays,
-    or as an offset into the open binary sidecar when one is being
-    written.  An inline line is byte-identical to ``_jsonl_line`` of the
-    record with ``matrix.tolist()`` under ``"matrix"``."""
-    if sidecar_fh is not None:
-        from .binio import write_array
-
-        offset, nbytes = write_array(sidecar_fh, matrix)
-        ref = {"offset": offset, "nbytes": nbytes}
-        fh.write(_jsonl_line({**record, "matrix_ref": ref}) + "\n")
-        return
-    fields = {key: _jsonl_line(value) for key, value in record.items()}
-    fields["matrix"] = _matrix_json(matrix, row_text)
-    fh.write("{" + ",".join(f"{_jsonl_line(k)}:{fields[k]}" for k in sorted(fields)) + "}\n")
-
-
 def cmd_augment(args) -> int:
     from dataclasses import asdict
 
@@ -179,6 +143,7 @@ def cmd_augment(args) -> int:
     from .corpus import assemble_sentence, iter_conllu_lenient
     from .errors import ParseError, UnknownLanguageError
     from .model_io import load_model
+    from .stream import jsonl_line, write_record
 
     cfg = _pipeline_config(args, need=("corpus", "embeddings"))
     stores = _load_stores(cfg)
@@ -203,9 +168,9 @@ def cmd_augment(args) -> int:
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             meta = {"config": cfg.echo(), "matrix_file": sidecar_name}
-            fh.write(_jsonl_line({"meta": {**meta, "stream": "augmented"}}) + "\n")
+            fh.write(jsonl_line({"meta": {**meta, "stream": "augmented"}}) + "\n")
             if orig_fh is not None:
-                orig_fh.write(_jsonl_line({"meta": {**meta, "stream": "original"}}) + "\n")
+                orig_fh.write(jsonl_line({"meta": {**meta, "stream": "original"}}) + "\n")
             for rec, problem in iter_conllu_lenient(cfg.corpus_path):
                 if rec is None:
                     parse_warnings.append(problem)
@@ -233,7 +198,7 @@ def cmd_augment(args) -> int:
                         "tokens": list(rec.tokens),
                         "svo": svo,
                     }
-                    _write_record(orig_fh, record, mat, sidecar_fh, row_text)
+                    write_record(orig_fh, record, mat, sidecar_fh, row_text)
                 for copy in range(cfg.copies):
                     aug = augment_sentence(
                         rec, mat, model, index, sentence_seed(cfg.seed, rec, copy)
@@ -254,7 +219,7 @@ def cmd_augment(args) -> int:
                         "replacements": [asdict(r) for r in aug.replacements],
                         "skipped": [asdict(s) for s in aug.skipped],
                     }
-                    _write_record(fh, record, aug.augmented, sidecar_fh, row_text)
+                    write_record(fh, record, aug.augmented, sidecar_fh, row_text)
     finally:
         if orig_fh is not None:
             orig_fh.close()
@@ -281,98 +246,6 @@ def cmd_augment(args) -> int:
         }
     )
     return 0
-
-
-def _read_stream(path):
-    """Read one JSONL stream; returns (meta record or None, data records).
-
-    An inline ``matrix`` is packed into one float64 array as its line is
-    read, so the nested lists of only one line are alive at a time.
-    """
-    import numpy as np
-
-    from .errors import ParseError
-
-    meta = None
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError("not valid JSON", path=str(path), line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("record is not a JSON object", path=str(path), line=lineno)
-            for key in ("id", "source"):
-                if key in obj and not isinstance(obj[key], str):
-                    raise ParseError(f"{key!r} is not a string", path=str(path), line=lineno)
-            if "meta" in obj:
-                if not isinstance(obj["meta"], dict):
-                    raise ParseError("'meta' is not a JSON object", path=str(path), line=lineno)
-                if meta is None:
-                    meta = obj["meta"]
-                continue
-            if "matrix" in obj:
-                try:
-                    obj["matrix"] = np.asarray(obj["matrix"], dtype=np.float64)
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(
-                        f"record {obj.get('id')!r}: 'matrix' is not a numeric array",
-                        path=str(path),
-                    ) from exc
-            records.append(obj)
-    return meta, records
-
-
-class _MatrixSource:
-    """Resolves a record's matrix, inline or via the stream's sidecar."""
-
-    def __init__(self, stream_path, meta):
-        from .errors import ParseError
-
-        self.stream_path = str(stream_path)
-        self.sidecar_name = (meta or {}).get("matrix_file")
-        if not isinstance(self.sidecar_name, (str, type(None))):
-            raise ParseError("meta 'matrix_file' is not a string", path=self.stream_path)
-        self.fh = None
-
-    def matrix(self, record):
-        from .errors import ParseError
-
-        if "matrix" in record:
-            return record["matrix"]  # packed by _read_stream
-        ref = record.get("matrix_ref")
-        if ref is None:
-            raise ParseError(
-                f"record {record.get('id')!r} carries neither 'matrix' nor 'matrix_ref'",
-                path=self.stream_path,
-            )
-        if not isinstance(ref, dict) or not isinstance(ref.get("offset"), int):
-            raise ParseError(
-                f"record {record.get('id')!r}: 'matrix_ref' is not an object "
-                "with an integer 'offset'",
-                path=self.stream_path,
-            )
-        if self.fh is None:
-            if not self.sidecar_name:
-                raise ParseError(
-                    "stream uses 'matrix_ref' but its meta line names no matrix_file",
-                    path=self.stream_path,
-                )
-            sidecar = os.path.join(
-                os.path.dirname(os.path.abspath(self.stream_path)), self.sidecar_name
-            )
-            self.fh = open(sidecar, "rb")
-        from .binio import read_array
-
-        return read_array(self.fh, ref["offset"])
-
-    def close(self):
-        if self.fh is not None:
-            self.fh.close()
 
 
 def _scored_in_order(pairs, params, keep_grads: bool):
@@ -429,10 +302,14 @@ def cmd_loss(args) -> int:
 
     from .binio import write_array
     from .errors import ParseError
+    from .stream import MatrixSource, jsonl_line, read_stream
 
     cfg = _pipeline_config(args)
 
-    orig_meta, orig_records = _read_stream(args.orig)
+    # the decoded inline rows, shared by both streams: most rows of the
+    # augmented stream repeat rows of the original one
+    rows = {}
+    orig_meta, orig_records = read_stream(args.orig, rows)
     originals = {}
     for rec in orig_records:
         rid = rec.get("id")
@@ -441,12 +318,12 @@ def cmd_loss(args) -> int:
         if rid in originals:
             raise ParseError(f"duplicate original id {rid!r}", path=str(args.orig))
         originals[rid] = rec
-    aug_meta, aug_records = _read_stream(args.aug)
+    aug_meta, aug_records = read_stream(args.aug, rows)
     if not aug_records:
         raise ParseError("augmented stream holds no records", path=str(args.aug))
 
-    orig_mats = _MatrixSource(args.orig, orig_meta)
-    aug_mats = _MatrixSource(args.aug, aug_meta)
+    orig_mats = MatrixSource(args.orig, orig_meta)
+    aug_mats = MatrixSource(args.aug, aug_meta)
     grad_fh = open(args.grad_out, "wb") if args.grad_out else None
 
     keys = ("loss_ot", "loss_eig", "loss_dis", "loss_reg", "loss_total")
@@ -504,7 +381,7 @@ def cmd_loss(args) -> int:
                 sums[key] += out[key]
             any_nonconv = any_nonconv or out["non_convergence"]
             max_err = max(max_err, out["marginal_error"])
-            print(_jsonl_line(out))
+            print(jsonl_line(out))
         if unpaired is not None:
             raise unpaired
     finally:
@@ -515,7 +392,7 @@ def cmd_loss(args) -> int:
 
     means = {key: value / len(aug_records) for key, value in sums.items()}
     print(
-        _jsonl_line(
+        jsonl_line(
             {
                 "aggregate": {
                     "pairs": len(aug_records),

@@ -64,19 +64,22 @@ def pairwise_distances(x, y, center=None) -> np.ndarray:
         raise ValueError("point sets must be 2-D arrays")
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError(f"point sets have dims {x.shape[1]} and {y.shape[1]}")
-    if center is None:
-        center = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
-    xc = x - center
-    yc = y - center
-    d2 = xc @ yc.T
-    d2 *= -2.0
-    raw = np.einsum("ij,ij->i", xc, xc)[:, None] + np.einsum("ij,ij->i", yc, yc)[None, :]
-    del xc, yc
-    d2 += raw
-    raw *= CANCELLATION_SHARE
-    rows, cols = np.nonzero(d2 <= raw)
-    for s in range(0, rows.size, _RECOMPUTE_CHUNK):
-        i, j = rows[s : s + _RECOMPUTE_CHUNK], cols[s : s + _RECOMPUTE_CHUNK]
-        diff = x[i] - y[j]
-        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+    # entries near the float64 limit overflow here; the caller's check of
+    # the costs reports that, so numpy should not warn on stderr as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center is None:
+            center = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+        xc = x - center
+        yc = y - center
+        d2 = xc @ yc.T
+        d2 *= -2.0
+        raw = np.einsum("ij,ij->i", xc, xc)[:, None] + np.einsum("ij,ij->i", yc, yc)[None, :]
+        del xc, yc
+        d2 += raw
+        raw *= CANCELLATION_SHARE
+        rows, cols = np.nonzero(d2 <= raw)
+        for s in range(0, rows.size, _RECOMPUTE_CHUNK):
+            i, j = rows[s : s + _RECOMPUTE_CHUNK], cols[s : s + _RECOMPUTE_CHUNK]
+            diff = x[i] - y[j]
+            d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+        return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)

@@ -388,6 +388,22 @@ class TestStreamFormat:
         assert packed(first[4]) == np.zeros(6).tobytes()
 
 
+    def test_loss_reads_spaced_streams_as_compact_ones(self, format_run, tmp_path):
+        spaced = {}
+        for name in ("orig", "aug"):
+            lines = getattr(format_run, name).read_text(encoding="utf-8").splitlines()
+            spaced[name] = tmp_path / f"{name}.jsonl"
+            spaced[name].write_text(
+                "".join(json.dumps(json.loads(line)) + "\n" for line in lines), encoding="utf-8"
+            )
+        assert spaced["aug"].stat().st_size > format_run.aug.stat().st_size
+        code, compact, err = invoke("loss", "--orig", format_run.orig, "--aug", format_run.aug)
+        assert code == 0, err
+        code, stdout, err = invoke("loss", "--orig", spaced["orig"], "--aug", spaced["aug"])
+        assert code == 0, err
+        assert stdout == compact
+
+
 class TestLoss:
     def run_loss(self, built, *extra):
         code, stdout, err = invoke(
@@ -581,14 +597,29 @@ class TestLoss:
             ("aug", {"matrix_file": 7}, {"id": "y", "source": "x", "matrix_ref": {"offset": 0}}),
             ("aug", {"matrix_file": "m.bin"}, {"id": "y", "source": "x", "matrix_ref": [0, 8]}),
             ("aug", {"matrix_file": "m.bin"}, {"id": "y", "source": "x", "matrix_ref": {}}),
+            ("aug", {"matrix_file": "m.bin"},
+             {"id": "y", "source": "x", "matrix_ref": {"offset": -8}}),
+            ("aug", {"matrix_file": "m.bin"},
+             {"id": "y", "source": "x", "matrix_ref": {"offset": True}}),
             ("orig", {}, {"id": ["x"], "matrix": [[1.0, 2.0]]}),
             ("aug", {}, {"id": "y", "source": ["x"], "matrix": [[1.0, 2.0]]}),
             ("aug", {}, {"id": "y", "source": "x", "matrix": [[1.0, {"a": 2.0}]]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [[1.0, 10**400]]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [["1.5", "2"], [0.5, 2.0]]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [[True, 2.0], [0.5, 2.0]]}),
+            ("orig", {}, {"id": "x", "matrix": [[None, 2.0], [0.5, 2.0]]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [1.0, 2.0]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": []}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [[[1.0, 2.0]]]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [[1.0, 2.0], [1.0]]}),
+            ("aug", {}, {"id": "y", "source": "x", "matrix": [[]]}),
         ],
         ids=[
             "meta-not-object", "matrix-file-not-string", "matrix-ref-not-object",
-            "matrix-ref-without-offset", "id-is-a-list", "source-is-a-list",
-            "matrix-not-numeric",
+            "matrix-ref-without-offset", "matrix-ref-negative-offset", "matrix-ref-bool-offset",
+            "id-is-a-list", "source-is-a-list", "matrix-not-numeric", "matrix-huge-integer",
+            "matrix-strings", "matrix-boolean", "matrix-null", "matrix-1d", "matrix-empty",
+            "matrix-3d", "matrix-ragged", "matrix-empty-row",
         ],
     )
     def test_malformed_stream_is_a_parse_error(self, tmp_path, run_cli, stream, meta, record):
@@ -607,6 +638,31 @@ class TestLoss:
         payload = stderr_error(err)
         assert payload["error"] == "ParseError"
         assert str(paths[stream]) in payload["message"]
+
+    def test_huge_finite_entries_fail_with_one_json_line(self, tmp_path):
+        orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
+        orig.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + json.dumps({"id": "x", "matrix": [[1e308, 2.0], [0.5, 2.0]]}) + "\n",
+            encoding="utf-8",
+        )
+        aug.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + json.dumps({"id": "y", "source": "x", "matrix": [[-1e308, 2.0], [0.5, 1.0]]})
+            + "\n",
+            encoding="utf-8",
+        )
+        # a child process, since pytest would catch numpy's warnings before
+        # they reached stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "psda.cli", "loss", "--orig", str(orig), "--aug", str(aug)],
+            capture_output=True, text=True, timeout=300, env=child_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "NonFiniteInputError"
 
     def test_inline_matrices_are_packed_as_they_are_read(self, tmp_path, run_cli):
         rng = np.random.default_rng(3)

@@ -1,0 +1,131 @@
+"""Tests for the stream reader: each inline matrix it packs is bit-equal
+to a plain ``json.loads`` of its line, whatever the whitespace, however
+its rows repeat, and the malformed matrices it rejects are told apart
+from lines that are not JSON."""
+
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psda.errors import ParseError
+from psda.stream import read_stream
+
+# Entries whose text or bits are easy to get wrong: both zeros, the
+# smallest subnormal, the float64 limits, 17 significant digits, ints.
+SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+           0.30000000000000004, -1.2345678901234567e-5, 0, -7, 2**53 + 1, 10**20]
+ENTRIES = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+# JSON whitespace that keeps a line one line: "\n" and "\r" end it.
+GAPS = ["", " ", "\t", "  ", " \t "]
+
+
+def reference(line: str) -> np.ndarray:
+    return np.asarray(json.loads(line)["matrix"], dtype=np.float64)
+
+
+def spaced(value, rnd: random.Random) -> str:
+    """JSON text of ``value`` with random whitespace around every token
+    and object keys in random order."""
+
+    def gap():
+        return rnd.choice(GAPS)
+
+    if isinstance(value, dict):
+        items = [
+            f"{gap()}{json.dumps(k)}{gap()}:{gap()}{spaced(v, rnd)}{gap()}"
+            for k, v in value.items()
+        ]
+        rnd.shuffle(items)
+        return "{" + (",".join(items) or gap()) + "}"
+    if isinstance(value, list):
+        return "[" + gap() + f"{gap()},{gap()}".join(spaced(v, rnd) for v in value) + gap() + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def streams(draw):
+    """Two streams drawing their rows from one pool, so rows repeat within
+    a record, across records and across the streams."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    rows = st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=1, max_size=5)
+    out = []
+    for name in ("orig", "aug"):
+        picks = draw(st.lists(rows, min_size=1, max_size=4))
+        out.append(
+            [{"meta": {"stream": name}}]
+            + [
+                {"id": f"{name}{i}", "tokens": ["a]", "[b", "{c}"] * len(p),
+                 "matrix": [pool[k] for k in p]}
+                for i, p in enumerate(picks)
+            ]
+        )
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=streams(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_packed_matrices_are_bit_equal_to_json_loads(tmp_path_factory, data, seed):
+    rnd = random.Random(seed)
+    root = tmp_path_factory.mktemp("streams", numbered=True)
+    rows = {}
+    for n, records in enumerate(data):
+        lines = [rnd.choice(GAPS) + spaced(rec, rnd) + rnd.choice(GAPS) for rec in records]
+        path = root / f"s{n}.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        meta, got = read_stream(path, rows)
+        assert meta == records[0]["meta"]
+        assert len(got) == len(lines) - 1
+        for line, rec, record in zip(lines[1:], got, records[1:]):
+            want = reference(line)
+            assert rec["matrix"].dtype == np.float64
+            assert rec["matrix"].shape == want.shape
+            assert rec["matrix"].tobytes() == want.tobytes()
+            assert not rec["matrix"].flags.writeable
+            assert {k: v for k, v in rec.items() if k != "matrix"} == {
+                k: v for k, v in record.items() if k != "matrix"
+            }
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ('[["]", 1.0]]', "not a numeric array"),
+        ('[[1.0, {"a": [2.0]}]]', "not a numeric array"),
+        ('[[1.0, [2.0]]]', "not a numeric array"),
+        ('[[1.0], 2.0]', "not a numeric array"),
+        ('[[1.0, 2.0]', "not valid JSON"),
+        ('[[1.0,, 2.0]]', "not valid JSON"),
+        ('[[1.0, 2.0] [3.0, 4.0]]', "not valid JSON"),
+        ('[[1.0, "2.0]]', "not valid JSON"),
+    ],
+)
+def test_malformed_matrix_is_told_from_invalid_json(tmp_path, matrix, message):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"meta": {}}\n{"id": "x", "matrix": ' + matrix + "}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=message):
+        read_stream(path, {})
+
+
+def test_rows_are_shared_across_streams_and_read_only(tmp_path):
+    rows = {}
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    first.write_text('{"id":"a","matrix":[[1.5,2.0],[0.0,1.0]]}\n', encoding="utf-8")
+    second.write_text('{"id":"b","matrix":[[0.0,1.0],[1.5,2.0],[-0.0,1.0]]}\n', encoding="utf-8")
+    (a,) = read_stream(first, rows)[1]
+    (b,) = read_stream(second, rows)[1]
+    assert len(rows) == 3
+    # each record owns its matrix; the cache only views the first holder
+    assert not np.shares_memory(a["matrix"], b["matrix"])
+    assert np.shares_memory(rows[next(iter(rows))], a["matrix"])
+    assert b["matrix"][2].tobytes() == np.array([-0.0, 1.0]).tobytes()
+    with pytest.raises(ValueError):
+        b["matrix"][0, 0] = 7.0
