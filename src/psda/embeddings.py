@@ -7,7 +7,7 @@ seeded linear projection and concatenated onto the word vector to form the
 final embedding used for clustering.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,36 @@ UPOS_INDEX = {tag: i for i, tag in enumerate(UPOS_TAGS)}
 DEFAULT_TAG = "X"
 
 
-@dataclass
 class VocabStore:
-    """Per-language map from word to a fixed-dimension float64 vector."""
+    """Per-language vocabulary, held as one matrix.
 
-    lang: str
-    dim: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    Every vector sits in one read-only (n, dim) float64 matrix, in
+    insertion (file) order; ``entries`` maps each word to a read-only
+    view of its row.  Building a store from ``entries`` packs their
+    vectors into that matrix.
+    """
+
+    def __init__(self, lang: str, dim: int, entries: dict[str, np.ndarray] | None = None):
+        self.lang = lang
+        self.dim = dim
+        entries = dict(entries or {})
+        if entries:
+            vectors = np.stack([np.asarray(v, dtype=np.float64) for v in entries.values()])
+        else:
+            vectors = np.zeros((0, dim))
+        self._hold(list(entries), vectors)
+
+    @classmethod
+    def from_matrix(cls, lang: str, words: list[str], vectors: np.ndarray) -> "VocabStore":
+        """A store over ``vectors`` itself (no copy), row i holding ``words[i]``."""
+        store = cls(lang, vectors.shape[1])
+        store._hold(words, vectors)
+        return store
+
+    def _hold(self, words: list[str], vectors: np.ndarray) -> None:
+        vectors.flags.writeable = False
+        self._vectors = vectors
+        self.entries = dict(zip(words, vectors))
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -53,10 +76,30 @@ class VocabStore:
         return list(self.entries)
 
     def matrix(self) -> np.ndarray:
-        """All vectors stacked in insertion (file) order, shape (n, dim)."""
-        if not self.entries:
-            return np.zeros((0, self.dim))
-        return np.stack([self.entries[w] for w in self.entries])
+        """All vectors in insertion (file) order, shape (n, dim), read-only."""
+        return self._vectors
+
+
+# Characters that str.isspace(), and so loadtxt's field trimming, counts
+# as whitespace but numpy's cast of one string to float64 rejects: a file
+# holding any of them is read line by line, which rejects them.
+_CAST_REJECTS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_header(header: str, path) -> tuple[int, int]:
+    """The word count and dimension of an ``N d`` header line."""
+    if not header.strip():
+        raise ParseError("missing 'N d' header", path=path, line=1)
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError(f"malformed header {header.strip()!r}", path=path, line=1)
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"malformed header {header.strip()!r}", path=path, line=1) from None
+    if count < 0 or dim <= 0:
+        raise ParseError(f"invalid header counts {header.strip()!r}", path=path, line=1)
+    return count, dim
 
 
 def load_vectors(path, lang: str) -> VocabStore:
@@ -64,21 +107,50 @@ def load_vectors(path, lang: str) -> VocabStore:
 
     Validates the declared word count and dimension, rejects ragged rows,
     duplicate words, and non-finite components.
+
+    The components of every row go through one C-level parse
+    (``np.loadtxt`` over the text after each word, split on single
+    spaces).  A file that parse or its checks do not take (a bad row, a
+    duplicate word, a wrong count, or merely irregular spacing) is read
+    again line by line, which loads it or raises the error that names the
+    offending line.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return _load_vectors_per_line(path, lang)
+    castable = not any(c in text for c in _CAST_REJECTS)
+    lines = text.split("\n")
+    del text  # hold one copy of the file's text at a time
+    count, dim = _parse_header(lines[0], path)
+    words, rows = [], []
+    for raw in lines[1:]:
+        if raw.strip():
+            word, _, row = raw.partition(" ")
+            words.append(word)
+            rows.append(row)
+    del lines
+    if castable and len(words) == count == len(set(words)) and all(rows):
+        try:
+            vectors = (
+                np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+                if rows else np.zeros((0, dim))
+            )
+        except ValueError:
+            pass
+        else:
+            if vectors.shape == (count, dim) and np.isfinite(vectors).all():
+                return VocabStore.from_matrix(lang, words, vectors)
+    return _load_vectors_per_line(path, lang)
+
+
+def _load_vectors_per_line(path, lang: str) -> VocabStore:
+    """``load_vectors`` one line at a time: the reference for the bulk
+    parse, and the reader of files it does not take."""
     entries: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise ParseError("missing 'N d' header", path=path, line=1)
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed header {header.strip()!r}", path=path, line=1)
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed header {header.strip()!r}", path=path, line=1) from None
-        if count < 0 or dim <= 0:
-            raise ParseError(f"invalid header counts {header.strip()!r}", path=path, line=1)
+        count, dim = _parse_header(fh.readline(), path)
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue
@@ -177,10 +249,12 @@ def final_embedding(word_vec: np.ndarray, tag: str, pos: PosTagging) -> np.ndarr
 def final_embeddings(store: VocabStore, pos: PosTagging) -> tuple[list[str], np.ndarray]:
     """Final embeddings for every word in a store, in store order.
 
-    Returns the word list and an (n, d + p) matrix.
+    Returns the word list and an (n, d + p) matrix: the store's matrix
+    next to each word's projected POS block, row for row what
+    ``final_embedding`` gives.
     """
     words = store.words
-    if not words:
-        return [], np.zeros((0, store.dim + pos.projection_dim))
-    rows = [final_embedding(store[w], pos.tag_of(w), pos) for w in words]
-    return words, np.stack(rows)
+    tag_idx = [UPOS_INDEX[pos.tag_of(w)] for w in words]
+    matrix = np.hstack([store.matrix(), pos.projection[:, tag_idx].T + pos.bias])
+    require_finite(matrix, "final embedding matrix")
+    return words, matrix

@@ -567,6 +567,11 @@ def _term_breakdown(orig, aug, l_ot, g_ot, iterations, error, params, task_loss)
     )
 
 
+# Huge finite entries can overflow the solver's marginal check and the
+# spectral terms.  The pair's loss then comes out non-finite, which
+# ``psda loss`` reports as its one error line; numpy's warnings would
+# only repeat it on stderr first.
+@np.errstate(over="ignore", invalid="ignore")
 def score_block(
     origs,
     augs,

@@ -11,7 +11,6 @@ bytes on every run.
 import csv
 from dataclasses import dataclass
 from typing import Optional
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -195,6 +194,12 @@ def _bounds(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, as ``xml.sax.saxutils.escape``
+    does; that module is not imported because it pulls in ``urllib.request``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_scatter_svg(
     points: list[WordPoint],
     width: int = 640,
@@ -224,7 +229,7 @@ def render_scatter_svg(
     ]
     if config is not None:
         pairs = " ".join(f"{k}={config[k]}" for k in sorted(config))
-        parts.append(f"<!-- config: {escape(pairs)} -->")
+        parts.append(f"<!-- config: {_escape(pairs)} -->")
     parts += [
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
@@ -242,7 +247,7 @@ def render_scatter_svg(
         parts.append(
             f'<circle cx="{sx(p.pc1):.2f}" cy="{sy(p.pc2):.2f}" r="3" '
             f'fill="{color}" fill-opacity="0.8">'
-            f"<title>{escape(f'{p.lang}:{p.word}')}</title></circle>"
+            f"<title>{_escape(f'{p.lang}:{p.word}')}</title></circle>"
         )
     legend_ids = sorted(set(p.multi for p in points))
     shown = legend_ids[:12]

@@ -664,6 +664,35 @@ class TestLoss:
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "NonFiniteInputError"
 
+    def test_overflowing_terms_fail_with_one_json_line(self, tmp_path):
+        # finite entries whose distances stay finite but overflow the
+        # solver's marginal check and both spectral terms
+        orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
+        orig.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + json.dumps({"id": "x", "matrix": [[2.0, 1e150], [-1e100, 1.0], [2.0, -1e100]]})
+            + "\n",
+            encoding="utf-8",
+        )
+        aug.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + json.dumps({"id": "y", "source": "x",
+                          "matrix": [[1e100, -1e150], [1e100, 1e100], [1.0, 2.0]]})
+            + "\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "psda.cli", "loss", "--orig", str(orig), "--aug", str(aug)],
+            capture_output=True, text=True, timeout=300, env=child_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0]) == {
+            "error": "ArithmeticError", "message": "non-finite loss for pair 'y'"
+        }
+
     def test_inline_matrices_are_packed_as_they_are_read(self, tmp_path, run_cli):
         rng = np.random.default_rng(3)
         rows, dim, sources, copies = 12, 100, 60, 2

@@ -5,9 +5,12 @@ import subprocess
 import sys
 import textwrap
 from types import SimpleNamespace
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import child_env
 
@@ -407,6 +410,37 @@ class TestScatterSvg:
         out = tmp_path / "scatter.svg"
         write_report_svg(out, points, config={"seed": "5"})
         assert out.read_text(encoding="utf-8") == first
+
+    @given(text=st.text())
+    def test_escape_matches_saxutils(self, text):
+        assert psda.report._escape(text) == sax_escape(text)
+
+    def test_outputs_match_a_saxutils_render_byte_for_byte(self, pair_model, tmp_path, monkeypatch):
+        odd = WordPoint("aa", "a&b<c>d\"e'f", 0, 0, 0, 0.5, 0.25)
+        points, _ = collect_points(pair_model.model)
+        stats = cluster_stats(pair_model.model)
+        config = {"note": "&<>\"'", "seed": "1"}
+
+        def outputs(tag):
+            svg, csv_path = tmp_path / f"{tag}.svg", tmp_path / f"{tag}.csv"
+            write_report_svg(svg, points + [odd], config=config)
+            write_report_csv(csv_path, points, stats)
+            return svg.read_bytes(), csv_path.read_bytes()
+
+        ours = outputs("ours")
+        monkeypatch.setattr(psda.report, "_escape", sax_escape)
+        assert outputs("saxutils") == ours
+        svg = ours[0].decode("utf-8")
+        assert "<title>aa:a&amp;b&lt;c&gt;d\"e'f</title>" in svg
+        assert "<!-- config: note=&amp;&lt;&gt;\"' seed=1 -->" in svg
+
+    def test_import_leaves_urllib_unloaded(self):
+        code = "import sys, psda.report; print('urllib.request' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=child_env(), check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_rejects_empty_point_list(self):
         with pytest.raises(ValueError, match="no points"):
