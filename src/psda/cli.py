@@ -8,18 +8,14 @@ analytic gradients, ``report`` renders a fitted model to CSV and SVG.
 Exit codes: 0 on success, 1 when a verification ran and failed (a
 gradient check out of tolerance, a non-finite loss), 2 for usage,
 configuration or input errors and for running out of memory.  Errors
-are emitted to stderr as one JSON object.  Streams are line-delimited
-JSON with sorted keys; the first line of a stream is a ``meta`` record
-echoing the configuration.  ``psda.stream`` reads and writes them.
+are emitted to stderr as one JSON object.  ``psda.stream`` owns the
+format of the streams ``augment`` writes and ``loss`` reads.
 
-``augment`` encodes each distinct inline matrix row once per run.
-``loss`` decodes each distinct inline row text once across both streams
-and packs each matrix into one float64 array as it reads the line, then
-scores the pairs in blocks of one shape (``otreg.score_block``, which
-stacks only the Sinkhorn solve) and prints their lines in input order; a
-pair's line and gradient do not depend on its block, and the first pair
-that cannot be scored still aborts right after the lines of the pairs
-before it.
+``loss`` scores the pairs in blocks of one shape (``otreg.score_block``,
+which stacks only the Sinkhorn solve) and prints their lines in input
+order; a pair's line and gradient do not depend on its block, and the
+first pair that cannot be paired or scored still aborts right after the
+lines of the pairs before it.
 
 Heavy imports stay inside the command functions so ``--threads`` can
 pin BLAS pools through the environment before numpy first loads.
@@ -143,7 +139,7 @@ def cmd_augment(args) -> int:
     from .corpus import assemble_sentence, iter_conllu_lenient
     from .errors import ParseError, UnknownLanguageError
     from .model_io import load_model
-    from .stream import jsonl_line, write_record
+    from .stream import open_writer
 
     cfg = _pipeline_config(args, need=("corpus", "embeddings"))
     stores = _load_stores(cfg)
@@ -156,75 +152,50 @@ def cmd_augment(args) -> int:
     parsed = 0
     written = 0
     changed = 0
-    # JSON text of each distinct inline row: every row written is a
-    # vocabulary vector or a zero row, so most repeat across records
-    row_text = {}
 
-    sidecar_name = os.path.basename(args.matrix_out) if args.matrix_out else None
-    sidecar_fh = open(args.matrix_out, "wb") if args.matrix_out else None
-    orig_fh = (
-        open(args.orig_out, "w", encoding="utf-8", newline="\n") if args.orig_out else None
-    )
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            meta = {"config": cfg.echo(), "matrix_file": sidecar_name}
-            fh.write(jsonl_line({"meta": {**meta, "stream": "augmented"}}) + "\n")
-            if orig_fh is not None:
-                orig_fh.write(jsonl_line({"meta": {**meta, "stream": "original"}}) + "\n")
-            for rec, problem in iter_conllu_lenient(cfg.corpus_path):
-                if rec is None:
-                    parse_warnings.append(problem)
-                    continue
-                if rec.lang not in stores:
-                    raise UnknownLanguageError(
-                        f"no embeddings configured for language {rec.lang!r}"
-                    )
-                mat = assemble_sentence(rec, stores[rec.lang], cfg.oov)
-                if not any(token in stores[rec.lang] for token in rec.tokens):
-                    # its matrix is all zero, a pair that loss cannot score; under
-                    # oov = error, assemble_sentence has raised already
-                    parse_warnings.append(
-                        f"{cfg.corpus_path}: sentence {' '.join(rec.tokens)!r} has no "
-                        f"token in the {rec.lang} vocabulary; skipped"
-                    )
-                    continue
-                source_id = f"s{parsed:06d}"
-                parsed += 1
-                svo = {"subject": rec.subject, "verb": rec.verb, "object": rec.object}
-                if orig_fh is not None:
-                    record = {
-                        "id": source_id,
-                        "lang": rec.lang,
-                        "tokens": list(rec.tokens),
-                        "svo": svo,
-                    }
-                    write_record(orig_fh, record, mat, sidecar_fh, row_text)
-                for copy in range(cfg.copies):
-                    aug = augment_sentence(
-                        rec, mat, model, index, sentence_seed(cfg.seed, rec, copy)
-                    )
-                    written += 1
-                    changed += int(aug.changed)
-                    for rep in aug.replacements:
-                        role_counts[rep.role] += 1
-                    for skip in aug.skipped:
-                        skip_counts[skip.reason] = skip_counts.get(skip.reason, 0) + 1
-                    record = {
-                        "id": f"{source_id}c{copy}",
-                        "source": source_id,
-                        "lang": aug.source_lang,
-                        "copy": copy,
-                        "tokens": list(aug.tokens),
-                        "svo": svo,
-                        "replacements": [asdict(r) for r in aug.replacements],
-                        "skipped": [asdict(s) for s in aug.skipped],
-                    }
-                    write_record(fh, record, aug.augmented, sidecar_fh, row_text)
-    finally:
-        if orig_fh is not None:
-            orig_fh.close()
-        if sidecar_fh is not None:
-            sidecar_fh.close()
+    streams = open_writer(args.out, args.orig_out, args.matrix_out, cfg.echo())
+    with streams as (write_original, write_augmented):
+        for rec, problem in iter_conllu_lenient(cfg.corpus_path):
+            if rec is None:
+                parse_warnings.append(problem)
+                continue
+            if rec.lang not in stores:
+                raise UnknownLanguageError(f"no embeddings configured for language {rec.lang!r}")
+            mat = assemble_sentence(rec, stores[rec.lang], cfg.oov)
+            if not any(token in stores[rec.lang] for token in rec.tokens):
+                # its matrix is all zero, a pair that loss cannot score; under
+                # oov = error, assemble_sentence has raised already
+                parse_warnings.append(
+                    f"{cfg.corpus_path}: sentence {' '.join(rec.tokens)!r} has no "
+                    f"token in the {rec.lang} vocabulary; skipped"
+                )
+                continue
+            source_id = f"s{parsed:06d}"
+            parsed += 1
+            svo = {"subject": rec.subject, "verb": rec.verb, "object": rec.object}
+            write_original(
+                {"id": source_id, "lang": rec.lang, "tokens": list(rec.tokens), "svo": svo},
+                mat,
+            )
+            for copy in range(cfg.copies):
+                aug = augment_sentence(rec, mat, model, index, sentence_seed(cfg.seed, rec, copy))
+                written += 1
+                changed += int(aug.changed)
+                for rep in aug.replacements:
+                    role_counts[rep.role] += 1
+                for skip in aug.skipped:
+                    skip_counts[skip.reason] = skip_counts.get(skip.reason, 0) + 1
+                record = {
+                    "id": f"{source_id}c{copy}",
+                    "source": source_id,
+                    "lang": aug.source_lang,
+                    "copy": copy,
+                    "tokens": list(aug.tokens),
+                    "svo": svo,
+                    "replacements": [asdict(r) for r in aug.replacements],
+                    "skipped": [asdict(s) for s in aug.skipped],
+                }
+                write_augmented(record, aug.augmented)
 
     if parse_warnings and parsed == 0:
         raise ParseError(
@@ -301,29 +272,10 @@ def cmd_loss(args) -> int:
     import math
 
     from .binio import write_array
-    from .errors import ParseError
-    from .stream import MatrixSource, jsonl_line, read_stream
+    from .stream import jsonl_line, read_pairs
 
     cfg = _pipeline_config(args)
-
-    # the decoded inline rows, shared by both streams: most rows of the
-    # augmented stream repeat rows of the original one
-    rows = {}
-    orig_meta, orig_records = read_stream(args.orig, rows)
-    originals = {}
-    for rec in orig_records:
-        rid = rec.get("id")
-        if rid is None:
-            raise ParseError("original record lacks an 'id'", path=str(args.orig))
-        if rid in originals:
-            raise ParseError(f"duplicate original id {rid!r}", path=str(args.orig))
-        originals[rid] = rec
-    aug_meta, aug_records = read_stream(args.aug, rows)
-    if not aug_records:
-        raise ParseError("augmented stream holds no records", path=str(args.aug))
-
-    orig_mats = MatrixSource(args.orig, orig_meta)
-    aug_mats = MatrixSource(args.aug, aug_meta)
+    aug_meta, pairs, unpaired = read_pairs(args.orig, args.aug)
     grad_fh = open(args.grad_out, "wb") if args.grad_out else None
 
     keys = ("loss_ot", "loss_eig", "loss_dis", "loss_reg", "loss_total")
@@ -331,27 +283,10 @@ def cmd_loss(args) -> int:
     any_nonconv = False
     max_err = 0.0
     try:
-        # Pair the records in input order.  The first record that cannot be
-        # paired ends the list; its error is raised once the pairs before
-        # it have printed.
-        ids, pairs, unpaired = [], [], None
-        try:
-            for rec in aug_records:
-                rid = rec.get("id")
-                source = rec.get("source", rid)
-                if source not in originals:
-                    raise ParseError(
-                        f"augmented record {rid!r} names original {source!r}, "
-                        "which the original stream does not hold",
-                        path=str(args.aug),
-                    )
-                pairs.append((orig_mats.matrix(originals[source]), aug_mats.matrix(rec)))
-                ids.append((rid, source))
-        except _INPUT_ERRORS as exc:
-            unpaired = exc
-
-        scored = _scored_in_order(pairs, cfg.ot, keep_grads=grad_fh is not None)
-        for (rid, source), bd in zip(ids, scored):
+        scored = _scored_in_order(
+            [(orig, aug) for _, _, orig, aug in pairs], cfg.ot, keep_grads=grad_fh is not None
+        )
+        for (rid, source, _, _), bd in zip(pairs, scored):
             if isinstance(bd, _INPUT_ERRORS):
                 raise bd
             if not all(
@@ -382,20 +317,20 @@ def cmd_loss(args) -> int:
             any_nonconv = any_nonconv or out["non_convergence"]
             max_err = max(max_err, out["marginal_error"])
             print(jsonl_line(out))
+        # the first record that could not be paired ends the run once the
+        # pairs before it have printed
         if unpaired is not None:
             raise unpaired
     finally:
         if grad_fh is not None:
             grad_fh.close()
-        orig_mats.close()
-        aug_mats.close()
 
-    means = {key: value / len(aug_records) for key, value in sums.items()}
+    means = {key: value / len(pairs) for key, value in sums.items()}
     print(
         jsonl_line(
             {
                 "aggregate": {
-                    "pairs": len(aug_records),
+                    "pairs": len(pairs),
                     "mean": means,
                     "task_loss": 0.0,
                     "non_convergence_any": any_nonconv,

@@ -70,7 +70,9 @@ class ModelFormatError(PsdaError):
 
 
 class DegenerateSpectrumWarning(UserWarning):
-    """Two nonzero penalized singular values (both above 1e-8) lie within
-    1e-8 of each other, so their singular vectors and the gradient are
-    not unique; loss values are still well defined.  Zero singular
-    values, such as those of a rank-deficient cloud, never trigger it."""
+    """The smallest singular value left out of the penalized tail is above
+    1e-8 and lies within 1e-8 of the largest one in it, so which
+    directions are penalized, and hence the gradient, is not unique; loss
+    values are still well defined.  Ties inside the tail, a tail that
+    holds every value, and zero singular values such as those of a
+    rank-deficient cloud never trigger it."""

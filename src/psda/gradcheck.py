@@ -5,11 +5,10 @@ objective it is documented to differentiate:
 
 * transport term: the plan is converged once at the base point and then
   held fixed while the augmented rows move,
-* spectral term: the singular factors of the r x r core from the base
-  point are held fixed, so the objective is the smooth quadratic whose
-  exact gradient the analytic formula gives (the d - r structural zeros
-  contribute nothing to either); it is skipped only when two nonzero
-  tail values are near-tied,
+* spectral term: the shipped loss, ``eig_shrinkage_loss`` over the core
+  spectrum of the moved cloud (the d - r structural zeros contribute
+  nothing to it or to the gradient); it is skipped only when the tail's
+  boundary is near-tied, where the loss has a kink,
 * pooled-cosine term: differentiated directly.
 
 Errors are relative, with an absolute floor tied to the rounding error
@@ -21,11 +20,13 @@ a negative control that must fail the tolerance.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import DegenerateSpectrumWarning
 from .otreg import (
     OtParams,
     _core_spectrum,
@@ -33,6 +34,7 @@ from .otreg import (
     cost_matrix,
     distance_shrinkage,
     eig_shrinkage_gradient,
+    eig_shrinkage_loss,
     ot_loss_gradient,
     sinkhorn,
 )
@@ -139,23 +141,23 @@ def _check_instance(
     record("ot", ot_loss_gradient(orig, aug, plan, power=params.power), ot_objective)
 
     s, u, vt, k = _core_spectrum(orig, aug, params.tail_count)
-    idx, tied = _tail(s, k) if k >= 1 else (np.arange(0), False)
-    if tied:
+    if k >= 1 and _tail(s, k)[1]:
         checks.append(
-            TermCheck(instance, "eig", 0.0, True, skipped=True, reason="near-tied tail spectrum")
+            TermCheck(instance, "eig", 0.0, True, skipped=True, reason="near-tied tail boundary")
         )
+    elif k < 1:
+        # the tail is all structural zeros: the term is constant
+        record("eig", np.zeros_like(aug), lambda a: 0.0)
     else:
 
         def eig_objective(a):
-            m = a.T @ orig
-            vals = np.einsum("dr,de,er->r", u[:, idx], m, vt[idx, :].T)
-            return float(-params.eta * np.sum(vals**2))
+            # a moved cloud may tie where the base point does not
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSpectrumWarning)
+                spectrum = _core_spectrum(orig, a, params.tail_count)[0]
+                return eig_shrinkage_loss(spectrum, k, params.eta)
 
-        if k >= 1:
-            analytic = eig_shrinkage_gradient(orig, u, vt, s, k, params.eta)
-        else:
-            analytic = np.zeros_like(aug)
-        record("eig", analytic, eig_objective)
+        record("eig", eig_shrinkage_gradient(orig, u, vt, s, k, params.eta), eig_objective)
 
     def dis_objective(a):
         return distance_shrinkage(orig, a)[0]
@@ -182,8 +184,8 @@ def run_gradcheck(
 
     The spectral check runs on any shape: with rows < dim it covers the
     rows nonzero singular values of the cross-covariance.  It is skipped
-    only for a near-tie between two nonzero tail values, which random
-    clouds almost never produce.
+    only for a near-tie at the tail's boundary, which random clouds
+    almost never produce.
     """
     for name, count in (("instances", instances), ("rows", rows), ("dim", dim)):
         if count < 1:

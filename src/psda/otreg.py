@@ -95,19 +95,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _columns_matched(f: np.ndarray, neg_scaled: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _columns_matched(f: np.ndarray, neg_scaled: np.ndarray) -> np.ndarray:
     """The plans exp(f_i + g_j - C_ij/eps) with g eliminated so that every
-    column sums to b_j: column j is b_j times the softmax of f + column j.
-    Stacked: f (B, n), neg_scaled (B, n, m), b (B, m)."""
+    column sums to b = 1/m: column j is 1/m times the softmax of f +
+    column j.  Stacked: f (B, n), neg_scaled (B, n, m)."""
     z = f[:, :, None] + neg_scaled
     e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e * (b[:, None, :] / e.sum(axis=1, keepdims=True))
+    return e * ((1.0 / neg_scaled.shape[2]) / e.sum(axis=1, keepdims=True))
 
 
-def _newton_step(f, plan, a, b):
+def _newton_step(f, plan):
     """One damped Newton step on the semi-dual for each of a stack of
-    problems; returns the stepped f and whether each step was taken (a
-    row that is not keeps its f, for the caller to replace).
+    problems with marginals a = 1/n and b = 1/m; returns the stepped f and
+    whether each step was taken (a row that is not keeps its f, for the
+    caller to replace).
 
     F(f) = <f, a> + <g(f), b> with g(f) the column elimination is concave,
     with gradient a - P1 and negative Hessian diag(P1) - P diag(1/b) P^T,
@@ -119,7 +120,9 @@ def _newton_step(f, plan, a, b):
     divided by b (each column sums to 1).  Each problem backtracks on its
     own t until the Armijo rule holds, for up to MAX_HALVINGS halvings.
     """
-    n = a.shape[1]
+    n, m = plan.shape[1:]
+    # full marginals, so that each row's dot products keep their bits
+    a, b = np.full_like(f, 1.0 / n), np.full(plan.shape[::2], 1.0 / m)
     eye = np.eye(n)
     row_sums = plan.sum(axis=2)
     grad = a - row_sums
@@ -152,19 +155,19 @@ def _newton_step(f, plan, a, b):
     return stepped, taken
 
 
-def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
+def _solve_stacked(neg_scaled, max_iter: int, tol: float):
     """The solver behind ``sinkhorn`` on a stack of B problems at once.
 
-    neg_scaled (B, n, m) holds -C/eps, a (B, n) and b (B, m) the
-    marginals, all entries positive when max_iter > 0.  Every problem
-    keeps its own stopping test, iteration count and fallback step: the
-    problems still iterating form a working set, and one leaves it as
-    soon as it stops.  Every operation acts on each problem's rows alone,
-    so a problem's result does not depend on the others or on B.
-    Returns the plans (B, n, m), the iterations used (B,) and the
-    marginal errors (B,).
+    neg_scaled (B, n, m) holds -C/eps; the marginals are uniform, a = 1/n
+    and b = 1/m.  Every problem keeps its own stopping test, iteration
+    count and fallback step: the problems still iterating form a working
+    set, and one leaves it as soon as it stops.  Every operation acts on
+    each problem's rows alone, so a problem's result does not depend on
+    the others or on B.  Returns the plans (B, n, m), the iterations used
+    (B,) and the marginal errors (B,).
     """
-    count = neg_scaled.shape[0]
+    count, n, m = neg_scaled.shape
+    a, b = 1.0 / n, 1.0 / m
     iterations = np.zeros(count, dtype=np.int64)
     if max_iter == 0:
         plan = np.exp(neg_scaled)
@@ -172,11 +175,12 @@ def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
             np.abs(plan.sum(axis=2) - a).max(axis=1), np.abs(plan.sum(axis=1) - b).max(axis=1)
         )
         return plan, iterations, error
+    log_a, log_b = np.log(a), np.log(b)
     plan = np.empty_like(neg_scaled)
     error = np.empty(count)
-    # The working set: problem numbers and their slices of every operand.
-    # All of its problems have run the same number of iterations.
-    work = [np.arange(count), neg_scaled, a, b, np.log(a), np.log(b)]
+    # The working set: problem numbers and their slices of -C/eps.  All of
+    # its problems have run the same number of iterations.
+    work = [np.arange(count), neg_scaled]
 
     def settle(done, plans, errors, it):
         """Record the problems marked ``done`` as stopped after ``it``
@@ -188,12 +192,12 @@ def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
         work[:] = [x[keep] for x in work]
         return keep
 
-    # Warm-up.  These log-sum-exps need none of logsumexp's guards: every
-    # entry of a and b is positive here, so every column of f + neg_scaled
-    # and every row of g + neg_scaled has a finite maximum.
+    # Warm-up.  These log-sum-exps need none of logsumexp's guards: a and b
+    # are positive, so every column of f + neg_scaled and every row of
+    # g + neg_scaled has a finite maximum.
     row_lse = logsumexp(neg_scaled, axis=2)
     for it in range(1, min(max_iter, WARMUP_ITERATIONS) + 1):
-        _, ns, aw, _, log_a, log_b = work
+        ns = work[1]
         f = log_a - row_lse
         z = f[:, :, None] + ns
         z_max = z.max(axis=1)
@@ -201,7 +205,7 @@ def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
         z = g[:, None, :] + ns
         z_max = z.max(axis=2)
         row_lse = z_max + np.log(np.exp(z - z_max[:, :, None]).sum(axis=2))
-        err = np.abs(np.exp(f + row_lse) - aw).max(axis=1)
+        err = np.abs(np.exp(f + row_lse) - a).max(axis=1)
         done = (err <= tol) | (it == max_iter)
         if done.any():
             # a solve the warm-up ends returns the plain loop's plan bit for bit
@@ -212,9 +216,8 @@ def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
             return plan, iterations, error
 
     # Newton finish.
-    _, ns, aw, bw, _, _ = work
-    p = _columns_matched(f, ns, bw)
-    err = np.abs(p.sum(axis=2) - aw).max(axis=1)
+    p = _columns_matched(f, work[1])
+    err = np.abs(p.sum(axis=2) - a).max(axis=1)
     while True:
         done = (err <= tol) | (it == max_iter)
         if done.any():
@@ -223,16 +226,16 @@ def _solve_stacked(neg_scaled, a, b, max_iter: int, tol: float):
             if work[0].size == 0:
                 return plan, iterations, error
         it += 1
-        _, ns, aw, bw, log_a, log_b = work
-        stepped, taken = _newton_step(f, p, aw, bw)
+        ns = work[1]
+        stepped, taken = _newton_step(f, p)
         if not taken.all():
             # a failed backtracking is replaced by one warm-up iteration
             back = ~taken
-            g = log_b[back] - logsumexp(f[back][:, :, None] + ns[back], axis=1)
-            stepped[back] = log_a[back] - logsumexp(g[:, None, :] + ns[back], axis=2)
+            g = log_b - logsumexp(f[back][:, :, None] + ns[back], axis=1)
+            stepped[back] = log_a - logsumexp(g[:, None, :] + ns[back], axis=2)
         f = stepped
-        p = _columns_matched(f, ns, bw)
-        err = np.abs(p.sum(axis=2) - aw).max(axis=1)
+        p = _columns_matched(f, ns)
+        err = np.abs(p.sum(axis=2) - a).max(axis=1)
 
 
 def sinkhorn(
@@ -281,11 +284,7 @@ def sinkhorn(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    n, m = cost.shape
-    plans, iterations, errors = _solve_stacked(
-        (-cost / epsilon)[None], np.full((1, n), 1.0 / n), np.full((1, m), 1.0 / m),
-        max_iter, tol,
-    )
+    plans, iterations, errors = _solve_stacked((-cost / epsilon)[None], max_iter, tol)
     error = float(errors[0])
     return TransportPlan(plans[0], epsilon, int(iterations[0]), error, error <= tol)
 
@@ -363,18 +362,20 @@ def _core_spectrum(orig: np.ndarray, aug: np.ndarray, tail_count: int):
 
 def _tail(s: np.ndarray, tail_count: int) -> tuple[np.ndarray, bool]:
     """The indices of the k = min(tail_count, len(s)) smallest values of
-    the 1-D float64 array s, ascending by value, and whether two of those
-    values are near-tied (gap below SPECTRUM_TIE_TOL).  Values at or below
-    SPECTRUM_TIE_TOL never count as tied: a zero singular value adds
-    nothing to the loss or the gradient, whichever vectors go with it."""
+    the 1-D float64 array s, ascending by value, and whether the tail's
+    boundary is near-tied: s_(k+1) above SPECTRUM_TIE_TOL and within it
+    of s_(k).  Ties inside the tail leave the gradient unique, and a tail
+    that holds every value has no boundary."""
     if s.ndim != 1 or s.size == 0:
         raise ValueError("singular values must be a nonempty 1-D array")
     if tail_count < 1:
         raise ValueError(f"tail_count must be at least 1, got {tail_count}")
-    idx = np.argsort(s)[:tail_count]
-    tail = s[idx]
-    live = tail[tail > SPECTRUM_TIE_TOL]
-    return idx, bool(live.size >= 2 and np.min(np.diff(live)) < SPECTRUM_TIE_TOL)
+    order = np.argsort(s)
+    idx = order[:tail_count]
+    if idx.size == s.size:
+        return idx, False
+    inside, outside = s[idx[-1]], s[order[idx.size]]
+    return idx, bool(outside > SPECTRUM_TIE_TOL and outside - inside < SPECTRUM_TIE_TOL)
 
 
 def eig_shrinkage_loss(
@@ -383,18 +384,19 @@ def eig_shrinkage_loss(
     """Negative eta-weighted energy of the k smallest singular values.
 
     Minimizing it inflates the weakest directions of the cross-covariance
-    between the two clouds.  A near-tie (gap below 1e-8) between two
-    values of the selected tail above 1e-8 makes the corresponding
-    singular vectors ambiguous, so that case is flagged with a
-    DegenerateSpectrumWarning; ties among (numerically) zero values add
-    nothing to the loss or its gradient and are not flagged.
+    between the two clouds.  When the smallest value left out of the tail
+    is above 1e-8 and within 1e-8 of the largest value in it, the loss
+    has a kink there: which directions are penalized, and so the
+    gradient, is not unique.  That case is flagged with a
+    DegenerateSpectrumWarning.  Ties inside the tail, and ties among
+    (numerically) zero values, leave the gradient unique and are not.
     """
     s = np.asarray(singular_values, dtype=np.float64)
     idx, tied = _tail(s, tail_count)
     if tied:
         warnings.warn(
-            f"near-tied singular values in the {idx.size} smallest; "
-            "their singular vectors, and hence the gradient, are not unique",
+            f"the singular values at the edge of the {idx.size} smallest are near-tied; "
+            "which directions are penalized, and hence the gradient, is not unique",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
@@ -603,10 +605,7 @@ def score_block(
     dist = np.stack([pairwise_distances(o, a) for o, a in pairs])
     cost = dist if params.power == 1.0 else dist**params.power
     require_finite(cost, "cost matrix")
-    uniform = np.full((count, shape[0]), 1.0 / shape[0])
-    plan, iterations, error = _solve_stacked(
-        -cost / params.epsilon, uniform, uniform, params.max_iter, params.tol
-    )
+    plan, iterations, error = _solve_stacked(-cost / params.epsilon, params.max_iter, params.tol)
     l_ot = (plan * cost).reshape(count, -1).sum(axis=1)
     return [
         _term_breakdown(

@@ -1,24 +1,28 @@
 """Sentence-matrix streams: line-delimited JSON with sorted keys.
 
-The first line of a stream is a ``meta`` record echoing the
+``augment`` writes them and ``loss`` reads them; their format lives here
+alone.  The first line of a stream is a ``meta`` record echoing the
 configuration and naming the binary matrix sidecar, if any.  Every other
 line is one record whose matrix is inline, as nested arrays under
 ``"matrix"``, or an offset into the sidecar under ``"matrix_ref"``.
 
-Both ends of the inline format live here.  ``write_record`` encodes each
-distinct row once per run and splices the row texts into the line, whose
-bytes stay those of ``json.dumps`` on the whole record.  ``read_stream``
-walks each line key by key and leaves an inline matrix undecoded until it
-has found its row texts.  A row text seen before, on any line of any
-stream sharing the ``rows`` cache, is looked up by a digest of the text;
-the rows a line has not seen before are decoded together.  An inline
+``open_writer`` encodes each distinct inline row once per run and splices
+the row texts into the line, whose bytes stay those of ``json.dumps`` on
+the whole record.  ``read_stream`` returns every record with its matrix,
+so a malformed matrix of either layout stops a reader before it uses any
+record.  It decodes each distinct inline row text once per ``rows``
+cache, which streams may share, and packs each record's matrix into its
+own read-only float64 array, bit-equal to
+``np.asarray(json.loads(line)["matrix"], dtype=np.float64)``.  An inline
 matrix must be a non-empty list of equal-length, non-empty rows of JSON
 numbers (not strings, booleans, null, NaN or Infinity), and an integer
-must fit a float64.  Each record
-gets its own read-only float64 matrix, bit-equal to
-``np.asarray(json.loads(line)["matrix"], dtype=np.float64)``.
+must fit a float64.  A ``matrix_ref`` needs a non-negative integer
+``offset`` at the start of an array in the sidecar, which is found next
+to the stream.  ``read_pairs`` pairs each augmented record with the
+original its ``source`` names.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -26,6 +30,7 @@ import re
 
 import numpy as np
 
+from . import binio
 from .errors import ParseError
 
 _DECODER = json.JSONDecoder()
@@ -53,21 +58,44 @@ def _matrix_json(matrix, row_text: dict) -> str:
     return "[" + ",".join(texts) + "]"
 
 
-def write_record(fh, record: dict, matrix, sidecar_fh, row_text: dict) -> None:
-    """Write one stream line carrying ``matrix``: inline as nested arrays,
-    or as an offset into the open binary sidecar when one is being
-    written.  An inline line is byte-identical to ``jsonl_line`` of the
-    record with ``matrix.tolist()`` under ``"matrix"``."""
-    if sidecar_fh is not None:
-        from .binio import write_array
+@contextlib.contextmanager
+def open_writer(out, orig_out, matrix_out, config: dict):
+    """Open the augmented stream ``out``, the original stream ``orig_out``
+    and the binary sidecar ``matrix_out`` (either of the last two may be
+    None), write both meta lines, and yield (write_original,
+    write_augmented), each writing one record with its matrix.  A matrix
+    goes into the sidecar when there is one, and inline otherwise, where
+    the line is byte-identical to ``jsonl_line`` of the record with
+    ``matrix.tolist()`` under ``"matrix"``.  Without an original stream
+    write_original does nothing.  The files are closed on exit."""
+    # JSON text of each distinct inline row: every row written is a
+    # vocabulary vector or a zero row, so most repeat across records
+    row_text = {}
+    meta = {"config": config, "matrix_file": os.path.basename(matrix_out) if matrix_out else None}
+    with contextlib.ExitStack() as stack:
+        sidecar_fh = stack.enter_context(open(matrix_out, "wb")) if matrix_out else None
 
-        offset, nbytes = write_array(sidecar_fh, matrix)
-        ref = {"offset": offset, "nbytes": nbytes}
-        fh.write(jsonl_line({**record, "matrix_ref": ref}) + "\n")
-        return
-    fields = {key: jsonl_line(value) for key, value in record.items()}
-    fields["matrix"] = _matrix_json(matrix, row_text)
-    fh.write("{" + ",".join(f"{jsonl_line(k)}:{fields[k]}" for k in sorted(fields)) + "}\n")
+        def writer(path, stream):
+            if not path:
+                return lambda record, matrix: None
+            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+            fh.write(jsonl_line({"meta": {**meta, "stream": stream}}) + "\n")
+
+            def write(record: dict, matrix) -> None:
+                if sidecar_fh is not None:
+                    offset, nbytes = binio.write_array(sidecar_fh, matrix)
+                    ref = {"offset": offset, "nbytes": nbytes}
+                    fh.write(jsonl_line({**record, "matrix_ref": ref}) + "\n")
+                    return
+                fields = {key: jsonl_line(value) for key, value in record.items()}
+                fields["matrix"] = _matrix_json(matrix, row_text)
+                body = ",".join(f"{jsonl_line(k)}:{fields[k]}" for k in sorted(fields))
+                fh.write("{" + body + "}\n")
+
+            return write
+
+        write_original = writer(orig_out, "original")
+        yield write_original, writer(out, "augmented")
 
 
 def _row_spans(line: str, pos: int):
@@ -169,13 +197,9 @@ def _pack(line: str, spans, rows: dict):
     for key, text in zip(keys, texts):
         if key not in rows and key not in fresh:
             fresh[key] = text
-    if len(fresh) == len(keys):
-        # every row is new and distinct, so the batch is the matrix
-        matrix = _decode_rows(list(fresh.values()), line)
-    else:
-        if fresh:
-            fresh = dict(zip(fresh, _decode_rows(list(fresh.values()), line)))
-        matrix = np.stack([rows[key] if key in rows else fresh[key] for key in keys])
+    if fresh:
+        fresh = dict(zip(fresh, _decode_rows(list(fresh.values()), line)))
+    matrix = np.stack([rows[key] if key in rows else fresh[key] for key in keys])
     matrix.flags.writeable = False
     for key, row in zip(keys, matrix):
         if key in fresh:
@@ -186,13 +210,17 @@ def _pack(line: str, spans, rows: dict):
 def read_stream(path, rows: dict):
     """Read one JSONL stream; returns (meta record or None, data records).
 
-    An inline ``matrix`` is packed into one read-only float64 array as its
-    line is read, each distinct row text decoded once per ``rows`` cache
-    (see ``_pack``), so the decoded values of only one line's new rows are
-    alive at a time.
+    Every data record comes back with its matrix under ``"matrix"``, a
+    read-only float64 array.  An inline matrix is packed as its line is
+    read, each distinct row text decoded once per ``rows`` cache (see
+    ``_pack``), so the decoded values of only one line's new rows are
+    alive at a time.  The matrices under ``"matrix_ref"`` are read from
+    the sidecar the meta line names once every line has been read.
     """
+    path = str(path)
     meta = None
     records = []
+    refs = []  # (record, offset) of each sidecar matrix
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -201,77 +229,107 @@ def read_stream(path, rows: dict):
             try:
                 obj, spans = _decode_line(line)
             except json.JSONDecodeError as exc:
-                raise ParseError("not valid JSON", path=str(path), line=lineno) from exc
+                raise ParseError("not valid JSON", path=path, line=lineno) from exc
             matrix = None
             if spans is not None:
                 try:
                     matrix = _pack(line, spans, rows)
                 except json.JSONDecodeError as exc:
-                    raise ParseError("not valid JSON", path=str(path), line=lineno) from exc
+                    raise ParseError("not valid JSON", path=path, line=lineno) from exc
                 except (ValueError, OverflowError) as exc:
                     matrix = exc
             if not isinstance(obj, dict):
-                raise ParseError("record is not a JSON object", path=str(path), line=lineno)
+                raise ParseError("record is not a JSON object", path=path, line=lineno)
             for key in ("id", "source"):
                 if key in obj and not isinstance(obj[key], str):
-                    raise ParseError(f"{key!r} is not a string", path=str(path), line=lineno)
+                    raise ParseError(f"{key!r} is not a string", path=path, line=lineno)
             if "meta" in obj:
                 if not isinstance(obj["meta"], dict):
-                    raise ParseError("'meta' is not a JSON object", path=str(path), line=lineno)
+                    raise ParseError("'meta' is not a JSON object", path=path, line=lineno)
                 if meta is None:
                     meta = obj["meta"]
                 continue
+            rid = obj.get("id")
             if "matrix" in obj:
                 if not isinstance(matrix, np.ndarray):
                     raise ParseError(
-                        f"record {obj.get('id')!r}: 'matrix' is not a numeric array",
-                        path=str(path),
+                        f"record {rid!r}: 'matrix' is not a numeric array", path=path
                     ) from matrix
                 obj["matrix"] = matrix
+            elif "matrix_ref" in obj:
+                ref = obj["matrix_ref"]
+                offset = ref.get("offset") if isinstance(ref, dict) else None
+                if type(offset) is not int or offset < 0:
+                    raise ParseError(
+                        f"record {rid!r}: 'matrix_ref' is not an object "
+                        "with a non-negative integer 'offset'",
+                        path=path,
+                    )
+                refs.append((obj, offset))
+            else:
+                raise ParseError(
+                    f"record {rid!r} carries neither 'matrix' nor 'matrix_ref'", path=path
+                )
             records.append(obj)
+
+    sidecar = (meta or {}).get("matrix_file")
+    if not isinstance(sidecar, (str, type(None))):
+        raise ParseError("meta 'matrix_file' is not a string", path=path)
+    if refs:
+        if not sidecar:
+            raise ParseError(
+                "stream uses 'matrix_ref' but its meta line names no matrix_file", path=path
+            )
+        with open(os.path.join(os.path.dirname(os.path.abspath(path)), sidecar), "rb") as fh:
+            for obj, offset in refs:
+                fh.seek(offset)
+                if fh.read(len(binio.ARRAY_MAGIC)) != binio.ARRAY_MAGIC:
+                    raise ParseError(
+                        f"record {obj.get('id')!r}: 'matrix_ref' offset {offset} is not "
+                        f"the start of an array in {sidecar}",
+                        path=path,
+                    )
+                matrix = binio.read_array(fh, offset)
+                matrix.flags.writeable = False
+                obj["matrix"] = matrix
     return meta, records
 
 
-class MatrixSource:
-    """Resolves a record's matrix, inline or via the stream's sidecar."""
+def read_pairs(orig_path, aug_path):
+    """Read an original and an augmented stream and pair their records.
 
-    def __init__(self, stream_path, meta):
-        self.stream_path = str(stream_path)
-        self.sidecar_name = (meta or {}).get("matrix_file")
-        if not isinstance(self.sidecar_name, (str, type(None))):
-            raise ParseError("meta 'matrix_file' is not a string", path=self.stream_path)
-        self.fh = None
+    Originals are indexed by ``id``, and each augmented record is paired
+    with the original its ``source`` names (its own ``id`` without one).
+    Returns (augmented meta, pairs, unpaired): ``pairs`` lists
+    (id, source, original matrix, augmented matrix) in augmented-stream
+    order up to the first record that cannot be paired, and ``unpaired``
+    is the ParseError for that record, or None when every record pairs.
+    """
+    # the decoded inline rows, shared by both streams: most rows of the
+    # augmented stream repeat rows of the original one
+    rows = {}
+    _, orig_records = read_stream(orig_path, rows)
+    originals = {}
+    for rec in orig_records:
+        rid = rec.get("id")
+        if rid is None:
+            raise ParseError("original record lacks an 'id'", path=str(orig_path))
+        if rid in originals:
+            raise ParseError(f"duplicate original id {rid!r}", path=str(orig_path))
+        originals[rid] = rec["matrix"]
+    aug_meta, aug_records = read_stream(aug_path, rows)
+    if not aug_records:
+        raise ParseError("augmented stream holds no records", path=str(aug_path))
 
-    def matrix(self, record):
-        if "matrix" in record:
-            return record["matrix"]  # packed by read_stream
-        ref = record.get("matrix_ref")
-        if ref is None:
-            raise ParseError(
-                f"record {record.get('id')!r} carries neither 'matrix' nor 'matrix_ref'",
-                path=self.stream_path,
+    pairs = []
+    for rec in aug_records:
+        rid = rec.get("id")
+        source = rec.get("source", rid)
+        if source not in originals:
+            return aug_meta, pairs, ParseError(
+                f"augmented record {rid!r} names original {source!r}, "
+                "which the original stream does not hold",
+                path=str(aug_path),
             )
-        offset = ref.get("offset") if isinstance(ref, dict) else None
-        if type(offset) is not int or offset < 0:
-            raise ParseError(
-                f"record {record.get('id')!r}: 'matrix_ref' is not an object "
-                "with a non-negative integer 'offset'",
-                path=self.stream_path,
-            )
-        if self.fh is None:
-            if not self.sidecar_name:
-                raise ParseError(
-                    "stream uses 'matrix_ref' but its meta line names no matrix_file",
-                    path=self.stream_path,
-                )
-            sidecar = os.path.join(
-                os.path.dirname(os.path.abspath(self.stream_path)), self.sidecar_name
-            )
-            self.fh = open(sidecar, "rb")
-        from .binio import read_array
-
-        return read_array(self.fh, offset)
-
-    def close(self):
-        if self.fh is not None:
-            self.fh.close()
+        pairs.append((rid, source, originals[source], rec["matrix"]))
+    return aug_meta, pairs, None

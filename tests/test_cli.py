@@ -29,7 +29,7 @@ from helpers import (
 )
 
 from psda.augment import augment_sentence, build_candidate_index, sentence_seed
-from psda.binio import read_array
+from psda.binio import read_array, write_array
 from psda.config import load_config
 from psda.corpus import assemble_sentence, iter_conllu_lenient
 from psda.embeddings import load_vectors
@@ -601,6 +601,8 @@ class TestLoss:
              {"id": "y", "source": "x", "matrix_ref": {"offset": -8}}),
             ("aug", {"matrix_file": "m.bin"},
              {"id": "y", "source": "x", "matrix_ref": {"offset": True}}),
+            ("aug", {"matrix_file": "m.bin"},
+             {"id": "y", "source": "x", "matrix_ref": {"offset": 0}}),
             ("orig", {}, {"id": ["x"], "matrix": [[1.0, 2.0]]}),
             ("aug", {}, {"id": "y", "source": ["x"], "matrix": [[1.0, 2.0]]}),
             ("aug", {}, {"id": "y", "source": "x", "matrix": [[1.0, {"a": 2.0}]]}),
@@ -617,6 +619,7 @@ class TestLoss:
         ids=[
             "meta-not-object", "matrix-file-not-string", "matrix-ref-not-object",
             "matrix-ref-without-offset", "matrix-ref-negative-offset", "matrix-ref-bool-offset",
+            "matrix-ref-past-the-end",
             "id-is-a-list", "source-is-a-list", "matrix-not-numeric", "matrix-huge-integer",
             "matrix-strings", "matrix-boolean", "matrix-null", "matrix-1d", "matrix-empty",
             "matrix-3d", "matrix-ragged", "matrix-empty-row",
@@ -638,6 +641,75 @@ class TestLoss:
         payload = stderr_error(err)
         assert payload["error"] == "ParseError"
         assert str(paths[stream]) in payload["message"]
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"matrix": [["x", 1.0, 2.0], [0.0, 1.0, 1.0]]}, "not a numeric array"),
+            ({"matrix_ref": {"offset": -8}}, "non-negative integer 'offset'"),
+            ({"matrix_ref": {"offset": "end"}}, "not the start of an array"),
+            ({"matrix_ref": {"offset": 1}}, "not the start of an array"),
+        ],
+        ids=["inline-non-numeric", "sidecar-negative-offset", "sidecar-past-the-end",
+             "sidecar-off-a-block-start"],
+    )
+    def test_malformed_third_matrix_stops_loss_before_any_output(
+        self, tmp_path, run_cli, bad, named
+    ):
+        rng = np.random.default_rng(7)
+        origs = {f"o{i}": rng.normal(size=(2, 3)) + 2.0 for i in range(4)}
+        side = tmp_path / "m.bin"
+        with open(side, "wb") as fh:
+            refs = [{"offset": write_array(fh, m + 0.5)[0]} for m in origs.values()]
+            end = fh.tell()
+        records = [{"id": f"o{i}c0", "source": f"o{i}", "matrix_ref": refs[i]} for i in range(4)]
+        if "matrix" in bad:
+            del records[2]["matrix_ref"]
+        elif bad["matrix_ref"]["offset"] == "end":
+            bad = {"matrix_ref": {"offset": end}}
+        records[2].update(bad)
+        orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
+        orig.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + "".join(json.dumps({"id": k, "matrix": m.tolist()}) + "\n" for k, m in origs.items()),
+            encoding="utf-8",
+        )
+        aug.write_text(
+            json.dumps({"meta": {"matrix_file": "m.bin"}}) + "\n"
+            + "".join(json.dumps(r) + "\n" for r in records),
+            encoding="utf-8",
+        )
+        code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
+        assert code == 2
+        assert stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ParseError"
+        assert str(aug) in payload["message"]
+        assert "'o2c0'" in payload["message"]
+        assert named in payload["message"]
+
+    def test_bad_ref_in_an_unused_original_stops_loss(self, tmp_path, run_cli):
+        orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
+        (tmp_path / "m.bin").write_bytes(b"")
+        orig.write_text(
+            json.dumps({"meta": {"matrix_file": "m.bin"}}) + "\n"
+            + json.dumps({"id": "x", "matrix": [[1.0, 2.0]]}) + "\n"
+            + json.dumps({"id": "unused", "matrix_ref": {"offset": 64}}) + "\n",
+            encoding="utf-8",
+        )
+        aug.write_text(
+            json.dumps({"meta": {}}) + "\n"
+            + json.dumps({"id": "y", "source": "x", "matrix": [[1.0, 2.5]]}) + "\n",
+            encoding="utf-8",
+        )
+        code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
+        assert code == 2
+        assert stdout == ""
+        payload = stderr_error(err)
+        assert payload["error"] == "ParseError"
+        assert str(orig) in payload["message"] and "'unused'" in payload["message"]
 
     def test_huge_finite_entries_fail_with_one_json_line(self, tmp_path):
         orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
@@ -1100,6 +1172,18 @@ class TestTracerCompatibility:
     def test_gradcheck(self):
         trace = run_traced(["gradcheck", "--instances", "1"])
         assert trace["counts"]["otreg.sinkhorn_iterations"] > 0
+
+    def test_sidecar_augment_and_loss(self, built, cli_workspace, tmp_path):
+        aug, orig = str(tmp_path / "aug.jsonl"), str(tmp_path / "orig.jsonl")
+        trace = run_traced(
+            ["augment", "--config", cli_workspace.config, "--model", built.model,
+             "--out", aug, "--orig-out", orig, "--matrix-out", str(tmp_path / "m.bin")]
+        )
+        assert trace["seconds"]["binio.write"] > 0
+        trace = run_traced(
+            ["loss", "--config", cli_workspace.config, "--orig", orig, "--aug", aug]
+        )
+        assert trace["seconds"]["binio.read"] > 0
 
 
 class TestSubprocessEntryPoints:

@@ -91,13 +91,14 @@ class TestRunGradcheck:
 
     def test_tied_nonzero_core_skips_spectral_term(self):
         # orig = aug = 2Q with Q orthogonal: M = 4 I, four tied nonzero
-        # singular values whose vectors the check cannot difference through
-        # (transport and direction sit at their kinks here, so only the
-        # spectral verdict is asserted)
+        # singular values, and a tail of two ends inside the tie, where the
+        # loss has a kink the check cannot difference through (transport
+        # and direction sit at their kinks here, so only the spectral
+        # verdict is asserted)
         q, _ = np.linalg.qr(np.random.default_rng(50).normal(size=(4, 4)))
         orig = 2.0 * q
         checks = _check_instance(
-            orig, orig.copy(), OtParams(), DEFAULT_STEP, DEFAULT_TOLERANCE, None, 0
+            orig, orig.copy(), OtParams(tail_count=2), DEFAULT_STEP, DEFAULT_TOLERANCE, None, 0
         )
         assert [c.term for c in checks] == list(TERMS)
         eig = checks[1]

@@ -456,7 +456,13 @@ class TestEigShrinkage:
         assert abs(eig_shrinkage_loss(s, 2, 0.01) - oracle) <= 1e-10
 
     def test_near_tie_warns(self):
+        # the value just outside the tail lies within 1e-8 of the one inside
         with pytest.warns(DegenerateSpectrumWarning):
+            eig_shrinkage_loss(np.array([1.0, 1.0 + 5e-9, 2.0]), 1, 0.1)
+
+    def test_tie_inside_the_tail_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             eig_shrinkage_loss(np.array([1.0, 1.0 + 5e-9, 2.0]), 2, 0.1)
 
     def test_clear_gaps_do_not_warn(self):
@@ -464,10 +470,36 @@ class TestEigShrinkage:
             warnings.simplefilter("error")
             eig_shrinkage_loss(np.array([1.0, 2.0, 3.0]), 3, 0.1)
 
-    def test_tail_of_one_never_warns(self):
+    @pytest.mark.parametrize("tail", [4, 10])
+    def test_tail_of_every_value_never_warns(self, tail):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eig_shrinkage_loss(np.ones(4), 1, 0.1)
+            eig_shrinkage_loss(np.ones(4), tail, 0.1)
+
+    @pytest.mark.parametrize(
+        "spectrum, tail, tied",
+        [((3, 2, 1, 1), 4, False), ((3, 2, 1, 1), 2, False),
+         ((3, 2, 2, 1), 3, False), ((3, 2, 2, 1), 2, True)],
+    )
+    def test_warns_exactly_where_the_gradient_is_not_unique(self, spectrum, tail, tied):
+        # orig = I, aug = diag(s): the cross-covariance is diag(s).  Only a
+        # tie across the tail's edge breaks the gradient; ties inside the
+        # tail, or a tail holding every value, leave it exact
+        orig, aug = np.eye(4), np.diag(np.array(spectrum, dtype=np.float64))
+        _, s, u, vt = procrustes_map(orig, aug)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eig_shrinkage_loss(s, tail, 1.0)
+        assert any(issubclass(w.category, DegenerateSpectrumWarning) for w in caught) == tied
+        grad = eig_shrinkage_gradient(orig, u, vt, s, tail, 1.0)
+
+        def full_loss(x):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSpectrumWarning)
+                return eig_shrinkage_loss(procrustes_map(orig, x)[1], tail, 1.0)
+
+        gap = np.linalg.norm(central_fd(full_loss, aug, step=1e-6) - grad)
+        assert gap > 1.0 if tied else gap <= 1e-7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -538,13 +570,13 @@ class TestRankAwareSpectrum:
     @pytest.mark.parametrize("tail", [1, 2, 4, 10])
     def test_tied_nonzero_spectrum_warns_alike(self, tail):
         # orig = aug = 2Q with Q orthogonal: M = 4 I, four equal singular
-        # values and no zeros
+        # values and no zeros, so every tail short of all four ends in a tie
         q, _ = np.linalg.qr(np.random.default_rng(50).normal(size=(4, 4)))
         orig = 2.0 * q
         ref_loss, _, ref_warned = full_svd_spectral_term(orig, orig.copy(), tail, 0.1)
         loss, _, warned = rank_aware_spectral_term(orig, orig.copy(), tail, 0.1)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
-        assert warned == ref_warned == (tail >= 2)
+        assert warned == ref_warned == (tail < 4)
 
 
 class TestDistanceShrinkage:

@@ -1,7 +1,8 @@
 """Tests for the stream reader: each inline matrix it packs is bit-equal
 to a plain ``json.loads`` of its line, whatever the whitespace, however
 its rows repeat, and the malformed matrices it rejects are told apart
-from lines that are not JSON."""
+from lines that are not JSON; each sidecar matrix is bit-equal to the
+array stored there."""
 
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psda import binio
 from psda.errors import ParseError
 from psda.stream import read_stream
 
@@ -129,3 +131,27 @@ def test_rows_are_shared_across_streams_and_read_only(tmp_path):
     assert b["matrix"][2].tobytes() == np.array([-0.0, 1.0]).tobytes()
     with pytest.raises(ValueError):
         b["matrix"][0, 0] = 7.0
+
+
+def test_sidecar_matrices_are_read_next_to_the_stream(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
+    home.mkdir()
+    elsewhere.mkdir()
+    with open(home / "m.bin", "wb") as fh:
+        offsets = [binio.write_array(fh, rng.normal(size=(n, 3)))[0] for n in (2, 5, 1)]
+    # a sidecar of the same name in the working directory must not be read
+    (elsewhere / "m.bin").write_bytes((home / "m.bin").read_bytes()[::-1])
+    lines = [{"meta": {"matrix_file": "m.bin"}}] + [
+        {"id": f"r{i}", "matrix_ref": {"offset": off}} for i, off in enumerate(offsets)
+    ]
+    (home / "s.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+    monkeypatch.chdir(elsewhere)
+    _, records = read_stream("../home/s.jsonl", {})
+    with open(home / "m.bin", "rb") as fh:
+        for rec, off in zip(records, offsets, strict=True):
+            want = binio.read_array(fh, off)
+            assert rec["matrix"].dtype == np.float64
+            assert rec["matrix"].tobytes() == want.tobytes()
+            assert rec["matrix"].shape == want.shape
+            assert not rec["matrix"].flags.writeable
