@@ -63,6 +63,21 @@ def _parse_overrides(pairs):
     return overrides
 
 
+def _distinct_outputs(paths: dict) -> None:
+    """Raise ConfigError when two of the output ``paths``, keyed by their
+    option (None where not given), resolve to one file."""
+    from .errors import ConfigError
+
+    seen = {}
+    for option, path in paths.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {option} name the same file {str(path)!r}")
+        seen[real] = option
+
+
 def _pipeline_config(args, need=()):
     from .config import load_config
     from .errors import ConfigError
@@ -141,6 +156,9 @@ def cmd_augment(args) -> int:
     from .model_io import load_model
     from .stream import open_writer
 
+    _distinct_outputs(
+        {"--out": args.out, "--orig-out": args.orig_out, "--matrix-out": args.matrix_out}
+    )
     cfg = _pipeline_config(args, need=("corpus", "embeddings"))
     stores = _load_stores(cfg)
     model = load_model(args.model)
@@ -392,6 +410,7 @@ def cmd_report(args) -> int:
     from .model_io import load_model, read_manifest
     from .report import cluster_stats, collect_points, write_report_csv, write_report_svg
 
+    _distinct_outputs({"--out-csv": args.out_csv, "--out-svg": args.out_svg})
     model = load_model(args.model)
     # provenance: prefer the config the model was built under
     config = read_manifest(args.model).get("config")

@@ -5,7 +5,8 @@ GMM.  Each cluster gets a gate-style expert weight (its member share of
 the scope), and the weighted cluster centers become the data points of
 the next stage: per language family first, then one global pool.  Every
 word is finally resolved to a (single, family, multi) cluster chain by
-predicting its weighted centers upward through the fitted stages.
+reading the memberships the fits recorded: the stage above assigned each
+cluster to one of its own, and the chain follows those assignments.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from .embeddings import PosTagging, VocabStore, final_embeddings
 from .errors import DimensionMismatchError, UnknownLanguageError
-from .gmm import GmmConfig, GmmModel, gmm_fit, gmm_predict
+from .gmm import GmmConfig, GmmModel, gmm_fit
 from .taxonomy import LanguageTaxonomy
 from .util import derive_seed
 
@@ -80,19 +81,12 @@ class StageClusters:
         the data points handed to the parent stage."""
         return self.expert_weights[:, None] * self.centers
 
-    def predict_cluster(self, point: np.ndarray) -> int:
-        """Compact cluster id of the mixture component claiming ``point``."""
-        if self.gmm is None:
-            raise ValueError(f"stage {self.scope_id!r} has no fitted mixture (loaded model?)")
-        comp = gmm_predict(self.gmm, point)
-        if comp not in self.component_to_cluster:
-            raise ValueError(
-                f"stage {self.scope_id!r}: point predicted into empty component {comp}"
-            )
-        return self.component_to_cluster[comp]
+    def cluster_of(self) -> dict:
+        """Each member's id mapped to the index of the cluster holding it."""
+        return {m: t for t, c in enumerate(self.clusters) for m in c.members}
 
 
-def _stage_from_fit(scope_id, member_ids, points, model: GmmModel, warnings) -> StageClusters:
+def _stage_from_fit(scope_id, member_ids, model: GmmModel, warnings) -> StageClusters:
     by_component: dict[int, list] = {}
     for mid, comp in zip(member_ids, model.assignments):
         by_component.setdefault(int(comp), []).append(mid)
@@ -135,7 +129,7 @@ def cluster_single_language(
     points = np.stack([np.asarray(v, dtype=np.float64) for _, v in words])
     k, warning = k_policy.resolve("single", len(ids))
     model = gmm_fit(points, _scope_cfg(cfg, k, "single", lang))
-    return _stage_from_fit(lang, ids, points, model, [warning] if warning else [])
+    return _stage_from_fit(lang, ids, model, [warning] if warning else [])
 
 
 def _cluster_centers_stage(
@@ -160,7 +154,7 @@ def _cluster_centers_stage(
     points = np.stack(rows)
     k, warning = k_policy.resolve(scope_kind, len(ids))
     model = gmm_fit(points, _scope_cfg(cfg, k, scope_kind, scope_id))
-    return _stage_from_fit(scope_id, ids, points, model, [warning] if warning else [])
+    return _stage_from_fit(scope_id, ids, model, [warning] if warning else [])
 
 
 def cluster_family(
@@ -224,9 +218,9 @@ def build_cluster_model(
 ) -> ClusterModel:
     """Run the three stages in order and resolve every word's chain.
 
-    A word's family cluster is found by predicting its expert-weighted
-    single-stage center into the family mixture; the multi cluster by
-    predicting the weighted family center into the global mixture.
+    The chain is read from the stages' members: a word's single cluster
+    t holds it, its family cluster g holds (lang, t), and its multi
+    cluster holds (family, g).
     """
     if not stores:
         raise ValueError("no vocabulary stores given")
@@ -264,30 +258,17 @@ def build_cluster_model(
 
     multi = cluster_multi([family[fam] for fam in sorted(family)], k_policy, cfg)
 
-    # resolve each single cluster upward once, then chain words through
-    family_of_single: dict[tuple[str, int], int] = {}
-    for lang in langs:
-        fam_stage = family[tax.family_of(lang)]
-        weighted = single[lang].weighted_centers()
-        for t in range(len(single[lang].clusters)):
-            family_of_single[(lang, t)] = fam_stage.predict_cluster(weighted[t])
-
-    multi_of_family: dict[tuple[str, int], int] = {}
-    for fam in sorted(family):
-        weighted = family[fam].weighted_centers()
-        for g in range(len(family[fam].clusters)):
-            multi_of_family[(fam, g)] = multi.predict_cluster(weighted[g])
-
+    family_index = {fam: family[fam].cluster_of() for fam in family}
+    multi_index = multi.cluster_of()
     chain: dict[str, dict[str, tuple[int, int, int]]] = {}
     for lang in langs:
-        stage = single[lang]
         fam = tax.family_of(lang)
+        single_index = single[lang].cluster_of()
         lang_chain: dict[str, tuple[int, int, int]] = {}
-        for i, word in enumerate(words_by_lang[lang]):
-            t = stage.component_to_cluster[int(stage.gmm.assignments[i])]
-            g = family_of_single[(lang, t)]
-            q = multi_of_family[(fam, g)]
-            lang_chain[word] = (t, g, q)
+        for word in words_by_lang[lang]:
+            t = single_index[word]
+            g = family_index[fam][(lang, t)]
+            lang_chain[word] = (t, g, multi_index[(fam, g)])
         chain[lang] = lang_chain
 
     return ClusterModel(

@@ -127,9 +127,13 @@ def _log_density(points, means, variances, covariance):
     """Per-component log Gaussian densities, shape (n, k).
 
     The Mahalanobis term is x^2.P - 2 x.(m P) + m^2.P with P the precisions,
-    about an origin that depends on the model alone, so a row's density
-    does not depend on the other rows.  Entries that cancel to below 1e-6
-    of x^2.P + m^2.P are summed from the differences instead.
+    about an origin that depends on the model alone, so in exact arithmetic
+    a row's density does not depend on the other rows.  Its rounding does:
+    the matrix products may sum in another order for another row count, so
+    a one-row call and a batch call can differ in the last bits.  The same
+    points give the same bits, and nothing in psda relies on a one-row call
+    matching a batch call.  Entries that cancel to below 1e-6 of
+    x^2.P + m^2.P are summed from the differences instead.
     """
     d = points.shape[1]
     var = variances if covariance == "diagonal" else np.repeat(variances[:, None], d, axis=1)

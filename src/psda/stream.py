@@ -17,9 +17,9 @@ own read-only float64 array, bit-equal to
 matrix must be a non-empty list of equal-length, non-empty rows of JSON
 numbers (not strings, booleans, null, NaN or Infinity), and an integer
 must fit a float64.  A ``matrix_ref`` needs a non-negative integer
-``offset`` at the start of an array in the sidecar, which is found next
-to the stream.  ``read_pairs`` pairs each augmented record with the
-original its ``source`` names.
+``offset`` at the start of an array in the sidecar, whose path the meta
+line gives relative to the stream's directory.  ``read_pairs`` pairs each
+augmented record with the original its ``source`` names.
 """
 
 import contextlib
@@ -62,7 +62,8 @@ def _matrix_json(matrix, row_text: dict) -> str:
 def open_writer(out, orig_out, matrix_out, config: dict):
     """Open the augmented stream ``out``, the original stream ``orig_out``
     and the binary sidecar ``matrix_out`` (either of the last two may be
-    None), write both meta lines, and yield (write_original,
+    None), write both meta lines, each naming the sidecar by its path
+    relative to that stream's directory, and yield (write_original,
     write_augmented), each writing one record with its matrix.  A matrix
     goes into the sidecar when there is one, and inline otherwise, where
     the line is byte-identical to ``jsonl_line`` of the record with
@@ -71,15 +72,23 @@ def open_writer(out, orig_out, matrix_out, config: dict):
     # JSON text of each distinct inline row: every row written is a
     # vocabulary vector or a zero row, so most repeat across records
     row_text = {}
-    meta = {"config": config, "matrix_file": os.path.basename(matrix_out) if matrix_out else None}
     with contextlib.ExitStack() as stack:
         sidecar_fh = stack.enter_context(open(matrix_out, "wb")) if matrix_out else None
 
         def writer(path, stream):
             if not path:
                 return lambda record, matrix: None
+            matrix_file = None
+            if matrix_out:
+                # relative to the stream's directory, where the reader joins
+                # it; from real paths, as ".." in the join crosses symlinks
+                stream_dir = os.path.dirname(os.path.abspath(path))
+                matrix_file = os.path.relpath(
+                    os.path.realpath(matrix_out), os.path.realpath(stream_dir)
+                )
             fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-            fh.write(jsonl_line({"meta": {**meta, "stream": stream}}) + "\n")
+            meta = {"config": config, "matrix_file": matrix_file, "stream": stream}
+            fh.write(jsonl_line({"meta": meta}) + "\n")
 
             def write(record: dict, matrix) -> None:
                 if sidecar_fh is not None:

@@ -534,6 +534,36 @@ class TestLoss:
         for inline, quantized in zip(inline_pairs, lines[:-1]):
             assert quantized["loss_total"] == pytest.approx(inline["loss_total"], rel=1e-5)
 
+    def test_sidecar_in_another_directory(self, built, cli_workspace, tmp_path):
+        """The meta line points at the sidecar wherever --matrix-out put
+        it, not at a file of the same name next to the streams."""
+
+        def augment(out_dir, matrix_out, *extra):
+            out_dir.mkdir(exist_ok=True)
+            code, _, err = invoke(
+                "augment", "--config", cli_workspace.config, "--model", built.model,
+                "--out", out_dir / "aug.jsonl", "--orig-out", out_dir / "orig.jsonl",
+                "--matrix-out", matrix_out, *extra,
+            )
+            assert code == 0, err
+
+        def pair_lines(out_dir):
+            code, stdout, err = invoke(
+                "loss", "--orig", out_dir / "orig.jsonl", "--aug", out_dir / "aug.jsonl"
+            )
+            assert code == 0, err
+            return stdout.strip().splitlines()[:-1]
+
+        side_by_side, streams, elsewhere = (tmp_path / d for d in ("same", "a", "b"))
+        augment(side_by_side, side_by_side / "m.bin")
+        # a stale sidecar of the same name and layout from another seed
+        augment(streams, streams / "m.bin", "--seed", "2")
+        elsewhere.mkdir()
+        augment(streams, elsewhere / "m.bin")
+        assert pair_lines(streams) == pair_lines(side_by_side)
+        meta, _ = read_stream(streams / "aug.jsonl")
+        assert meta["matrix_file"] == "../b/m.bin"
+
     def test_echoes_stream_config(self, built, cli_workspace, tmp_path, run_cli):
         aug, orig = tmp_path / "aug.jsonl", tmp_path / "orig.jsonl"
         code, _, err = run_cli(
@@ -953,6 +983,35 @@ def test_out_of_range_setting_is_a_config_error(
     payload = json.loads(lines[0])
     assert payload["error"] == "ConfigError"
     assert setting.split("=")[0].split(".")[1] in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("augment", "--out", "--orig-out"),
+        ("augment", "--out", "--matrix-out"),
+        ("report", "--out-csv", "--out-svg"),
+    ],
+    ids=["augment-out-orig-out", "augment-out-matrix-out", "report-csv-svg"],
+)
+def test_outputs_naming_one_file_are_refused(
+    built, cli_workspace, tmp_path, run_cli, command, first, second
+):
+    # two spellings of one path, resolved before any file is opened
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "out"
+    code, stdout, err = run_cli(
+        command, "--config", cli_workspace.config, "--model", built.model,
+        first, target, second, tmp_path / "sub" / ".." / "out",
+    )
+    assert code == 2
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert first in payload["message"] and second in payload["message"]
+    assert not target.exists()
 
 
 class TestReport:

@@ -8,7 +8,7 @@ from helpers import store_from
 from psda.domino import KPolicy, build_cluster_model
 from psda.embeddings import UPOS_TAGS, PosTagging
 from psda.errors import ModelFormatError
-from psda.gmm import GmmConfig
+from psda.gmm import GmmConfig, gmm_predict
 from psda.model_io import MODEL_MAGIC, load_model, read_manifest, save_model
 from psda.taxonomy import FamilyEntry, LanguageTaxonomy
 
@@ -85,7 +85,19 @@ class TestRoundTrip:
             for word in chains:
                 assert loaded.has_word(lang, word)
         point = loaded.multi.weighted_centers()[0]
-        assert loaded.multi.predict_cluster(point) in range(len(loaded.multi.clusters))
+        component = gmm_predict(loaded.multi.gmm, point)
+        assert loaded.multi.component_to_cluster[component] in range(len(loaded.multi.clusters))
+
+    def test_loaded_chain_follows_stored_members(self, tmp_path, pair_model):
+        path = tmp_path / "model.psda"
+        save_model(path, pair_model.model)
+        loaded = load_model(path)
+        for lang, chains in loaded.chain.items():
+            fam = pair_model.tax.family_of(lang)
+            for word, (t, g, q) in chains.items():
+                assert word in loaded.single[lang].clusters[t].members
+                assert (lang, t) in loaded.family[fam].clusters[g].members
+                assert (fam, g) in loaded.multi.clusters[q].members
 
 
 class TestDeterminism:
