@@ -2,20 +2,22 @@
 
 Five subcommands: ``cluster`` fits and saves the three-stage model,
 ``augment`` writes augmented sentence-matrix streams, ``loss`` evaluates
-the affinity regularizer over paired streams, ``gradcheck`` verifies the
-analytic gradients, ``report`` renders a fitted model to CSV and SVG.
+the affinity regularizer over paired streams, ``gradcheck`` verifies
+otreg's three term functions, ``report`` renders a fitted model to CSV
+and SVG.
 
 Exit codes: 0 on success, 1 when a verification ran and failed (a
 gradient check out of tolerance, a non-finite loss), 2 for usage,
-configuration or input errors and for running out of memory.  Errors
-are emitted to stderr as one JSON object.  ``psda.stream`` owns the
+configuration or input errors and for running out of memory.  An output
+that names another output or one of the run's inputs is a configuration
+error, raised before any output is opened.  Errors are emitted to stderr
+as one JSON object.  ``psda.stream`` owns the
 format of the streams ``augment`` writes and ``loss`` reads.
 
-``loss`` scores the pairs in blocks of one shape (``otreg.score_block``,
-which stacks only the Sinkhorn solve) and prints their lines in input
-order; a pair's line and gradient do not depend on its block, and the
-first pair that cannot be paired or scored still aborts right after the
-lines of the pairs before it.
+``loss`` scores the pairs through ``otreg.score_pairs`` and prints their
+lines in input order; a pair's line and gradient do not depend on how
+the pairs are grouped, and the first pair that cannot be paired or
+scored still aborts right after the lines of the pairs before it.
 
 Heavy imports stay inside the command functions so ``--threads`` can
 pin BLAS pools through the environment before numpy first loads.
@@ -63,19 +65,29 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _distinct_outputs(paths: dict) -> None:
-    """Raise ConfigError when two of the output ``paths``, keyed by their
-    option (None where not given), resolve to one file."""
+def _distinct_outputs(outputs: dict, args, cfg=None) -> None:
+    """Raise ConfigError when two of the ``outputs``, keyed by their
+    option (None where not given), resolve to one file, or when one of
+    them resolves to an input: the ``--config``, ``--model``, ``--orig``
+    or ``--aug`` in ``args``, or a file ``cfg`` names."""
     from .errors import ConfigError
 
     seen = {}
-    for option, path in paths.items():
+    for option, path in outputs.items():
         if path is None:
             continue
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(f"{seen[real]} and {option} name the same file {str(path)!r}")
         seen[real] = option
+    inputs = {f"--{name}": getattr(args, name, None) for name in ("config", "model", "orig", "aug")}
+    if cfg is not None:
+        inputs.update(taxonomy=cfg.taxonomy_path, corpus=cfg.corpus_path)
+        inputs.update({f"embeddings.{lang}": p for lang, p in cfg.embedding_paths.items()})
+    for option, path in inputs.items():
+        output = path and seen.get(os.path.realpath(path))
+        if output:
+            raise ConfigError(f"{output} names the input {option} {str(path)!r}")
 
 
 def _pipeline_config(args, need=()):
@@ -116,6 +128,7 @@ def cmd_cluster(args) -> int:
     from .taxonomy import load_taxonomy
 
     cfg = _pipeline_config(args, need=("taxonomy", "corpus", "embeddings"))
+    _distinct_outputs({"--out": args.out}, args, cfg)
     tax = load_taxonomy(cfg.taxonomy_path)
     stores = _load_stores(cfg)
     pos = _pos_tagging(cfg)
@@ -156,10 +169,12 @@ def cmd_augment(args) -> int:
     from .model_io import load_model
     from .stream import open_writer
 
-    _distinct_outputs(
-        {"--out": args.out, "--orig-out": args.orig_out, "--matrix-out": args.matrix_out}
-    )
     cfg = _pipeline_config(args, need=("corpus", "embeddings"))
+    _distinct_outputs(
+        {"--out": args.out, "--orig-out": args.orig_out, "--matrix-out": args.matrix_out},
+        args,
+        cfg,
+    )
     stores = _load_stores(cfg)
     model = load_model(args.model)
     index = build_candidate_index(model, stores)
@@ -237,62 +252,15 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _scored_in_order(pairs, params, keep_grads: bool):
-    """Score (orig, aug) matrix pairs in blocks that share a shape and
-    yield each pair's breakdown, or the input error its scoring raised,
-    in input order.
-
-    Blocks hold up to BLOCK_PAIRS pairs of one shape, taken in input
-    order, and are scored in the order of their first pair; a pair's
-    result waits only for the pairs before it.  A block that raises is
-    scored again one pair at a time, so an error surfaces at the pair
-    that caused it.  Since a pair's breakdown does not depend on its
-    block, that changes no other pair's result.  Without ``keep_grads``
-    a breakdown's gradient is dropped as soon as it is scored.
-    """
-    from .otreg import BLOCK_PAIRS, score_block
-
-    groups = {}
-    for i, (orig, aug) in enumerate(pairs):
-        groups.setdefault((orig.shape, aug.shape), []).append(i)
-    blocks = sorted(
-        (
-            idx[s : s + BLOCK_PAIRS]
-            for idx in groups.values()
-            for s in range(0, len(idx), BLOCK_PAIRS)
-        ),
-        key=lambda block: block[0],
-    )
-    done = {}
-    ready = 0
-    for block in blocks:
-        try:
-            results = score_block(
-                [pairs[i][0] for i in block], [pairs[i][1] for i in block], params
-            )
-        except _INPUT_ERRORS:
-            results = []
-            for i in block:
-                try:
-                    results.append(score_block([pairs[i][0]], [pairs[i][1]], params)[0])
-                except _INPUT_ERRORS as exc:
-                    results.append(exc)
-        for i, result in zip(block, results):
-            if not (keep_grads or isinstance(result, _INPUT_ERRORS)):
-                result.grad_augmented = None
-            done[i] = result
-        while ready in done:
-            yield done.pop(ready)
-            ready += 1
-
-
 def cmd_loss(args) -> int:
     import math
 
     from .binio import write_array
+    from .otreg import score_pairs
     from .stream import jsonl_line, read_pairs
 
     cfg = _pipeline_config(args)
+    _distinct_outputs({"--grad-out": args.grad_out}, args, cfg)
     aug_meta, pairs, unpaired = read_pairs(args.orig, args.aug)
     grad_fh = open(args.grad_out, "wb") if args.grad_out else None
 
@@ -301,11 +269,11 @@ def cmd_loss(args) -> int:
     any_nonconv = False
     max_err = 0.0
     try:
-        scored = _scored_in_order(
+        scored = score_pairs(
             [(orig, aug) for _, _, orig, aug in pairs], cfg.ot, keep_grads=grad_fh is not None
         )
         for (rid, source, _, _), bd in zip(pairs, scored):
-            if isinstance(bd, _INPUT_ERRORS):
+            if isinstance(bd, Exception):
                 raise bd
             if not all(
                 math.isfinite(v)
@@ -410,7 +378,7 @@ def cmd_report(args) -> int:
     from .model_io import load_model, read_manifest
     from .report import cluster_stats, collect_points, write_report_csv, write_report_svg
 
-    _distinct_outputs({"--out-csv": args.out_csv, "--out-svg": args.out_svg})
+    _distinct_outputs({"--out-csv": args.out_csv, "--out-svg": args.out_svg}, args)
     model = load_model(args.model)
     # provenance: prefer the config the model was built under
     config = read_manifest(args.model).get("config")

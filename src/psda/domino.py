@@ -88,7 +88,7 @@ class StageClusters:
 
 def _stage_from_fit(scope_id, member_ids, model: GmmModel, warnings) -> StageClusters:
     by_component: dict[int, list] = {}
-    for mid, comp in zip(member_ids, model.assignments):
+    for mid, comp in zip(member_ids, model.assignments, strict=True):
         by_component.setdefault(int(comp), []).append(mid)
     total = len(member_ids)
     clusters = []
@@ -118,18 +118,18 @@ def _scope_cfg(cfg: GmmConfig, k: int, *scope) -> GmmConfig:
 
 def cluster_single_language(
     lang: str,
-    words: list[tuple[str, np.ndarray]],
+    words: list[str],
+    matrix: np.ndarray,
     k_policy: KPolicy,
     cfg: GmmConfig,
 ) -> StageClusters:
-    """Cluster one language's words in final-embedding space."""
+    """Cluster one language's words, row i of ``matrix`` holding the final
+    embedding of ``words[i]``."""
     if not words:
         raise ValueError(f"language {lang!r} has no words to cluster")
-    ids = [w for w, _ in words]
-    points = np.stack([np.asarray(v, dtype=np.float64) for _, v in words])
-    k, warning = k_policy.resolve("single", len(ids))
-    model = gmm_fit(points, _scope_cfg(cfg, k, "single", lang))
-    return _stage_from_fit(lang, ids, model, [warning] if warning else [])
+    k, warning = k_policy.resolve("single", len(words))
+    model = gmm_fit(matrix, _scope_cfg(cfg, k, "single", lang))
+    return _stage_from_fit(lang, words, model, [warning] if warning else [])
 
 
 def _cluster_centers_stage(
@@ -242,9 +242,7 @@ def build_cluster_model(
             )
         words_by_lang[lang] = words
         embeddings_by_lang[lang] = matrix
-        single[lang] = cluster_single_language(
-            lang, list(zip(words, matrix)), k_policy, cfg
-        )
+        single[lang] = cluster_single_language(lang, words, matrix, k_policy, cfg)
 
     by_family: dict[str, list[str]] = {}
     for lang in langs:

@@ -1,22 +1,24 @@
 """Affinity regularization between original and augmented embeddings.
 
-Three ingredients, each with a closed-form gradient in the augmented
-rows:
+Three terms, each a function returning (loss, gradient in the augmented
+rows):
 
-* an entropic optimal-transport cost between the two point clouds,
-  differentiated with the converged plan held fixed,
-* a spectral shrinkage term that pushes down the smallest singular
-  values of the cross-covariance, taken from thin factors of rank at
-  most the number of rows, and
-* one minus the cosine similarity of the mean-pooled rows.
+* ``transport_term``: an entropic optimal-transport cost between the two
+  point clouds, differentiated with the converged plan held fixed,
+* ``spectral_term``: a shrinkage term on the smallest singular values of
+  the cross-covariance, taken from thin factors of rank at most the
+  number of rows, and
+* ``distance_shrinkage``: one minus the cosine similarity of the
+  mean-pooled rows.
 
 The three are blended with convex weights, then blended again with a
 task loss.  Both weight vectors must sum to one.
 
 ``score_block`` evaluates a block of pairs that share a shape: the
 Sinkhorn solve is stacked across the block, everything else runs pair by
-pair.  A pair's result is bit for bit the same in any block, and
-``affinity_regularization`` is a block of one.
+pair.  A pair's result is bit for bit the same in any block;
+``affinity_regularization`` is a block of one, and ``score_pairs`` scores
+any sequence of pairs in such blocks.
 """
 
 import math
@@ -29,6 +31,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumWarning,
     DimensionMismatchError,
+    PsdaError,
     WeightSumError,
     ZeroVectorError,
 )
@@ -297,13 +300,14 @@ def ot_loss(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> float:
     return float(np.sum(p * cost))
 
 
-def ot_loss_gradient(
+def transport_term(
     orig: np.ndarray,
     aug: np.ndarray,
     plan: TransportPlan | np.ndarray,
     power: float = 1.0,
-) -> np.ndarray:
-    """d<P, C>/d aug with the plan held fixed at its converged value.
+) -> tuple[float, np.ndarray]:
+    """<P, C> and its gradient in the augmented rows, with the plan held
+    fixed at its converged value.
 
     Each augmented row j receives sum_i P_ij * power * D_ij^(power-2) *
     (aug_j - orig_i); pairs at exactly zero distance contribute nothing
@@ -317,15 +321,16 @@ def ot_loss_gradient(
             f"plan shape {p.shape} does not pair {orig.shape[0]} originals "
             f"with {aug.shape[0]} augmented rows"
         )
-    return _ot_gradient(orig, aug, p, pairwise_distances(orig, aug), power)
+    return _transport(orig, aug, p, pairwise_distances(orig, aug), power)
 
 
-def _ot_gradient(orig, aug, plan, dist, power):
-    """ot_loss_gradient given the pairwise distances of the two clouds."""
+def _transport(orig, aug, plan, dist, power):
+    """transport_term given the pairwise distances of the two clouds."""
+    cost = dist if power == 1.0 else dist**power
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = plan * power * dist ** (power - 2.0)
     weight[dist == 0] = 0.0
-    return weight.sum(axis=0)[:, None] * aug - weight.T @ orig
+    return float(np.sum(plan * cost)), weight.sum(axis=0)[:, None] * aug - weight.T @ orig
 
 
 def procrustes_map(orig: np.ndarray, aug: np.ndarray):
@@ -423,6 +428,20 @@ def eig_shrinkage_gradient(
     idx, _ = _tail(s, tail_count)
     orig = np.asarray(orig, dtype=np.float64)
     return -2.0 * eta * ((orig @ vt[idx, :].T) * s[idx]) @ u[:, idx].T
+
+
+def spectral_term(
+    orig: np.ndarray, aug: np.ndarray, tail_count: int, eta: float
+) -> tuple[float, np.ndarray]:
+    """The shrinkage loss over the core spectrum of aug^T @ orig, and its
+    gradient in the augmented rows.  A tail that holds only structural
+    zeros gives a zero term."""
+    orig = np.asarray(orig, dtype=np.float64)
+    aug = np.asarray(aug, dtype=np.float64)
+    s, u, vt, k = _core_spectrum(orig, aug, tail_count)
+    if k < 1:
+        return -0.0, np.zeros_like(aug)
+    return eig_shrinkage_loss(s, k, eta), eig_shrinkage_gradient(orig, u, vt, s, k, eta)
 
 
 POOL_NORM_TOL = 1e-12
@@ -533,20 +552,14 @@ class LossBreakdown:
     sinkhorn_converged: bool = True
 
 
-# The most pairs ``psda loss`` passes to one score_block call.
+# The most pairs ``score_pairs`` passes to one score_block call.
 BLOCK_PAIRS = 64
 
 
-def _term_breakdown(orig, aug, l_ot, g_ot, iterations, error, params, task_loss):
-    """The spectral and direction terms of one pair, blended with its
-    transport term into a LossBreakdown."""
-    s, u, vt, k = _core_spectrum(orig, aug, params.tail_count)
-    if k < 1:
-        l_eig, g_eig = -0.0, np.zeros_like(aug)
-    else:
-        l_eig = eig_shrinkage_loss(s, k, params.eta)
-        g_eig = eig_shrinkage_gradient(orig, u, vt, s, k, params.eta)
-
+def _term_breakdown(orig, aug, plan, dist, iterations, error, params, task_loss):
+    """The three terms of one pair, blended into a LossBreakdown."""
+    l_ot, g_ot = _transport(orig, aug, plan, dist, params.power)
+    l_eig, g_eig = spectral_term(orig, aug, params.tail_count, params.eta)
     l_dis, g_dis = distance_shrinkage(orig, aug)
 
     l_reg = compose_reg(l_ot, l_eig, l_dis, params.rho)
@@ -585,10 +598,10 @@ def score_block(
     ``origs`` and ``augs`` are equal-length sequences of (n, d) clouds (a
     (B, n, d) array is one).  The transport solve runs on the whole block
     at once, through the stacked solver behind ``sinkhorn``; the
-    distances, the transport gradient and the spectral and direction
-    terms run pair by pair.  The solver acts on each pair's own rows, so a
-    pair's breakdown is bit for bit the same alone, in any block, and at
-    any place in it.  Returns one LossBreakdown per pair, in order.
+    distances and the three terms run pair by pair.  The solver acts on
+    each pair's own rows, so a pair's breakdown is bit for bit the same
+    alone, in any block, and at any place in it.  Returns one
+    LossBreakdown per pair, in order.
     """
     pairs = [_paired(o, a) for o, a in zip(origs, augs, strict=True)]
     if not pairs:
@@ -601,19 +614,62 @@ def score_block(
             raise DimensionMismatchError(
                 f"a block holds clouds of one shape, got {shape} and {orig.shape}"
             )
-    count = len(pairs)
     dist = np.stack([pairwise_distances(o, a) for o, a in pairs])
     cost = dist if params.power == 1.0 else dist**params.power
     require_finite(cost, "cost matrix")
     plan, iterations, error = _solve_stacked(-cost / params.epsilon, params.max_iter, params.tol)
-    l_ot = (plan * cost).reshape(count, -1).sum(axis=1)
     return [
-        _term_breakdown(
-            o, a, float(l_ot[i]), _ot_gradient(o, a, plan[i], dist[i], params.power),
-            iterations[i], error[i], params, task_loss,
-        )
+        _term_breakdown(o, a, plan[i], dist[i], iterations[i], error[i], params, task_loss)
         for i, (o, a) in enumerate(pairs)
     ]
+
+
+def score_pairs(pairs, params: OtParams, keep_grads: bool):
+    """Score (orig, aug) matrix pairs in blocks that share a shape and
+    yield each pair's breakdown, or the error its scoring raised, in
+    input order.
+
+    Blocks hold up to BLOCK_PAIRS pairs of one shape, taken in input
+    order, and are scored in the order of their first pair; a pair's
+    result waits only for the pairs before it.  A block that raises is
+    scored again one pair at a time, so an error surfaces at the pair
+    that caused it.  Since a pair's breakdown does not depend on its
+    block, that changes no other pair's result.  Without ``keep_grads``
+    a breakdown's gradient is dropped as soon as it is scored.
+    """
+    errors = (PsdaError, ValueError, MemoryError)
+    groups = {}
+    for i, (orig, aug) in enumerate(pairs):
+        groups.setdefault((orig.shape, aug.shape), []).append(i)
+    blocks = sorted(
+        (
+            idx[s : s + BLOCK_PAIRS]
+            for idx in groups.values()
+            for s in range(0, len(idx), BLOCK_PAIRS)
+        ),
+        key=lambda block: block[0],
+    )
+    done = {}
+    ready = 0
+    for block in blocks:
+        try:
+            results = score_block(
+                [pairs[i][0] for i in block], [pairs[i][1] for i in block], params
+            )
+        except errors:
+            results = []
+            for i in block:
+                try:
+                    results.append(score_block([pairs[i][0]], [pairs[i][1]], params)[0])
+                except errors as exc:
+                    results.append(exc)
+        for i, result in zip(block, results):
+            if not (keep_grads or isinstance(result, Exception)):
+                result.grad_augmented = None
+            done[i] = result
+        while ready in done:
+            yield done.pop(ready)
+            ready += 1
 
 
 def affinity_regularization(

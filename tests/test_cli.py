@@ -1014,6 +1014,66 @@ def test_outputs_naming_one_file_are_refused(
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "command, output, source",
+    [
+        ("cluster", "--out", "--config"),
+        ("cluster", "--out", "taxonomy"),
+        ("augment", "--out", "--model"),
+        ("augment", "--orig-out", "corpus"),
+        ("augment", "--matrix-out", "embeddings.aa"),
+        ("loss", "--grad-out", "--orig"),
+        ("loss", "--grad-out", "--aug"),
+        ("report", "--out-csv", "--model"),
+        ("report", "--out-svg", "--config"),
+    ],
+)
+def test_output_naming_an_input_is_refused(
+    built, cli_workspace, tmp_path, run_cli, command, output, source
+):
+    # a private copy of every input, since a run that is not refused
+    # overwrites one of them
+    ws = tmp_path / "ws"
+    shutil.copytree(cli_workspace.root, ws)
+    for name in ("model", "orig", "aug"):
+        shutil.copy(getattr(built, name), ws)
+    cfg, model, orig, aug = (
+        ws / name for name in ("psda.cfg", "model.psda", "orig.jsonl", "aug.jsonl")
+    )
+    inputs = {
+        "--config": cfg, "--model": model, "--orig": orig, "--aug": aug,
+        "taxonomy": ws / "families.txt", "corpus": ws / "corpus.conllu",
+        "embeddings.aa": ws / "vec_aa.txt",
+    }
+    outputs = {
+        "cluster": {"--out": tmp_path / "m.psda"},
+        "augment": {
+            "--out": tmp_path / "a.jsonl", "--orig-out": tmp_path / "o.jsonl",
+            "--matrix-out": tmp_path / "m.bin",
+        },
+        "loss": {"--grad-out": tmp_path / "g.bin"},
+        "report": {"--out-csv": tmp_path / "r.csv", "--out-svg": tmp_path / "r.svg"},
+    }[command]
+    before = inputs[source].read_bytes()
+    reads = {
+        "cluster": [], "augment": ["--model", model], "loss": ["--orig", orig, "--aug", aug],
+        "report": ["--model", model],
+    }[command]
+    argv = [command, "--config", cfg, *reads]
+    for option, path in outputs.items():
+        argv += [option, inputs[source] if option == output else path]
+    code, stdout, err = run_cli(*argv)
+    assert code == 2
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert output in payload["message"] and source in payload["message"]
+    assert inputs[source].read_bytes() == before
+    assert not any(path.exists() for path in outputs.values())
+
+
 class TestReport:
     @pytest.fixture()
     def rendered(self, built, tmp_path):

@@ -25,8 +25,11 @@ def zero_pos(p=2):
 
 
 def single_stage(points, k, lang="xx", seed=7):
-    words = [(f"w{i}", np.asarray(p, dtype=np.float64)) for i, p in enumerate(points)]
-    return cluster_single_language(lang, words, KPolicy(single=k), GmmConfig(k=1, seed=seed))
+    matrix = np.asarray(points, dtype=np.float64)
+    words = [f"w{i}" for i in range(len(matrix))]
+    return cluster_single_language(
+        lang, words, matrix, KPolicy(single=k), GmmConfig(k=1, seed=seed)
+    )
 
 
 class TestKPolicy:
@@ -82,7 +85,11 @@ class TestSingleStage:
 
     def test_no_words_rejected(self):
         with pytest.raises(ValueError):
-            cluster_single_language("xx", [], KPolicy(), CFG)
+            cluster_single_language("xx", [], np.empty((0, 2)), KPolicy(), CFG)
+
+    def test_words_must_match_rows(self):
+        with pytest.raises(ValueError):
+            cluster_single_language("xx", ["a"], np.zeros((2, 2)), KPolicy(single=1), CFG)
 
     def test_weighted_centers_oracle(self):
         rng = np.random.default_rng(3)
@@ -101,7 +108,7 @@ class TestSingleStage:
         pos.projection[1, UPOS_TAGS.index("NOUN")] = 50.0
         store = store_from("xx", [(w, [1.0, 1.0]) for w in ("v0", "v1", "n0", "n1")])
         words, matrix = final_embeddings(store, pos)
-        stage = cluster_single_language("xx", list(zip(words, matrix)), KPolicy(single=2), CFG)
+        stage = cluster_single_language("xx", words, matrix, KPolicy(single=2), CFG)
         groups = [set(c.members) for c in stage.clusters]
         assert {frozenset(g) for g in groups} == {frozenset({"v0", "v1"}), frozenset({"n0", "n1"})}
         # every member sits nearest its own cluster center

@@ -31,11 +31,12 @@ from psda.otreg import (
     eig_shrinkage_gradient,
     eig_shrinkage_loss,
     ot_loss,
-    ot_loss_gradient,
     pairwise_distances,
     procrustes_map,
     score_block,
     sinkhorn,
+    spectral_term,
+    transport_term,
 )
 
 
@@ -355,7 +356,7 @@ class TestOtLoss:
             ot_loss(np.ones((2, 2)) / 4, np.ones((2, 3)))
 
 
-class TestOtLossGradient:
+class TestTransportTerm:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -363,7 +364,8 @@ class TestOtLossGradient:
         aug = rng.normal(size=(3, 4))
         plan = sinkhorn(cost_matrix(orig, aug), epsilon=0.5, max_iter=5000, tol=1e-11)
         assert plan.converged
-        grad = ot_loss_gradient(orig, aug, plan)
+        loss, grad = transport_term(orig, aug, plan)
+        assert loss == ot_loss(plan, cost_matrix(orig, aug))
         fd = central_fd(lambda x: ot_loss(plan.plan, cost_matrix(orig, x)), aug)
         assert rel_error(fd, grad) <= 1e-5
 
@@ -373,19 +375,21 @@ class TestOtLossGradient:
         orig = rng.normal(size=(3, 4))
         aug = rng.normal(size=(3, 4))
         plan = sinkhorn(cost_matrix(orig, aug, power=2.0), epsilon=0.5, max_iter=5000, tol=1e-11)
-        grad = ot_loss_gradient(orig, aug, plan, power=2.0)
+        loss, grad = transport_term(orig, aug, plan, power=2.0)
+        assert loss == ot_loss(plan, cost_matrix(orig, aug, power=2.0))
         fd = central_fd(lambda x: ot_loss(plan.plan, cost_matrix(orig, x, power=2.0)), aug)
         assert rel_error(fd, grad) <= 1e-5
 
     def test_zero_distance_pairs_contribute_nothing(self):
         orig = np.array([[0.0, 0.0], [1.0, 1.0]])
         plan = np.eye(2) / 2.0
-        grad = ot_loss_gradient(orig, orig.copy(), plan)
+        loss, grad = transport_term(orig, orig.copy(), plan)
+        assert loss == 0.0
         assert np.array_equal(grad, np.zeros((2, 2)))
 
     def test_plan_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            ot_loss_gradient(np.zeros((3, 2)), np.zeros((4, 2)), np.ones((3, 3)) / 9)
+            transport_term(np.zeros((3, 2)), np.zeros((4, 2)), np.ones((3, 3)) / 9)
 
 
 class TestProcrustes:
@@ -537,14 +541,13 @@ def full_svd_spectral_term(orig, aug, tail, eta):
 
 
 def rank_aware_spectral_term(orig, aug, tail, eta):
-    """The spectral loss and gradient as affinity_regularization computes
-    them (rho puts all weight on the spectral term), and the tie warning."""
-    params = OtParams(tail_count=tail, eta=eta, rho=(0.0, 1.0, 0.0))
+    """The spectral loss and gradient from ``spectral_term``, and whether
+    it warned of a tie."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = affinity_regularization(orig, aug, params)
+        loss, grad = spectral_term(orig, aug, tail, eta)
     warned = any(issubclass(w.category, DegenerateSpectrumWarning) for w in caught)
-    return out.loss_eig, out.grad_augmented, warned
+    return loss, grad, warned
 
 
 class TestRankAwareSpectrum:
@@ -866,6 +869,24 @@ class TestScoreBlock:
             assert out.sinkhorn_iterations == plan.iterations_used
             assert out.sinkhorn_marginal_error == plan.marginal_error
             assert out.loss_ot == ot_loss(plan, cost)
+
+    def test_breakdown_blends_the_term_functions(self):
+        origs, augs = sentence_block(24, 8, n=9)
+        n, d = origs[0].shape
+        # the tail holds the d - n structural zeros and four core values
+        params = OtParams(power=2.0, tail_count=d - n + 4, rho=(0.3, 0.3, 0.4))
+        for out, orig, aug in zip(score_block(origs, augs, params), origs, augs):
+            cost = cost_matrix(orig, aug, power=params.power)
+            plan = sinkhorn(cost, params.epsilon, max_iter=params.max_iter, tol=params.tol)
+            l_ot, g_ot = transport_term(orig, aug, plan, params.power)
+            l_eig, g_eig = spectral_term(orig, aug, params.tail_count, params.eta)
+            l_dis, g_dis = distance_shrinkage(orig, aug)
+            assert (out.loss_ot, out.loss_eig, out.loss_dis) == (l_ot, l_eig, l_dis)
+            assert out.loss_eig < 0.0
+            assert out.loss_reg == compose_reg(l_ot, l_eig, l_dis, params.rho)
+            assert out.loss_total == compose_total(0.0, out.loss_reg, params.lam)
+            blend = params.rho[0] * g_ot + params.rho[1] * g_eig + params.rho[2] * g_dis
+            assert np.array_equal(out.grad_augmented, blend)
 
     def test_converges_on_benchmark_shaped_blocks(self):
         origs, augs = sentence_block(23, 40, n=30)
