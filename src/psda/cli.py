@@ -161,8 +161,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    from dataclasses import asdict
-
     from .augment import augment_sentence, build_candidate_index, sentence_seed
     from .corpus import assemble_sentence, iter_conllu_lenient
     from .errors import ParseError, UnknownLanguageError
@@ -225,8 +223,8 @@ def cmd_augment(args) -> int:
                     "copy": copy,
                     "tokens": list(aug.tokens),
                     "svo": svo,
-                    "replacements": [asdict(r) for r in aug.replacements],
-                    "skipped": [asdict(s) for s in aug.skipped],
+                    "replacements": [vars(r) for r in aug.replacements],
+                    "skipped": [vars(s) for s in aug.skipped],
                 }
                 write_augmented(record, aug.augmented)
 
@@ -273,12 +271,7 @@ def cmd_loss(args) -> int:
             [(orig, aug) for _, _, orig, aug in pairs], cfg.ot, keep_grads=grad_fh is not None
         )
         for (rid, source, _, _), bd in zip(pairs, scored):
-            if isinstance(bd, Exception):
-                raise bd
-            if not all(
-                math.isfinite(v)
-                for v in (bd.loss_ot, bd.loss_eig, bd.loss_dis, bd.loss_reg, bd.loss_total)
-            ):
+            if not all(math.isfinite(getattr(bd, key)) for key in keys):
                 _fail(ArithmeticError(f"non-finite loss for pair {rid!r}"))
                 return 1
             out = {

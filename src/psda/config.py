@@ -154,6 +154,8 @@ class PipelineConfig:
             raise ValueError(f"oov must be zero or error, got {self.oov!r}")
         if self.pos_dim < 0:
             raise ValueError(f"pos.dim must be nonnegative, got {self.pos_dim}")
+        if self.pos_seed < 0:
+            raise ValueError(f"pos.seed must be nonnegative, got {self.pos_seed}")
 
     def echo(self) -> dict[str, str]:
         """Effective configuration in canonical string form, sorted keys."""

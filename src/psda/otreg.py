@@ -81,9 +81,6 @@ class TransportPlan:
     log_domain: ClassVar[bool] = True
 
 
-# Plain iterations before the Newton finish: enough to leave the far
-# field, where a Newton step on the semi-dual buys little.
-WARMUP_ITERATIONS = 20
 # Newton damping relative to the residual norm, the Armijo constant, and
 # the step halvings tried before falling back to a plain iteration.
 NEWTON_DAMPING = 1e-3
@@ -162,12 +159,15 @@ def _solve_stacked(neg_scaled, max_iter: int, tol: float):
     """The solver behind ``sinkhorn`` on a stack of B problems at once.
 
     neg_scaled (B, n, m) holds -C/eps; the marginals are uniform, a = 1/n
-    and b = 1/m.  Every problem keeps its own stopping test, iteration
-    count and fallback step: the problems still iterating form a working
-    set, and one leaves it as soon as it stops.  Every operation acts on
-    each problem's rows alone, so a problem's result does not depend on
-    the others or on B.  Returns the plans (B, n, m), the iterations used
-    (B,) and the marginal errors (B,).
+    and b = 1/m.  The problems still iterating form a working set.  One
+    loop serves every iteration: it forms the column-matched plans of the
+    working set and their row errors, records the problems that stopped
+    (within ``tol``, or out of budget) and drops them, then takes one
+    Newton step on the rest, with a log-domain iteration for each problem
+    whose backtracking failed.  Every operation acts on each problem's
+    rows alone, so a problem's result does not depend on the others or on
+    B.  Returns the plans (B, n, m), the iterations used (B,) and the
+    marginal errors (B,).
     """
     count, n, m = neg_scaled.shape
     a, b = 1.0 / n, 1.0 / m
@@ -181,64 +181,29 @@ def _solve_stacked(neg_scaled, max_iter: int, tol: float):
     log_a, log_b = np.log(a), np.log(b)
     plan = np.empty_like(neg_scaled)
     error = np.empty(count)
-    # The working set: problem numbers and their slices of -C/eps.  All of
-    # its problems have run the same number of iterations.
-    work = [np.arange(count), neg_scaled]
-
-    def settle(done, plans, errors, it):
-        """Record the problems marked ``done`` as stopped after ``it``
-        iterations and drop them from the working set; returns the mask
-        of the problems kept."""
-        at = work[0][done]
-        plan[at], error[at], iterations[at] = plans, errors[done], it
-        keep = ~done
-        work[:] = [x[keep] for x in work]
-        return keep
-
-    # Warm-up.  These log-sum-exps need none of logsumexp's guards: a and b
-    # are positive, so every column of f + neg_scaled and every row of
-    # g + neg_scaled has a finite maximum.
-    row_lse = logsumexp(neg_scaled, axis=2)
-    for it in range(1, min(max_iter, WARMUP_ITERATIONS) + 1):
-        ns = work[1]
-        f = log_a - row_lse
-        z = f[:, :, None] + ns
-        z_max = z.max(axis=1)
-        g = log_b - z_max - np.log(np.exp(z - z_max[:, None, :]).sum(axis=1))
-        z = g[:, None, :] + ns
-        z_max = z.max(axis=2)
-        row_lse = z_max + np.log(np.exp(z - z_max[:, :, None]).sum(axis=2))
-        err = np.abs(np.exp(f + row_lse) - a).max(axis=1)
-        done = (err <= tol) | (it == max_iter)
-        if done.any():
-            # a solve the warm-up ends returns the plain loop's plan bit for bit
-            plans = np.exp(f[done][:, :, None] + g[done][:, None, :] + ns[done])
-            keep = settle(done, plans, err, it)
-            f, row_lse = f[keep], row_lse[keep]
-        if work[0].size == 0:
-            return plan, iterations, error
-
-    # Newton finish.
-    p = _columns_matched(f, work[1])
-    err = np.abs(p.sum(axis=2) - a).max(axis=1)
+    # the working set: problem numbers, their -C/eps and their f, all of
+    # them after the same number of iterations
+    at, ns = np.arange(count), neg_scaled
+    f = log_a - logsumexp(neg_scaled, axis=2)
+    it = 1
     while True:
-        done = (err <= tol) | (it == max_iter)
-        if done.any():
-            keep = settle(done, p[done], err, it)
-            f, p = f[keep], p[keep]
-            if work[0].size == 0:
-                return plan, iterations, error
-        it += 1
-        ns = work[1]
-        stepped, taken = _newton_step(f, p)
-        if not taken.all():
-            # a failed backtracking is replaced by one warm-up iteration
-            back = ~taken
-            g = log_b - logsumexp(f[back][:, :, None] + ns[back], axis=1)
-            stepped[back] = log_a - logsumexp(g[:, None, :] + ns[back], axis=2)
-        f = stepped
         p = _columns_matched(f, ns)
         err = np.abs(p.sum(axis=2) - a).max(axis=1)
+        done = (err <= tol) | (it == max_iter)
+        if done.any():
+            stop = at[done]
+            plan[stop], error[stop], iterations[stop] = p[done], err[done], it
+            if done.all():
+                return plan, iterations, error
+            keep = ~done
+            at, ns, f, p = at[keep], ns[keep], f[keep], p[keep]
+        it += 1
+        f, taken = _newton_step(f, p)
+        if not taken.all():
+            # a failed backtracking is replaced by one log-domain iteration
+            back = ~taken
+            g = log_b - logsumexp(f[back][:, :, None] + ns[back], axis=1)
+            f[back] = log_a - logsumexp(g[:, None, :] + ns[back], axis=2)
 
 
 def sinkhorn(
@@ -248,27 +213,26 @@ def sinkhorn(
     (n, m) ``cost``.
 
     With the potentials f, g kept divided by eps, the plan is
-    exp(f_i + g_j - C_ij/eps).  Two phases share the budget of
-    ``max_iter`` iterations:
+    exp(f_i + g_j - C_ij/eps), and g is always eliminated by the column
+    log-sum-exp, so every column matches b.  The first iteration is the
+    first log-domain Sinkhorn iteration from g = 0,
 
-    * a warm-up of up to WARMUP_ITERATIONS log-domain Sinkhorn iterations
-      from g = 0, each setting
+        f = log a - logsumexp_j(-C_ij/eps),
 
-          f = log a - logsumexp_j(g_j - C_ij/eps)
-          g = log b - logsumexp_i(f_i - C_ij/eps),
+    and every later one a damped Newton step on the semi-dual in f
+    (Brauer, Clason, Lorenz & Wirth 2017, "A Sinkhorn-Newton method for
+    entropic optimal transport").  Each step solves an n x n system and
+    backtracks with an Armijo rule; a step whose backtracking fails is
+    replaced by one log-domain iteration,
 
-      the scaling iteration u = a / (K v), v = b / (K^T u) kept finite
-      where K = exp(-C/eps) underflows;
-    * a damped Newton finish on the semi-dual in f, with g eliminated by
-      the column log-sum-exp so every column matches b (Brauer, Clason,
-      Lorenz & Wirth 2017, "A Sinkhorn-Newton method for entropic optimal
-      transport").  Each step solves an n x n system and backtracks with
-      an Armijo rule; a step whose backtracking fails is replaced by one
-      warm-up iteration.
+        g = log b - logsumexp_i(f_i - C_ij/eps)
+        f = log a - logsumexp_j(g_j - C_ij/eps),
 
-    Both phases stop as soon as the row error of the plan is within
-    ``tol``; the columns match b up to rounding throughout, so the row
-    error is the marginal error.
+    the scaling iteration u = a / (K v), v = b / (K^T u) kept finite where
+    K = exp(-C/eps) underflows.  The solve stops as soon as the row error
+    of the plan is within ``tol``; the columns match b up to rounding, so
+    the row error is the marginal error.  ``max_iter`` counts the first
+    iteration and the Newton steps together.
 
     This is the stacked solver ``score_block`` runs on many problems at
     once (batched as in Peyre & Cuturi 2019, "Computational Optimal
@@ -626,16 +590,16 @@ def score_block(
 
 def score_pairs(pairs, params: OtParams, keep_grads: bool):
     """Score (orig, aug) matrix pairs in blocks that share a shape and
-    yield each pair's breakdown, or the error its scoring raised, in
-    input order.
+    yield each pair's breakdown in input order.
 
     Blocks hold up to BLOCK_PAIRS pairs of one shape, taken in input
     order, and are scored in the order of their first pair; a pair's
     result waits only for the pairs before it.  A block that raises is
-    scored again one pair at a time, so an error surfaces at the pair
-    that caused it.  Since a pair's breakdown does not depend on its
-    block, that changes no other pair's result.  Without ``keep_grads``
-    a breakdown's gradient is dropped as soon as it is scored.
+    scored again one pair at a time, so an error is raised at the pair
+    that caused it, once every pair before it has been yielded.  Since a
+    pair's breakdown does not depend on its block, that changes no other
+    pair's result.  Without ``keep_grads`` a breakdown's gradient is
+    dropped as soon as it is scored.
     """
     errors = (PsdaError, ValueError, MemoryError)
     groups = {}
@@ -662,13 +626,18 @@ def score_pairs(pairs, params: OtParams, keep_grads: bool):
                 try:
                     results.append(score_block([pairs[i][0]], [pairs[i][1]], params)[0])
                 except errors as exc:
+                    # the pairs after it are never reached
                     results.append(exc)
+                    break
         for i, result in zip(block, results):
             if not (keep_grads or isinstance(result, Exception)):
                 result.grad_augmented = None
             done[i] = result
         while ready in done:
-            yield done.pop(ready)
+            result = done.pop(ready)
+            if isinstance(result, Exception):
+                raise result
+            yield result
             ready += 1
 
 

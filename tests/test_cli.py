@@ -142,6 +142,17 @@ class TestCluster:
         assert payload["error"] == "ConfigError"
         assert "--threads" in payload["message"]
 
+    def test_negative_pos_seed_is_a_config_error(self, cli_workspace, tmp_path, run_cli):
+        out = tmp_path / "m.psda"
+        code, _, err = run_cli(
+            "cluster", "--config", cli_workspace.config, "--set", "pos.seed=-1", "--out", out
+        )
+        assert code == 2
+        payload = stderr_error(err)
+        assert payload["error"] == "ConfigError"
+        assert "pos.seed" in payload["message"]
+        assert not out.exists()
+
     def test_set_needs_key_and_value(self, cli_workspace, tmp_path, run_cli):
         code, _, err = run_cli(
             "cluster", "--config", cli_workspace.config,

@@ -123,11 +123,16 @@ class TestBuildConfig:
             {"ot.power": "0"},
             {"ot.max_iter": "-1"},
             {"pos.dim": "-1"},
+            {"pos.seed": "-1"},
         ],
     )
     def test_invalid_values(self, raw):
         with pytest.raises(ConfigError):
             build_config(raw)
+
+    def test_negative_pos_seed_names_its_key(self):
+        with pytest.raises(ConfigError, match="pos.seed"):
+            build_config({"pos.seed": "-1"})
 
     def test_bad_weights_name_transport_settings(self):
         with pytest.raises(ConfigError, match="invalid transport settings"):

@@ -20,7 +20,6 @@ from psda.errors import (
 )
 from psda.otreg import (
     BLOCK_PAIRS,
-    WARMUP_ITERATIONS,
     LossBreakdown,
     OtParams,
     affinity_regularization,
@@ -34,6 +33,7 @@ from psda.otreg import (
     pairwise_distances,
     procrustes_map,
     score_block,
+    score_pairs,
     sinkhorn,
     spectral_term,
     transport_term,
@@ -232,25 +232,24 @@ class TestSinkhorn:
         assert result.marginal_error == 0.0
         assert result.converged
 
-    @pytest.mark.parametrize("max_iter", [1, 5, WARMUP_ITERATIONS])
-    def test_budget_inside_the_warm_up_is_plain_sinkhorn(self, max_iter):
+    def test_first_iteration_is_plain_sinkhorn(self):
         rng = np.random.default_rng(9)
         cost = cost_matrix(rng.normal(size=(12, 3)) * 2.0, rng.normal(size=(12, 3)) * 2.0)
-        result = sinkhorn(cost, epsilon=0.1, max_iter=max_iter, tol=1e-12)
-        ref_plan, ref_iterations = reference_sinkhorn(cost, 0.1, max_iter=max_iter, tol=1e-12)
-        assert ref_iterations == max_iter
-        assert result.iterations_used == max_iter
+        result = sinkhorn(cost, epsilon=0.1, max_iter=1, tol=1e-12)
+        ref_plan, ref_iterations = reference_sinkhorn(cost, 0.1, max_iter=1, tol=1e-12)
+        assert ref_iterations == 1
+        assert result.iterations_used == 1
         assert not result.converged
         assert np.max(np.abs(result.plan - ref_plan)) <= 1e-13
         row_error = np.abs(result.plan.sum(axis=1) - 1.0 / 12).max()
         assert abs(result.marginal_error - row_error) <= 1e-15
         assert np.max(np.abs(result.plan.sum(axis=0) - 1.0 / 12)) <= 1e-15
 
-    def test_budget_bounds_warm_up_and_newton_together(self):
+    def test_budget_bounds_first_iteration_and_newton_together(self):
         rng = np.random.default_rng(9)
         cost = cost_matrix(rng.normal(size=(12, 3)) * 2.0, rng.normal(size=(12, 3)) * 2.0)
         full = sinkhorn(cost, epsilon=0.1, tol=1e-12)
-        assert full.converged and full.iterations_used > WARMUP_ITERATIONS + 1
+        assert full.converged and full.iterations_used > 2
         short = sinkhorn(cost, epsilon=0.1, max_iter=full.iterations_used - 1, tol=1e-12)
         assert short.iterations_used == full.iterations_used - 1
         assert not short.converged
@@ -298,6 +297,17 @@ class TestSinkhorn:
             result = sinkhorn(cost, params.epsilon, max_iter=params.max_iter, tol=params.tol)
             assert result.converged, (n, result.marginal_error)
             assert result.marginal_error <= params.tol
+
+    def test_benchmark_shaped_clouds_converge_in_few_iterations(self):
+        # the same clouds take 7 to 10 iterations; a solve that spends
+        # its first dozen on plain Sinkhorn steps fails this bound
+        rng = np.random.default_rng(10)
+        params = OtParams()
+        for n in np.linspace(18, 48, 20).astype(int):
+            cost = cost_matrix(*sentence_clouds(rng, n))
+            result = sinkhorn(cost, params.epsilon, max_iter=params.max_iter, tol=params.tol)
+            assert result.converged, (n, result.marginal_error)
+            assert result.iterations_used <= 12, (n, result.iterations_used)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -825,8 +835,8 @@ class TestAffinityRegularization:
 
 
 def sentence_block(seed: int, count: int, n: int = 18):
-    """Benchmark-shaped pairs of one length, from identical clouds (which
-    stop inside the warm-up) to pairs with six rows replaced."""
+    """Benchmark-shaped pairs of one length, from identical clouds to
+    pairs with six rows replaced."""
     rng = np.random.default_rng(seed)
     pairs = [sentence_clouds(rng, n, replaced=(0, 1, 3, 6)[i % 4]) for i in range(count)]
     return [o for o, _ in pairs], [a for _, a in pairs]
@@ -843,7 +853,7 @@ def assert_same_breakdown(got: LossBreakdown, want: LossBreakdown):
 
 class TestScoreBlock:
     @pytest.mark.parametrize(
-        "max_iter", [1000, WARMUP_ITERATIONS + 3, 5], ids=["default", "newton-cap", "warm-up-cap"]
+        "max_iter", [1000, 5, 2], ids=["default", "newton-cap", "first-step-cap"]
     )
     def test_pair_alone_equals_pair_in_a_full_block(self, max_iter):
         origs, augs = sentence_block(21, BLOCK_PAIRS)
@@ -893,6 +903,13 @@ class TestScoreBlock:
         out = score_block(origs, augs)
         assert all(bd.sinkhorn_converged for bd in out)
 
+    @pytest.mark.parametrize("epsilon", [0.003, 0.01, 1.0])
+    def test_converges_on_benchmark_shaped_blocks_far_from_the_default(self, epsilon):
+        # at small eps the first Newton steps start far from the optimum
+        origs, augs = sentence_block(25, 16, n=30)
+        out = score_block(origs, augs, OtParams(epsilon=epsilon))
+        assert all(bd.sinkhorn_converged for bd in out)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             score_block([], [])
@@ -904,6 +921,20 @@ class TestScoreBlock:
             score_block([np.ones((2, 2))], [np.ones((3, 2))])
         with pytest.raises(NonFiniteInputError):
             score_block([np.ones((2, 2))], [np.array([[1.0, np.nan], [1.0, 1.0]])])
+
+
+class TestScorePairs:
+    def test_an_error_is_raised_at_its_pair_after_the_pairs_before_it(self):
+        rng = np.random.default_rng(12)
+        pairs = [(rng.normal(size=(4, 5)) + 1.0, rng.normal(size=(4, 5)) + 1.0) for _ in range(4)]
+        row = rng.normal(size=5)
+        # the third pair's original pools to an exact zero vector
+        pairs[2] = (np.array([row, -row, row, -row]), pairs[2][1])
+        scored = score_pairs(pairs, OtParams(), keep_grads=True)
+        for orig, aug in pairs[:2]:
+            assert_same_breakdown(next(scored), affinity_regularization(orig, aug))
+        with pytest.raises(ZeroVectorError):
+            next(scored)
 
 
 @settings(deadline=None, max_examples=25)
