@@ -6,9 +6,11 @@ the same function returns:
 
 * ``transport_term``: the plan is converged once at the base point and
   then held fixed while the augmented rows move,
-* ``spectral_term``: the shipped loss over the core spectrum of the moved
-  cloud; the check is skipped when the term warns at the base point of a
-  near-tied tail boundary, where the loss has a kink,
+* ``spectral_term``: the shipped loss of the moved cloud, in closed form
+  when the tail covers all ``dim`` singular values (the default tail of
+  300 does) and over the core spectrum otherwise; the check is skipped
+  when the term warns at the base point of a near-tied tail boundary,
+  where the loss has a kink,
 * ``distance_shrinkage``: differentiated directly.
 
 Errors are relative, with an absolute floor tied to the rounding error
@@ -164,10 +166,12 @@ def run_gradcheck(
     before comparison; the report for that term must then fail, which
     demonstrates the harness has teeth.
 
-    The spectral check runs on any shape: with rows < dim it covers the
-    rows nonzero singular values of the cross-covariance.  It is skipped
-    only for a near-tie at the tail's boundary, which random clouds
-    almost never produce.
+    The spectral check runs on any shape and checks whichever path
+    ``spectral_term`` takes: the closed form when ``params.tail_count``
+    is at least ``dim``, the factorized tail otherwise, where with
+    rows < dim it covers the rows nonzero singular values of the
+    cross-covariance.  It is skipped only for a near-tie at the tail's
+    boundary, which random clouds almost never produce.
     """
     for name, count in (("instances", instances), ("rows", rows), ("dim", dim)):
         if count < 1:

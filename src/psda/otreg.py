@@ -6,8 +6,9 @@ rows):
 * ``transport_term``: an entropic optimal-transport cost between the two
   point clouds, differentiated with the converged plan held fixed,
 * ``spectral_term``: a shrinkage term on the smallest singular values of
-  the cross-covariance, taken from thin factors of rank at most the
-  number of rows, and
+  the cross-covariance; a tail that covers all d values is the whole
+  Frobenius energy, in closed form, and a shorter one is taken from thin
+  factors of rank at most the number of rows, and
 * ``distance_shrinkage``: one minus the cosine similarity of the
   mean-pooled rows.
 
@@ -16,7 +17,8 @@ task loss.  Both weight vectors must sum to one.
 
 ``score_block`` evaluates a block of pairs that share a shape: the
 Sinkhorn solve is stacked across the block, everything else runs pair by
-pair.  A pair's result is bit for bit the same in any block;
+pair, and the blended gradient is formed only when it is asked for.  A
+pair's result is bit for bit the same in any block;
 ``affinity_regularization`` is a block of one, and ``score_pairs`` scores
 any sequence of pairs in such blocks.
 """
@@ -285,16 +287,18 @@ def transport_term(
             f"plan shape {p.shape} does not pair {orig.shape[0]} originals "
             f"with {aug.shape[0]} augmented rows"
         )
-    return _transport(orig, aug, p, pairwise_distances(orig, aug), power)
-
-
-def _transport(orig, aug, plan, dist, power):
-    """transport_term given the pairwise distances of the two clouds."""
+    dist = pairwise_distances(orig, aug)
     cost = dist if power == 1.0 else dist**power
+    return ot_loss(p, cost), _transport_gradient(orig, aug, p, dist, power)
+
+
+def _transport_gradient(orig, aug, plan, dist, power):
+    """The gradient of transport_term given the pairwise distances of the
+    two clouds."""
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = plan * power * dist ** (power - 2.0)
     weight[dist == 0] = 0.0
-    return float(np.sum(plan * cost)), weight.sum(axis=0)[:, None] * aug - weight.T @ orig
+    return weight.sum(axis=0)[:, None] * aug - weight.T @ orig
 
 
 def procrustes_map(orig: np.ndarray, aug: np.ndarray):
@@ -397,11 +401,22 @@ def eig_shrinkage_gradient(
 def spectral_term(
     orig: np.ndarray, aug: np.ndarray, tail_count: int, eta: float
 ) -> tuple[float, np.ndarray]:
-    """The shrinkage loss over the core spectrum of aug^T @ orig, and its
-    gradient in the augmented rows.  A tail that holds only structural
-    zeros gives a zero term."""
+    """The shrinkage loss over the singular values of M = aug^T @ orig,
+    and its gradient in the augmented rows.
+
+    A tail that holds all d values (tail_count >= d) sums the whole
+    energy ||M||_F^2 = <aug, orig orig^T aug>, whose gradient in aug is
+    2 orig orig^T aug: no factorization, and no tie test, since such a
+    tail has no boundary.  A shorter tail is taken over the core spectrum
+    (``_core_spectrum``); one that holds only structural zeros gives a
+    zero term.
+    """
     orig = np.asarray(orig, dtype=np.float64)
     aug = np.asarray(aug, dtype=np.float64)
+    n, d = orig.shape
+    if tail_count >= d:
+        pulled = orig @ (orig.T @ aug) if n > d else (orig @ orig.T) @ aug
+        return float(-eta * np.sum(aug * pulled)), -2.0 * eta * pulled
     s, u, vt, k = _core_spectrum(orig, aug, tail_count)
     if k < 1:
         return -0.0, np.zeros_like(aug)
@@ -497,8 +512,9 @@ class LossBreakdown:
     """Every term of one regularizer evaluation, plus its gradient.
 
     ``grad_augmented`` is the gradient of ``loss_reg`` in the augmented
-    rows; the total-loss gradient is ``lam[1]`` times it, since the task
-    loss does not depend on the augmented embeddings here.
+    rows, or None when it was not asked for; the total-loss gradient is
+    ``lam[1]`` times it, since the task loss does not depend on the
+    augmented embeddings here.
     """
 
     loss_ot: float
@@ -507,7 +523,7 @@ class LossBreakdown:
     loss_reg: float
     loss_total: float
     task_loss: float
-    grad_augmented: np.ndarray
+    grad_augmented: np.ndarray | None
     rho: tuple[float, float, float]
     lam: tuple[float, float]
     tail_count: int
@@ -520,15 +536,19 @@ class LossBreakdown:
 BLOCK_PAIRS = 64
 
 
-def _term_breakdown(orig, aug, plan, dist, iterations, error, params, task_loss):
-    """The three terms of one pair, blended into a LossBreakdown."""
-    l_ot, g_ot = _transport(orig, aug, plan, dist, params.power)
+def _term_breakdown(orig, aug, plan, dist, cost, iterations, error, params, task_loss, keep_grads):
+    """The three terms of one pair, blended into a LossBreakdown; the
+    transport gradient and the blend only with ``keep_grads``."""
+    l_ot = ot_loss(plan, cost)
     l_eig, g_eig = spectral_term(orig, aug, params.tail_count, params.eta)
     l_dis, g_dis = distance_shrinkage(orig, aug)
 
     l_reg = compose_reg(l_ot, l_eig, l_dis, params.rho)
     l_total = compose_total(task_loss, l_reg, params.lam)
-    grad = params.rho[0] * g_ot + params.rho[1] * g_eig + params.rho[2] * g_dis
+    grad = None
+    if keep_grads:
+        g_ot = _transport_gradient(orig, aug, plan, dist, params.power)
+        grad = params.rho[0] * g_ot + params.rho[1] * g_eig + params.rho[2] * g_dis
     return LossBreakdown(
         loss_ot=l_ot,
         loss_eig=l_eig,
@@ -556,15 +576,19 @@ def score_block(
     augs,
     params: OtParams = OtParams(),
     task_loss: float = 0.0,
+    keep_grads: bool = True,
 ) -> list[LossBreakdown]:
     """Evaluate all terms for a block of pairs that share one shape (n, d).
 
     ``origs`` and ``augs`` are equal-length sequences of (n, d) clouds (a
     (B, n, d) array is one).  The transport solve runs on the whole block
     at once, through the stacked solver behind ``sinkhorn``; the
-    distances and the three terms run pair by pair.  The solver acts on
-    each pair's own rows, so a pair's breakdown is bit for bit the same
-    alone, in any block, and at any place in it.  Returns one
+    distances and the three terms run pair by pair.  The transport loss
+    is <P, C> on the block's stacked cost.  Without ``keep_grads`` the
+    transport gradient and the blend are skipped and ``grad_augmented``
+    is None; the losses are the same bits either way.  The solver acts
+    on each pair's own rows, so a pair's breakdown is bit for bit the
+    same alone, in any block, and at any place in it.  Returns one
     LossBreakdown per pair, in order.
     """
     pairs = [_paired(o, a) for o, a in zip(origs, augs, strict=True)]
@@ -583,7 +607,9 @@ def score_block(
     require_finite(cost, "cost matrix")
     plan, iterations, error = _solve_stacked(-cost / params.epsilon, params.max_iter, params.tol)
     return [
-        _term_breakdown(o, a, plan[i], dist[i], iterations[i], error[i], params, task_loss)
+        _term_breakdown(
+            o, a, plan[i], dist[i], cost[i], iterations[i], error[i], params, task_loss, keep_grads
+        )
         for i, (o, a) in enumerate(pairs)
     ]
 
@@ -598,8 +624,8 @@ def score_pairs(pairs, params: OtParams, keep_grads: bool):
     scored again one pair at a time, so an error is raised at the pair
     that caused it, once every pair before it has been yielded.  Since a
     pair's breakdown does not depend on its block, that changes no other
-    pair's result.  Without ``keep_grads`` a breakdown's gradient is
-    dropped as soon as it is scored.
+    pair's result.  Without ``keep_grads`` no gradient is formed
+    (``score_block``), and every breakdown's ``grad_augmented`` is None.
     """
     errors = (PsdaError, ValueError, MemoryError)
     groups = {}
@@ -618,21 +644,23 @@ def score_pairs(pairs, params: OtParams, keep_grads: bool):
     for block in blocks:
         try:
             results = score_block(
-                [pairs[i][0] for i in block], [pairs[i][1] for i in block], params
+                [pairs[i][0] for i in block],
+                [pairs[i][1] for i in block],
+                params,
+                keep_grads=keep_grads,
             )
         except errors:
             results = []
             for i in block:
                 try:
-                    results.append(score_block([pairs[i][0]], [pairs[i][1]], params)[0])
+                    results.append(
+                        score_block([pairs[i][0]], [pairs[i][1]], params, keep_grads=keep_grads)[0]
+                    )
                 except errors as exc:
                     # the pairs after it are never reached
                     results.append(exc)
                     break
-        for i, result in zip(block, results):
-            if not (keep_grads or isinstance(result, Exception)):
-                result.grad_augmented = None
-            done[i] = result
+        done.update(zip(block, results))
         while ready in done:
             result = done.pop(ready)
             if isinstance(result, Exception):

@@ -527,6 +527,18 @@ class TestLoss:
                 assert grad.shape == (len(rec["tokens"]), 6)
                 assert np.all(np.isfinite(grad))
 
+    def test_lines_without_gradients_match_the_lines_with_them(self, built, tmp_path):
+        # without --grad-out no gradient is formed; no other byte changes
+        code, plain, err = invoke("loss", "--orig", built.orig, "--aug", built.aug)
+        assert code == 0, err
+        code, with_grads, err = invoke(
+            "loss", "--orig", built.orig, "--aug", built.aug, "--grad-out", tmp_path / "g.bin"
+        )
+        assert code == 0, err
+        stripped, refs = re.subn(r'"grad_ref":\{"nbytes":\d+,"offset":\d+\},', "", with_grads)
+        assert refs == len(plain.splitlines()) - 1
+        assert stripped == plain
+
     def test_sidecar_streams_feed_loss(self, built, cli_workspace, tmp_path):
         aug = tmp_path / "aug.jsonl"
         orig = tmp_path / "orig.jsonl"
@@ -1294,8 +1306,12 @@ class TestTracerCompatibility:
     breaks it fails here rather than in a benchmark run."""
 
     def test_loss(self, built, cli_workspace):
+        # a tail that covers the spectrum calls none of the wrapped names;
+        # one of 5 against d = 6 holds n - 1 of the n core values of each
+        # pair (n is 2 or 3 here), so the factorized path runs
         trace = run_traced(
-            ["loss", "--config", cli_workspace.config, "--orig", built.orig, "--aug", built.aug]
+            ["loss", "--config", cli_workspace.config, "--orig", built.orig, "--aug", built.aug,
+             "--set", "ot.tail=5"]
         )
         assert trace["seconds"]["otreg.spectral"] > 0
 

@@ -89,6 +89,24 @@ class TestRunGradcheck:
         failing = {c.term for c in corrupted.checks if not (c.passed or c.skipped)}
         assert failing == {"eig"}
 
+    @pytest.mark.parametrize(
+        "rows, dim, tail",
+        # a tail of two of four core values; and a wide cloud, two rows in
+        # five dims, whose tail of four holds the three structural zeros
+        # and one core value
+        [(6, 4, 2), (2, 5, 4)],
+    )
+    def test_factorized_spectral_path(self, rows, dim, tail):
+        # the default tail covers the spectrum and takes the closed form;
+        # a shorter one runs the thin factors and the tail selection
+        params = OtParams(tail_count=tail)
+        report = run_gradcheck(instances=3, rows=rows, dim=dim, params=params)
+        assert report.all_passed
+        assert not any(c.skipped for c in report.checks)
+        corrupted = run_gradcheck(instances=3, rows=rows, dim=dim, params=params, corrupt="eig")
+        failing = {c.term for c in corrupted.checks if not (c.passed or c.skipped)}
+        assert failing == {"eig"}
+
     def test_tied_nonzero_core_skips_spectral_term(self):
         # orig = aug = 2Q with Q orthogonal: M = 4 I, four tied nonzero
         # singular values, and a tail of two ends inside the tie, where the

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_sinkhorn, sentence_clouds
 
+from psda import otreg
 from psda.errors import (
     DegenerateSpectrumWarning,
     DimensionMismatchError,
@@ -592,6 +593,44 @@ class TestRankAwareSpectrum:
         assert warned == ref_warned == (tail < 4)
 
 
+class TestClosedFormSpectrum:
+    # benchmark shapes (sentences of 9 to 48 words at d = 100 and 300),
+    # plus clouds with more rows than dimensions
+    @pytest.mark.parametrize(
+        "rows, dim", [(9, 100), (18, 100), (48, 100), (9, 300), (30, 300), (48, 300),
+                      (12, 6), (40, 30)],
+    )
+    @pytest.mark.parametrize("past", [0, 1, 200])
+    def test_matches_the_full_svd(self, rows, dim, past):
+        # tails of exactly d, one more, and the default's margin past d
+        tail_count = dim + past
+        rng = np.random.default_rng(rows * dim + past)
+        orig, aug = sentence_clouds(rng, rows, dim=dim)
+        eta = 0.001
+        ref_loss, ref_grad, _ = full_svd_spectral_term(orig, aug, tail_count, eta)
+        loss, grad = spectral_term(orig, aug, tail_count, eta)
+        m_norm = np.linalg.norm(aug.T @ orig)
+        assert abs(loss - ref_loss) <= 1e-12 * eta * m_norm**2
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * 2 * eta * np.linalg.norm(orig) * m_norm
+
+    @pytest.mark.parametrize("rows", [3, 6, 9])
+    def test_runs_no_factorization(self, rows, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tail that covers the spectrum needs no factorization")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        rng = np.random.default_rng(rows)
+        orig, aug = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 6))
+        for tail in (6, 300):
+            loss, grad = spectral_term(orig, aug, tail, 0.01)
+            assert loss == pytest.approx(-0.01 * np.linalg.norm(aug.T @ orig) ** 2, rel=1e-12)
+            assert grad.shape == aug.shape
+        # one short of d takes the factorized path
+        with pytest.raises(AssertionError):
+            spectral_term(orig, aug, 5, 0.01)
+
+
 class TestDistanceShrinkage:
     def test_identical_clouds_exactly_zero(self):
         rng = np.random.default_rng(3)
@@ -848,7 +887,10 @@ def assert_same_breakdown(got: LossBreakdown, want: LossBreakdown):
     assert got.sinkhorn_iterations == want.sinkhorn_iterations
     assert got.sinkhorn_marginal_error == want.sinkhorn_marginal_error
     assert got.sinkhorn_converged == want.sinkhorn_converged
-    assert np.array_equal(got.grad_augmented, want.grad_augmented)
+    if want.grad_augmented is None:
+        assert got.grad_augmented is None
+    else:
+        assert np.array_equal(got.grad_augmented, want.grad_augmented)
 
 
 class TestScoreBlock:
@@ -869,6 +911,31 @@ class TestScoreBlock:
             iterations.add(alone.sinkhorn_iterations)
         # pairs left the working set at different iterations
         assert len(iterations) > 1
+
+    def test_without_gradients_alone_and_in_a_full_block(self):
+        origs, augs = sentence_block(26, BLOCK_PAIRS)
+        block = score_block(origs, augs, keep_grads=False)
+        with_grads = score_block(origs, augs)
+        for i, (orig, aug) in enumerate(zip(origs, augs)):
+            alone = score_block([orig], [aug], keep_grads=False)[0]
+            assert alone.grad_augmented is None
+            assert_same_breakdown(block[i], alone)
+            # the losses are the bits of the run that forms the gradient
+            with_grads[i].grad_augmented = None
+            assert_same_breakdown(with_grads[i], alone)
+
+    def test_no_transport_gradient_without_gradients(self, monkeypatch):
+        origs, augs = sentence_block(27, 8, n=9)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no transport gradient was asked for")
+
+        monkeypatch.setattr(otreg, "_transport_gradient", refuse)
+        assert all(bd.grad_augmented is None for bd in score_block(origs, augs, keep_grads=False))
+        scored = score_pairs(list(zip(origs, augs)), OtParams(), keep_grads=False)
+        assert all(bd.grad_augmented is None for bd in scored)
+        with pytest.raises(AssertionError):
+            score_block(origs, augs)
 
     def test_stacked_solve_equals_sinkhorn_per_pair(self):
         origs, augs = sentence_block(22, 12, n=9)
