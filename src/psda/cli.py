@@ -140,6 +140,7 @@ def cmd_cluster(args) -> int:
             "clusters": len(stage.clusters),
             "weight_sum": float(sum(c.expert_weight for c in stage.clusters)),
             "em_iterations": len(stage.gmm.log_likelihood_trace) if stage.gmm else 0,
+            "em_converged": stage.gmm.converged if stage.gmm else None,
         }
 
     _emit(

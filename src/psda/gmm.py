@@ -12,6 +12,23 @@ E-step expands the Mahalanobis term and the M-step takes variances as
 E[x^2] - mean^2.  Each expansion is taken about the mean of the component
 means, and the few entries whose digits cancel are recomputed from the
 differences, so results match the direct per-component sums to rounding.
+The origin depends on the means alone, so the centred points are formed
+once per parameter set: the M-step's variances and the next E-step share
+them.
+
+Subnormal floats (below 2^-1022) cost a microcode assist on some CPUs in
+every operation that reads or writes one, and EM on well-separated points
+makes thousands of them per step: responsibilities of points far from a
+component.  So a responsibility whose log is below ``LOG_TINY`` enters the
+M-step as an exact zero, taken as exp(-inf), and ``logsumexp`` flushes its
+terms the same way.  The flush applies only in a component whose largest
+responsibility is at least 2^-900.  A flushed one is below 2^-1022, over
+2^120 times smaller, so in the column's sums for the weights, means and
+variances it is under half an ulp of the partial sums it would join and
+rounds away: no bit changes, which the tests check against the unflushed
+loop.  A "dead" component, with no responsibility that large, keeps the
+unflushed arithmetic: flushing its column would zero its count and move
+its mean to 0 / tiny.
 
 Everything is a pure function of (points, config); the same seed yields a
 bit-identical model.
@@ -23,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, TooFewPointsError
-from .util import logsumexp, require_finite
+from .util import LOG_TINY, logsumexp, require_finite
 
 _LOG_2PI = np.log(2.0 * np.pi)
 # An expanded Mahalanobis term below this fraction of its raw terms, or an
@@ -31,6 +48,9 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # too many digits to cancellation and is recomputed from the differences.
 _DENSITY_CANCEL = 1e-6
 _VARIANCE_CANCEL = 1e-8
+# A component whose largest responsibility reaches exp(_LIVE_LOG) = 2^-900
+# takes its subnormal responsibilities as exact zeros.
+_LIVE_LOG = math.log(2.0**-900)
 
 
 @dataclass(frozen=True)
@@ -66,6 +86,9 @@ class GmmModel:
     assignments: np.ndarray      # (n,) int
     log_likelihood_trace: list[float] = field(default_factory=list)
     covariance: str = "diagonal"
+    # whether EM stopped at ``tol`` rather than at ``max_iter``; set by
+    # gmm_fit, not saved with a model, so a loaded model leaves it None
+    converged: bool | None = None
 
     @property
     def k(self) -> int:
@@ -123,7 +146,15 @@ def seed_initialization(points: np.ndarray, cfg: GmmConfig) -> tuple[np.ndarray,
     return means, variances, weights
 
 
-def _log_density(points, means, variances, covariance):
+def _centre(points, means):
+    """The points and the means relative to the mean of the means, and the
+    squared centred points: the expansion origin of both EM steps."""
+    shift = means.mean(axis=0)
+    x = points - shift
+    return x, x * x, means - shift
+
+
+def _log_density(points, means, variances, covariance, centred=None):
     """Per-component log Gaussian densities, shape (n, k).
 
     The Mahalanobis term is x^2.P - 2 x.(m P) + m^2.P with P the precisions,
@@ -133,15 +164,14 @@ def _log_density(points, means, variances, covariance):
     a one-row call and a batch call can differ in the last bits.  The same
     points give the same bits, and nothing in psda relies on a one-row call
     matching a batch call.  Entries that cancel to below 1e-6 of
-    x^2.P + m^2.P are summed from the differences instead.
+    x^2.P + m^2.P are summed from the differences instead.  ``centred`` is
+    ``_centre(points, means)`` when the caller already has it.
     """
     d = points.shape[1]
     var = variances if covariance == "diagonal" else np.repeat(variances[:, None], d, axis=1)
     prec = 1.0 / var
-    shift = means.mean(axis=0)
-    x = points - shift
-    mu = means - shift
-    raw = (x * x) @ prec.T + np.sum(mu * mu * prec, axis=1)
+    x, xx, mu = _centre(points, means) if centred is None else centred
+    raw = xx @ prec.T + np.sum(mu * mu * prec, axis=1)
     quad = raw - 2.0 * (x @ (mu * prec).T)
     cancelled = quad <= _DENSITY_CANCEL * raw
     for c in np.flatnonzero(cancelled.any(axis=0)):
@@ -150,10 +180,10 @@ def _log_density(points, means, variances, covariance):
     return -0.5 * (d * _LOG_2PI + np.log(var).sum(axis=1) + quad)
 
 
-def _log_responsibilities(points, means, variances, weights, covariance):
+def _log_responsibilities(points, means, variances, weights, covariance, centred=None):
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
-    log_joint = _log_density(points, means, variances, covariance) + log_weights
+    log_joint = _log_density(points, means, variances, covariance, centred) + log_weights
     norm = logsumexp(log_joint, axis=1)
     return log_joint - norm[:, None], norm
 
@@ -171,19 +201,25 @@ def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
     return np.exp(log_resp)
 
 
-def _m_step_variances(points, resp, means, counts, cfg: GmmConfig) -> np.ndarray:
+def _m_step_responsibilities(log_resp: np.ndarray) -> np.ndarray:
+    """exp(log_resp), with the entries below LOG_TINY of every component
+    whose largest log responsibility reaches _LIVE_LOG as exact zeros."""
+    live = log_resp.max(axis=0) >= _LIVE_LOG
+    return np.exp(np.where((log_resp < LOG_TINY) & live, -np.inf, log_resp))
+
+
+def _m_step_variances(points, resp, means, counts, cfg: GmmConfig, centred) -> np.ndarray:
     """Floored centred second moments, the constrained M-step argmax.
 
-    Taken as E[x^2] - mean^2 about the mean of the component means.  A
-    component where 1e-8 of E[x^2] exceeds its floored variance in some
-    dimension is recomputed from the differences; the floor is part of
-    the test because a dimension shared by every member (zero variance)
-    only needs to land below it.
+    Taken as E[x^2] - mean^2 about the mean of the component means, from
+    ``centred = _centre(points, means)``.  A component where 1e-8 of
+    E[x^2] exceeds its floored variance in some dimension is recomputed
+    from the differences; the floor is part of the test because a
+    dimension shared by every member (zero variance) only needs to land
+    below it.
     """
-    shift = means.mean(axis=0)
-    x = points - shift
-    mu = means - shift
-    second = (resp.T @ (x * x)) / counts[:, None]
+    _, xx, mu = centred
+    second = (resp.T @ xx) / counts[:, None]
     sq = second - mu * mu
     cancelled = (_VARIANCE_CANCEL * second > np.maximum(sq, cfg.cov_floor)).any(axis=1)
     for c in np.flatnonzero(cancelled):
@@ -198,31 +234,38 @@ def gmm_fit(points, cfg: GmmConfig) -> GmmModel:
 
     The log-likelihood trace is non-decreasing (up to float slack); the
     variance floor is part of the M-step's constrained maximization, so
-    monotonicity survives flooring.
+    monotonicity survives flooring.  The model's ``converged`` says
+    whether the fit stopped at ``tol``.
     """
     points = _check_points(points, cfg.k)
     n, _ = points.shape
     means, variances, weights = seed_initialization(points, cfg)
+    centred = _centre(points, means)
 
     trace: list[float] = []
     log_resp = None
     converged = False
     for _ in range(cfg.max_iter):
-        log_resp, norm = _log_responsibilities(points, means, variances, weights, cfg.covariance)
+        log_resp, norm = _log_responsibilities(
+            points, means, variances, weights, cfg.covariance, centred
+        )
         ll = float(norm.sum())
         trace.append(ll)
         if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol:
             converged = True
             break
-        resp = np.exp(log_resp)
+        resp = _m_step_responsibilities(log_resp)
         counts = resp.sum(axis=0)
         safe_counts = np.maximum(counts, np.finfo(np.float64).tiny)
         weights = counts / n
         means = (resp.T @ points) / safe_counts[:, None]
-        variances = _m_step_variances(points, resp, means, safe_counts, cfg)
+        centred = _centre(points, means)
+        variances = _m_step_variances(points, resp, means, safe_counts, cfg, centred)
     if not converged:
         # refresh so assignments reflect the final parameters
-        log_resp, norm = _log_responsibilities(points, means, variances, weights, cfg.covariance)
+        log_resp, norm = _log_responsibilities(
+            points, means, variances, weights, cfg.covariance, centred
+        )
         trace.append(float(norm.sum()))
 
     assignments = np.argmax(log_resp, axis=1)
@@ -233,6 +276,7 @@ def gmm_fit(points, cfg: GmmConfig) -> GmmModel:
         assignments=assignments,
         log_likelihood_trace=trace,
         covariance=cfg.covariance,
+        converged=converged,
     )
 
 

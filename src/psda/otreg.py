@@ -432,7 +432,11 @@ def distance_shrinkage(orig: np.ndarray, aug: np.ndarray) -> tuple[float, np.nda
 
     The cosine in the loss is clamped into [-1, 1] against rounding, so
     the loss always lands in [0, 2].  Every row gets the same 1/n share of
-    the gradient in the pooled vector, since pooling is a plain mean.
+    the gradient in the pooled vector, since pooling is a plain mean, so
+    the gradient is a read-only (n, d) broadcast view of that one row:
+    no n x d array is built for a caller that drops it.  Its values, and
+    so the blended gradient and ``--grad-out``, are the bits an n x d
+    copy would hold.
     """
     aug = np.asarray(aug, dtype=np.float64)
     o = np.asarray(orig, dtype=np.float64).mean(axis=0)
@@ -443,7 +447,7 @@ def distance_shrinkage(orig: np.ndarray, aug: np.ndarray) -> tuple[float, np.nda
         raise ZeroVectorError("mean-pooled embedding has near-zero norm")
     cos = (o @ g) / (no * ng)
     grad_pool = -(o / (no * ng) - cos * g / ng**2)
-    grad = np.tile(grad_pool / aug.shape[0], (aug.shape[0], 1))
+    grad = np.broadcast_to(grad_pool / aug.shape[0], aug.shape)
     if np.array_equal(o, g):
         # bit-identical pools are exactly parallel; skip the division so
         # the loss is an exact zero rather than an ulp above it

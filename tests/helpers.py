@@ -161,3 +161,13 @@ def sentence_clouds(rng, n: int, dim: int = 300, replaced: int = 3):
     for pos in rng.choice(n, size=replaced, replace=False):
         aug[pos] = words[(ids[pos] + 15 * rng.integers(1, 10)) % 150]
     return orig, aug
+
+
+def unflushed_logsumexp(a, axis):
+    """``util.logsumexp`` without the flush of subnormal terms: the
+    reference its results are compared with bit for bit."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max[~np.isfinite(a_max)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - a_max), axis=axis, keepdims=True)) + a_max
+    return np.squeeze(out, axis=axis)

@@ -86,9 +86,20 @@ class TestCluster:
             assert info["clusters"] == 3
             assert info["weight_sum"] == pytest.approx(1.0, abs=1e-12)
             assert info["em_iterations"] >= 1
+            assert isinstance(info["em_converged"], bool)
         assert summary["stages"]["multi"]["clusters"] == 3
         assert summary["config"]["seed"] == "1"
         assert summary["config"]["k.single"] == "3"
+
+    def test_capped_fits_report_unconverged(self, cli_workspace, tmp_path):
+        code, out, err = invoke(
+            "cluster", "--config", cli_workspace.config, "--out", tmp_path / "capped.psda",
+            "--set", "gmm.max_iter=1",
+        )
+        assert code == 0, err
+        stages = json.loads(out)["stages"]
+        infos = [*stages["single"].values(), *stages["family"].values(), stages["multi"]]
+        assert [(i["em_converged"], i["em_iterations"]) for i in infos] == [(False, 2)] * len(infos)
 
     def test_model_file_written(self, built):
         with open(built.model, "rb") as fh:

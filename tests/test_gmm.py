@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import unflushed_logsumexp
+
+from psda import gmm
 from psda.errors import DimensionMismatchError, NonFiniteInputError, TooFewPointsError
 from psda.gmm import (
     GmmConfig,
@@ -12,8 +15,10 @@ from psda.gmm import (
     responsibilities,
     seed_initialization,
 )
+from psda.util import LOG_TINY
 
 MONOTONE_SLACK = 1e-9
+TINY = np.finfo(np.float64).tiny
 
 
 def reference_em(points, cfg):
@@ -60,6 +65,87 @@ def reference_em(points, cfg):
     return means, variances, weights, resp, trace
 
 
+def unflushed_em(points, cfg):
+    """gmm_fit without the subnormal flush and without shared centring:
+    every responsibility goes through exp, and each step centres the
+    points itself.  Returns the fit and the number of subnormal
+    responsibilities its M-steps read."""
+    points = np.asarray(points, dtype=np.float64)
+    n, d = points.shape
+    means, variances, weights = seed_initialization(points, cfg)
+
+    def log_responsibilities(means, variances, weights):
+        var = variances if cfg.covariance == "diagonal" else np.repeat(variances[:, None], d, axis=1)
+        prec = 1.0 / var
+        shift = means.mean(axis=0)
+        x = points - shift
+        mu = means - shift
+        raw = (x * x) @ prec.T + np.sum(mu * mu * prec, axis=1)
+        quad = raw - 2.0 * (x @ (mu * prec).T)
+        cancelled = quad <= gmm._DENSITY_CANCEL * raw
+        for c in np.flatnonzero(cancelled.any(axis=0)):
+            rows = np.flatnonzero(cancelled[:, c])
+            quad[rows, c] = ((points[rows] - means[c]) ** 2 / var[c]).sum(axis=1)
+        log_density = -0.5 * (d * gmm._LOG_2PI + np.log(var).sum(axis=1) + quad)
+        with np.errstate(divide="ignore"):
+            log_joint = log_density + np.log(weights)
+        norm = unflushed_logsumexp(log_joint, axis=1)
+        return log_joint - norm[:, None], norm
+
+    def m_step_variances(resp, means, counts):
+        shift = means.mean(axis=0)
+        x = points - shift
+        mu = means - shift
+        second = (resp.T @ (x * x)) / counts[:, None]
+        sq = second - mu * mu
+        cancelled = (
+            gmm._VARIANCE_CANCEL * second > np.maximum(sq, cfg.cov_floor)
+        ).any(axis=1)
+        for c in np.flatnonzero(cancelled):
+            sq[c] = resp[:, c] @ (points - means[c]) ** 2 / counts[c]
+        if cfg.covariance == "diagonal":
+            return np.maximum(sq, cfg.cov_floor)
+        return np.maximum(sq.mean(axis=1), cfg.cov_floor)
+
+    trace = []
+    subnormal = 0
+    converged = False
+    for _ in range(cfg.max_iter):
+        log_resp, norm = log_responsibilities(means, variances, weights)
+        trace.append(float(norm.sum()))
+        if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.tol:
+            converged = True
+            break
+        resp = np.exp(log_resp)
+        subnormal += int(np.count_nonzero((resp > 0) & (resp < TINY)))
+        counts = resp.sum(axis=0)
+        safe_counts = np.maximum(counts, TINY)
+        weights = counts / n
+        means = (resp.T @ points) / safe_counts[:, None]
+        variances = m_step_variances(resp, means, safe_counts)
+    if not converged:
+        log_resp, norm = log_responsibilities(means, variances, weights)
+        trace.append(float(norm.sum()))
+    model = GmmModel(
+        means=means,
+        variances=variances,
+        mixing_weights=weights,
+        assignments=np.argmax(log_resp, axis=1),
+        log_likelihood_trace=trace,
+        covariance=cfg.covariance,
+        converged=converged,
+    )
+    return model, subnormal
+
+
+def separated_points(seed=0, blobs=6, per_blob=40, dim=117, spread=2.5):
+    """Unit-noise blobs far enough apart in 117 dimensions that EM gives
+    many points a subnormal responsibility for another blob's component."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(blobs, dim)) * spread
+    return np.concatenate([c + rng.normal(size=(per_blob, dim)) for c in centers])
+
+
 def blob_points(seed=0, centers=((0.0, 0.0), (100.0, 100.0)), per_blob=5, scale=1.0):
     rng = np.random.default_rng(seed)
     rows = []
@@ -71,6 +157,15 @@ def blob_points(seed=0, centers=((0.0, 0.0), (100.0, 100.0)), per_blob=5, scale=
 
 
 class TestGmmFit:
+    def test_reports_convergence(self):
+        points, _ = blob_points()
+        converged = gmm_fit(points, GmmConfig(k=2, seed=0))
+        assert converged.converged is True
+        assert len(converged.log_likelihood_trace) <= 200
+        capped = gmm_fit(points, GmmConfig(k=2, seed=0, max_iter=1))
+        assert capped.converged is False
+        assert len(capped.log_likelihood_trace) == 2
+
     def test_separates_far_blobs(self):
         points, labels = blob_points()
         model = gmm_fit(points, GmmConfig(k=2, seed=0))
@@ -196,6 +291,53 @@ class TestGmmFit:
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(DimensionMismatchError):
             gmm_fit(np.zeros(5), GmmConfig(k=1, seed=0))
+
+
+class TestSubnormalFlush:
+    @pytest.mark.parametrize("max_iter", [4, 200])
+    @pytest.mark.parametrize("covariance", ["diagonal", "spherical"])
+    def test_fit_matches_the_unflushed_loop_bit_for_bit(self, covariance, max_iter):
+        points = separated_points()
+        cfg = GmmConfig(k=8, covariance=covariance, seed=3, max_iter=max_iter)
+        expected, subnormal = unflushed_em(points, cfg)
+        assert subnormal > 0
+        model = gmm_fit(points, cfg)
+        assert model.converged is expected.converged
+        assert model.log_likelihood_trace == expected.log_likelihood_trace
+        for name in ("means", "variances", "mixing_weights", "assignments"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("covariance", ["diagonal", "spherical"])
+    def test_dead_component_keeps_the_unflushed_m_step(self, covariance):
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(60, 117)) * 3.0
+        # columns 0 and 1 hold ordinary responsibilities and some in the
+        # subnormal range; column 2 has nothing above 2^-900 (dead)
+        log_resp = np.log(rng.dirichlet(np.ones(2), size=60))
+        log_resp[::3, 0] = rng.uniform(-740.0, -700.0, size=20)
+        log_resp = np.column_stack([log_resp, rng.uniform(-740.0, -650.0, size=60)])
+        exact = np.exp(log_resp)
+        assert np.any((exact[:, 0] > 0) & (exact[:, 0] < TINY))
+        assert np.any((exact[:, 2] > 0) & (exact[:, 2] < TINY))
+
+        resp = gmm._m_step_responsibilities(log_resp)
+        assert np.array_equal(resp[:, :2], np.where(log_resp[:, :2] < LOG_TINY, 0.0, exact[:, :2]))
+        assert np.array_equal(resp[:, 2], exact[:, 2])
+
+        cfg = GmmConfig(k=3, covariance=covariance, seed=0)
+
+        def m_step(resp):
+            counts = np.maximum(resp.sum(axis=0), TINY)
+            means = (resp.T @ points) / counts[:, None]
+            centred = gmm._centre(points, means)
+            return means, gmm._m_step_variances(points, resp, means, counts, cfg, centred)
+
+        means, variances = m_step(resp)
+        expected_means, expected_variances = m_step(exact)
+        assert np.array_equal(means, expected_means)
+        assert np.array_equal(variances, expected_variances)
+        # flushing the dead column would have moved its mean to 0 / tiny
+        assert np.all(means[2] != 0.0)
 
 
 class TestResponsibilities:

@@ -56,6 +56,8 @@ class TestRoundTrip:
             assert np.array_equal(b.gmm.assignments, a.gmm.assignments)
             assert b.gmm.log_likelihood_trace == a.gmm.log_likelihood_trace
             assert b.gmm.covariance == a.gmm.covariance
+            # the convergence flag is reported, not saved
+            assert a.gmm.converged is not None and b.gmm.converged is None
         for fam in model.family:
             assert [c.members for c in loaded.family[fam].clusters] == [
                 c.members for c in model.family[fam].clusters

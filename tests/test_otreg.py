@@ -688,6 +688,15 @@ class TestDistanceShrinkage:
         grad = distance_shrinkage(orig, aug)[1]
         assert all(np.array_equal(grad[0], row) for row in grad)
 
+    def test_gradient_is_a_read_only_view_of_one_row(self):
+        rng = np.random.default_rng(6)
+        orig = rng.normal(size=(5, 3)) + 1.0
+        aug = rng.normal(size=(5, 3)) + 1.0
+        grad = distance_shrinkage(orig, aug)[1]
+        assert grad.shape == aug.shape
+        assert grad.strides[0] == 0
+        assert not grad.flags.writeable
+
 
 class TestCompose:
     def test_projections(self):

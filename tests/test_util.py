@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import unflushed_logsumexp
+
 from psda.errors import NonFiniteInputError
 from psda.util import derive_seed, logsumexp, require_finite
 
@@ -60,6 +62,26 @@ def test_logsumexp_large_entries_do_not_overflow():
     got = logsumexp(a + offset, axis=1)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_matches_the_unflushed_formula_bit_for_bit(axis):
+    rng = np.random.default_rng(5)
+    # most terms near the subnormal range of exp(a - max), -744.4 to
+    # -708.4, a tenth of them ordinary, and one all -inf slice each way
+    a = rng.uniform(-760.0, -690.0, size=(300, 55))
+    ordinary = rng.random(size=a.shape) < 0.1
+    a[ordinary] = rng.uniform(-5.0, 0.0, size=ordinary.sum())
+    a[rng.random(size=a.shape) < 0.05] = -np.inf
+    a[7] = -np.inf
+    a[:, 11] = -np.inf
+    a += rng.uniform(-50.0, 50.0, size=(300, 1))
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(a - np.max(a, axis=axis, keepdims=True))
+    assert np.count_nonzero((terms > 0) & (terms < np.finfo(np.float64).tiny)) > 500
+    expected = unflushed_logsumexp(a, axis=axis)
+    assert np.any(expected == -np.inf)
+    assert np.array_equal(logsumexp(a, axis=axis), expected)
 
 
 def test_logsumexp_all_minus_inf_rows():
