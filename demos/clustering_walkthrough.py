@@ -58,23 +58,25 @@ def main():
         GmmConfig(k=1, seed=7),
     )
 
+    # a stage keeps its fitted mixture and the members of each component
+    # that holds any; centers and expert weights are derived from those
     print("\nstage 1, one mixture per language")
     for lang in sorted(model.single):
         stage = model.single[lang]
-        sizes = sorted(len(c.members) for c in stage.clusters)
+        sizes = sorted(len(members) for members in stage.members)
         iters = len(stage.gmm.log_likelihood_trace)
-        print("  %-3s clusters=%d  sizes=%s  em_iters=%d"
-              % (lang, len(stage.clusters), sizes, iters))
+        print("  %-3s clusters=%d of k=%d  sizes=%s  em_iters=%d"
+              % (lang, len(stage.members), stage.gmm.k, sizes, iters))
 
     print("\nstage 2, one mixture per family (inputs are weighted stage-1 centers)")
     for fam in sorted(model.family):
         stage = model.family[fam]
         w = stage.expert_weights
-        print("  %-8s clusters=%d  weight_sum=%.12f" % (fam, len(stage.clusters), w.sum()))
+        print("  %-8s clusters=%d  weight_sum=%.12f" % (fam, len(stage.members), w.sum()))
 
     stage = model.multi
     print("\nstage 3, the shared mixture over family centers")
-    print("  clusters=%d  weight_sum=%.12f" % (len(stage.clusters), stage.expert_weights.sum()))
+    print("  clusters=%d  weight_sum=%.12f" % (len(stage.members), stage.expert_weights.sum()))
 
     # every word carries a (single, family, multi) chain; purity of the
     # top level against the planted groups is the quantity that matters

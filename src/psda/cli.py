@@ -137,10 +137,11 @@ def cmd_cluster(args) -> int:
 
     def stage_info(stage):
         return {
-            "clusters": len(stage.clusters),
-            "weight_sum": float(sum(c.expert_weight for c in stage.clusters)),
-            "em_iterations": len(stage.gmm.log_likelihood_trace) if stage.gmm else 0,
-            "em_converged": stage.gmm.converged if stage.gmm else None,
+            "clusters": len(stage.members),
+            # Python's left-to-right sum, which the printed digits depend on
+            "weight_sum": sum(stage.expert_weights.tolist()),
+            "em_iterations": len(stage.gmm.log_likelihood_trace),
+            "em_converged": stage.gmm.converged,
         }
 
     _emit(

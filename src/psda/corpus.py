@@ -126,11 +126,6 @@ def _iter_blocks(path) -> Iterator[list[tuple[int, str]]]:
         yield block
 
 
-def read_conllu(path, default_lang: str = "und") -> list[SentenceRecord]:
-    """Parse a CoNLL-U file into SentenceRecords, one per sentence block."""
-    return [_parse_block(block, path, default_lang) for block in _iter_blocks(path)]
-
-
 def iter_conllu_lenient(path, default_lang: str = "und") -> Iterator[tuple[Optional[SentenceRecord], Optional[str]]]:
     """Yield (record, None) per sentence, or (None, reason) for blocks that
     fail to parse.  Used by batch tooling that must not die on one bad

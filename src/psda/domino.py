@@ -7,6 +7,11 @@ the next stage: per language family first, then one global pool.  Every
 word is finally resolved to a (single, family, multi) cluster chain by
 reading the memberships the fits recorded: the stage above assigned each
 cluster to one of its own, and the chain follows those assignments.
+
+A stage keeps two facts: its fitted mixture and the members of each
+non-empty component.  Centers are the rows of the mixture's means that
+hold a member, and expert weights are member counts over the total; both
+are derived on demand, never stored beside the fit.
 """
 
 import math
@@ -47,34 +52,30 @@ class KPolicy:
 
 
 @dataclass
-class Cluster:
-    members: list
-    center: np.ndarray
-    expert_weight: float
-
-
-@dataclass
 class StageClusters:
-    """One scope's clustering: clusters plus the fitted mixture.
+    """One scope's clustering: the fitted mixture and the members of each
+    non-empty component.
 
-    Empty mixture components (no hard-assigned member) are dropped so the
-    next stage never sees a zero-weight center; ``component_to_cluster``
-    maps surviving GMM component indices to compact cluster ids.
+    ``members[t]`` holds the ids hard-assigned to the t-th non-empty
+    component, in component order.  Empty components (no hard-assigned
+    member) are skipped, so the next stage never sees a zero-weight
+    center.  Centers and expert weights are derived from the fit.
     """
 
     scope_id: str
-    clusters: list[Cluster]
+    members: list[list]
+    gmm: GmmModel
     warnings: list[str] = field(default_factory=list)
-    gmm: Optional[GmmModel] = None
-    component_to_cluster: dict[int, int] = field(default_factory=dict)
 
     @property
     def centers(self) -> np.ndarray:
-        return np.stack([c.center for c in self.clusters])
+        return self.gmm.means[np.unique(self.gmm.assignments)]
 
     @property
     def expert_weights(self) -> np.ndarray:
-        return np.array([c.expert_weight for c in self.clusters])
+        """Each cluster's member share of the scope (its gate weight)."""
+        total = sum(len(m) for m in self.members)
+        return np.array([len(m) / total for m in self.members])
 
     def weighted_centers(self) -> np.ndarray:
         """Each cluster's expert weight broadcast over its center vector;
@@ -83,33 +84,15 @@ class StageClusters:
 
     def cluster_of(self) -> dict:
         """Each member's id mapped to the index of the cluster holding it."""
-        return {m: t for t, c in enumerate(self.clusters) for m in c.members}
+        return {m: t for t, members in enumerate(self.members) for m in members}
 
 
 def _stage_from_fit(scope_id, member_ids, model: GmmModel, warnings) -> StageClusters:
     by_component: dict[int, list] = {}
     for mid, comp in zip(member_ids, model.assignments, strict=True):
         by_component.setdefault(int(comp), []).append(mid)
-    total = len(member_ids)
-    clusters = []
-    component_to_cluster = {}
-    for comp in sorted(by_component):
-        component_to_cluster[comp] = len(clusters)
-        members = by_component[comp]
-        clusters.append(
-            Cluster(
-                members=members,
-                center=model.means[comp].copy(),
-                expert_weight=len(members) / total,
-            )
-        )
-    return StageClusters(
-        scope_id=scope_id,
-        clusters=clusters,
-        warnings=list(warnings),
-        gmm=model,
-        component_to_cluster=component_to_cluster,
-    )
+    members = [by_component[comp] for comp in sorted(by_component)]
+    return StageClusters(scope_id, members, model, list(warnings))
 
 
 def _scope_cfg(cfg: GmmConfig, k: int, *scope) -> GmmConfig:
@@ -143,7 +126,7 @@ def _cluster_centers_stage(
     rows = []
     for child in children:
         weighted = child.weighted_centers()
-        for t in range(len(child.clusters)):
+        for t in range(len(child.members)):
             ids.append((child.scope_id, t))
             rows.append(weighted[t])
     if not ids:

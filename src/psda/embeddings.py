@@ -175,13 +175,6 @@ def _load_vectors_per_line(path, lang: str) -> VocabStore:
     return VocabStore(lang=lang, dim=dim, entries=entries)
 
 
-def pos_one_hot(tag: str) -> np.ndarray:
-    """One-hot vector of length 17 for a UPOS tag, in the fixed ordering."""
-    vec = np.zeros(len(UPOS_TAGS))
-    vec[UPOS_INDEX[tag]] = 1.0
-    return vec
-
-
 @dataclass
 class PosTagging:
     """Word -> UPOS tags plus the frozen linear tag projection.

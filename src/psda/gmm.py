@@ -188,19 +188,6 @@ def _log_responsibilities(points, means, variances, weights, covariance, centred
     return log_joint - norm[:, None], norm
 
 
-def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """Row-stochastic (n, k) responsibility matrix for ``points``."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"points have dim {points.shape[1]}, model expects {model.dim}"
-        )
-    log_resp, _ = _log_responsibilities(
-        points, model.means, model.variances, model.mixing_weights, model.covariance
-    )
-    return np.exp(log_resp)
-
-
 def _m_step_responsibilities(log_resp: np.ndarray) -> np.ndarray:
     """exp(log_resp), with the entries below LOG_TINY of every component
     whose largest log responsibility reaches _LIVE_LOG as exact zeros."""
@@ -278,15 +265,3 @@ def gmm_fit(points, cfg: GmmConfig) -> GmmModel:
         covariance=cfg.covariance,
         converged=converged,
     )
-
-
-def gmm_predict(model: GmmModel, point: np.ndarray) -> int:
-    """Component with the highest responsibility; ties go to the lowest
-    index (argmax convention)."""
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (model.dim,):
-        raise DimensionMismatchError(f"point has shape {point.shape}, model expects ({model.dim},)")
-    log_resp, _ = _log_responsibilities(
-        point[None, :], model.means, model.variances, model.mixing_weights, model.covariance
-    )
-    return int(np.argmax(log_resp[0]))

@@ -3,26 +3,37 @@
 Layout: an 8-byte magic, a little-endian u64 giving the length of a JSON
 manifest, the manifest itself, then the concatenation of every array as
 raw little-endian float32 payload.  Shapes and offsets live in the
-manifest, so arrays are decoded without per-array framing.  The manifest
-is written with sorted keys and compact separators; identical models
-serialize to identical bytes.
+manifest, so arrays are decoded without per-array framing, and the
+manifest's ``payload_crc32`` (zlib's CRC-32 of the whole payload) is
+checked before any array is decoded.  The manifest is written with sorted
+keys and compact separators; identical models serialize to identical
+bytes.
+
+Each fitted fact is stored once.  Per stage the payload holds the mixture's
+means, variances and mixing weights, plus each language's word
+embeddings; the manifest holds the members of each non-empty component,
+the hard assignments and the EM trace.  Centers and expert weights are
+derived from those on load.  A version-1 file, which stored the centers
+a second time, fails with an error naming its version; re-run
+``psda cluster`` to rewrite it.
 """
 
 import json
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, BinaryIO
 
 import numpy as np
 
 from .binio import _read_exact
-from .domino import Cluster, ClusterModel, KPolicy, StageClusters
+from .domino import ClusterModel, KPolicy, StageClusters
 from .errors import ModelFormatError
 from .gmm import GmmModel
 
 MODEL_MAGIC = b"PSDAMDL\x00"
 _FORMAT_NAME = "psda-model"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -57,54 +68,36 @@ def _member_from_json(value) -> Any:
 
 
 def _stage_to_json(stage: StageClusters, reg: _ArrayRegistry) -> dict:
-    obj = {
+    gmm = stage.gmm
+    return {
         "scope_id": stage.scope_id,
-        "members": [[_member_to_json(m) for m in c.members] for c in stage.clusters],
-        "expert_weights": [c.expert_weight for c in stage.clusters],
-        "centers": reg.add(stage.centers),
+        "members": [[_member_to_json(m) for m in members] for members in stage.members],
+        # derived, written for readers of the manifest alone; not read back
+        "expert_weights": stage.expert_weights.tolist(),
         "warnings": list(stage.warnings),
-        "component_to_cluster": {str(k): v for k, v in sorted(stage.component_to_cluster.items())},
+        "gmm": {
+            "covariance": gmm.covariance,
+            "means": reg.add(gmm.means),
+            "variances": reg.add(gmm.variances),
+            "mixing_weights": reg.add(gmm.mixing_weights),
+            "assignments": [int(a) for a in gmm.assignments],
+            "log_likelihood_trace": [float(v) for v in gmm.log_likelihood_trace],
+        },
     }
-    if stage.gmm is not None:
-        obj["gmm"] = {
-            "covariance": stage.gmm.covariance,
-            "means": reg.add(stage.gmm.means),
-            "variances": reg.add(stage.gmm.variances),
-            "mixing_weights": reg.add(stage.gmm.mixing_weights),
-            "assignments": [int(a) for a in stage.gmm.assignments],
-            "log_likelihood_trace": [float(v) for v in stage.gmm.log_likelihood_trace],
-        }
-    return obj
 
 
 def _stage_from_json(obj: dict, arrays: list[np.ndarray]) -> StageClusters:
-    centers = arrays[obj["centers"]]
-    clusters = [
-        Cluster(
-            members=[_member_from_json(m) for m in members],
-            center=centers[i],
-            expert_weight=float(weight),
-        )
-        for i, (members, weight) in enumerate(zip(obj["members"], obj["expert_weights"]))
-    ]
-    gmm = None
-    if "gmm" in obj:
-        g = obj["gmm"]
-        gmm = GmmModel(
-            means=arrays[g["means"]],
-            variances=arrays[g["variances"]],
-            mixing_weights=arrays[g["mixing_weights"]],
-            assignments=np.array(g["assignments"], dtype=np.int64),
-            log_likelihood_trace=[float(v) for v in g["log_likelihood_trace"]],
-            covariance=g["covariance"],
-        )
-    return StageClusters(
-        scope_id=obj["scope_id"],
-        clusters=clusters,
-        warnings=list(obj["warnings"]),
-        gmm=gmm,
-        component_to_cluster={int(k): int(v) for k, v in obj["component_to_cluster"].items()},
+    g = obj["gmm"]
+    gmm = GmmModel(
+        means=arrays[g["means"]],
+        variances=arrays[g["variances"]],
+        mixing_weights=arrays[g["mixing_weights"]],
+        assignments=np.array(g["assignments"], dtype=np.int64),
+        log_likelihood_trace=[float(v) for v in g["log_likelihood_trace"]],
+        covariance=g["covariance"],
     )
+    members = [[_member_from_json(m) for m in ms] for ms in obj["members"]]
+    return StageClusters(obj["scope_id"], members, gmm, list(obj["warnings"]))
 
 
 def save_model(path, model: ClusterModel, config: dict | None = None) -> None:
@@ -137,13 +130,14 @@ def save_model(path, model: ClusterModel, config: dict | None = None) -> None:
     }
     if config is not None:
         manifest["config"] = {str(k): str(v) for k, v in sorted(config.items())}
+    payload = b"".join(arr.tobytes() for arr in reg.arrays)
+    manifest["payload_crc32"] = zlib.crc32(payload)
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(body)))
         fh.write(body)
-        for arr in reg.arrays:
-            fh.write(arr.tobytes())
+        fh.write(payload)
 
 
 def _read_manifest(fh: BinaryIO) -> dict:
@@ -171,13 +165,16 @@ def read_manifest(path) -> dict:
 
 
 def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
-    payload_start = fh.tell()
-    arrays = []
-    for entry in manifest["arrays"]:
-        fh.seek(payload_start + entry["offset"])
-        raw = _read_exact(fh, entry["nbytes"], "array payload")
-        flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        arrays.append(flat.reshape(entry["shape"]))
+    entries = manifest["arrays"]
+    payload = _read_exact(fh, sum(e["nbytes"] for e in entries), "array payload")
+    if zlib.crc32(payload) != manifest["payload_crc32"]:
+        raise ModelFormatError("array payload does not match its CRC-32: the file is corrupt")
+    arrays = [
+        np.frombuffer(payload, "<f4", count=e["nbytes"] // 4, offset=e["offset"])
+        .astype(np.float64)
+        .reshape(e["shape"])
+        for e in entries
+    ]
 
     stages = manifest["stages"]
     return ClusterModel(

@@ -93,9 +93,3 @@ def load_taxonomy(path) -> LanguageTaxonomy:
     if not families:
         raise ParseError("taxonomy file declares no families", path=path)
     return LanguageTaxonomy(tuple(families))
-
-
-def serialize_taxonomy(tax: LanguageTaxonomy) -> str:
-    """Render a taxonomy back to its file format (load round-trips)."""
-    lines = [f"{fam.family_id}: {','.join(fam.member_languages)}" for fam in tax.families]
-    return "\n".join(lines) + "\n"

@@ -258,10 +258,12 @@ def test_08_expert_weights_are_member_fractions(pair_model):
     checked = 0
     for model in (pair_model.model, second):
         for stage in stages(model):
-            total = sum(len(c.members) for c in stage.clusters)
-            ok = ok and abs(sum(c.expert_weight for c in stage.clusters) - 1.0) <= 1e-12
+            total = len(stage.gmm.assignments)
+            weights = stage.expert_weights
+            ok = ok and sum(len(m) for m in stage.members) == total
+            ok = ok and abs(sum(weights) - 1.0) <= 1e-12
             ok = ok and all(
-                c.expert_weight == len(c.members) / total for c in stage.clusters
+                w == len(m) / total for m, w in zip(stage.members, weights, strict=True)
             )
             checked += 1
     verdict(

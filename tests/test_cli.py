@@ -33,7 +33,7 @@ from psda.binio import read_array, write_array
 from psda.config import load_config
 from psda.corpus import assemble_sentence, iter_conllu_lenient
 from psda.embeddings import load_vectors
-from psda.model_io import load_model
+from psda.model_io import load_model, read_manifest
 
 
 def invoke(*argv):
@@ -1160,7 +1160,7 @@ class TestReport:
     def test_manifest_missing_a_key(self, tmp_path, run_cli):
         from psda.model_io import MODEL_MAGIC
 
-        body = json.dumps({"format": "psda-model", "version": 1}).encode("utf-8")
+        body = json.dumps({"format": "psda-model", "version": 2}).encode("utf-8")
         model = tmp_path / "model.psda"
         model.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(body)) + body)
         code, stdout, err = run_cli(
@@ -1268,6 +1268,33 @@ class TestCorruptLengthFields:
         assert peak < 1 << 26
 
 
+class TestCorruptPayload:
+    """One flipped bit in a model's float32 payload fails the payload CRC:
+    augment and report exit 2 with one JSON ModelFormatError line."""
+
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("command", ["augment", "report"])
+    def test_exits_2(self, built, cli_workspace, tmp_path, run_cli, command, where):
+        data = bytearray(Path(built.model).read_bytes())
+        payload = sum(e["nbytes"] for e in read_manifest(built.model)["arrays"])
+        data[len(data) - payload + round(where * (payload - 1))] ^= 0x10
+        model = tmp_path / "model.psda"
+        model.write_bytes(bytes(data))
+        if command == "augment":
+            argv = ("augment", "--config", cli_workspace.config, "--model", model,
+                    "--out", tmp_path / "aug.jsonl")
+        else:
+            argv = ("report", "--model", model,
+                    "--out-csv", tmp_path / "r.csv", "--out-svg", tmp_path / "r.svg")
+        code, stdout, err = run_cli(*argv)
+        assert code == 2
+        assert stdout == ""
+        (line,) = err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ModelFormatError"
+        assert "CRC" in error["message"]
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -1325,6 +1352,21 @@ class TestTracerCompatibility:
              "--set", "ot.tail=5"]
         )
         assert trace["seconds"]["otreg.spectral"] > 0
+
+    def test_cluster(self, cli_workspace, tmp_path):
+        trace = run_traced(
+            ["cluster", "--config", cli_workspace.config, "--out", str(tmp_path / "m.psda")]
+        )
+        assert trace["counts"]["gmm.fits"] > 0
+        assert trace["seconds"]["model_io.save"] > 0
+
+    def test_report(self, built, tmp_path):
+        trace = run_traced(
+            ["report", "--model", built.model,
+             "--out-csv", str(tmp_path / "r.csv"), "--out-svg", str(tmp_path / "r.svg")]
+        )
+        assert trace["seconds"]["model_io.load"] > 0
+        assert trace["seconds"]["report.stats"] > 0
 
     def test_gradcheck(self):
         trace = run_traced(["gradcheck", "--instances", "1"])

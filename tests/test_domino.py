@@ -67,20 +67,20 @@ class TestSingleStage:
             [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [100.0, 100.0]], k=2
         )
         assert sorted(stage.expert_weights) == [0.25, 0.75]
-        big = max(stage.clusters, key=lambda c: c.expert_weight)
-        assert set(big.members) == {"w0", "w1", "w2"}
+        big = stage.members[int(np.argmax(stage.expert_weights))]
+        assert set(big) == {"w0", "w1", "w2"}
         assert stage.expert_weights.sum() == 1.0
 
     def test_weight_is_exact_member_fraction(self):
         rng = np.random.default_rng(0)
         stage = single_stage(rng.normal(size=(11, 3)), k=3)
-        for cluster in stage.clusters:
-            assert cluster.expert_weight == len(cluster.members) / 11
+        for members, weight in zip(stage.members, stage.expert_weights, strict=True):
+            assert weight == len(members) / 11
 
     def test_single_word_clamps_with_warning(self):
         stage = single_stage([[1.0, 2.0]], k=3)
-        assert len(stage.clusters) == 1
-        assert stage.clusters[0].expert_weight == 1.0
+        assert stage.members == [["w0"]]
+        assert stage.expert_weights.tolist() == [1.0]
         assert any("clamped" in w for w in stage.warnings)
 
     def test_no_words_rejected(self):
@@ -94,7 +94,14 @@ class TestSingleStage:
     def test_weighted_centers_oracle(self):
         rng = np.random.default_rng(3)
         stage = single_stage(rng.normal(size=(9, 4)), k=3)
-        manual = np.stack([c.expert_weight * c.center for c in stage.clusters])
+        # each cluster's member share times the mean of the component
+        # that its members are assigned to
+        manual = np.stack(
+            [
+                len(members) / 9 * stage.gmm.means[stage.gmm.assignments[int(members[0][1:])]]
+                for members in stage.members
+            ]
+        )
         assert np.array_equal(stage.weighted_centers(), manual)
 
     def test_pos_block_separates_identical_word_vectors(self):
@@ -109,20 +116,21 @@ class TestSingleStage:
         store = store_from("xx", [(w, [1.0, 1.0]) for w in ("v0", "v1", "n0", "n1")])
         words, matrix = final_embeddings(store, pos)
         stage = cluster_single_language("xx", words, matrix, KPolicy(single=2), CFG)
-        groups = [set(c.members) for c in stage.clusters]
+        groups = [set(members) for members in stage.members]
         assert {frozenset(g) for g in groups} == {frozenset({"v0", "v1"}), frozenset({"n0", "n1"})}
         # every member sits nearest its own cluster center
-        for ci, cluster in enumerate(stage.clusters):
-            for word in cluster.members:
+        for ci, members in enumerate(stage.members):
+            for word in members:
                 emb = matrix[words.index(word)]
                 dists = np.linalg.norm(stage.centers - emb, axis=1)
                 assert np.argmin(dists) == ci
 
     def test_duplicate_points_collapse_to_one_cluster(self):
         stage = single_stage([[2.0, 2.0]] * 4, k=2)
-        assert len(stage.clusters) == 1
-        assert stage.clusters[0].expert_weight == 1.0
-        assert list(stage.component_to_cluster.values()) == [0]
+        assert stage.gmm.k == 2
+        assert stage.members == [["w0", "w1", "w2", "w3"]]
+        assert stage.expert_weights.tolist() == [1.0]
+        assert np.array_equal(stage.centers, [[2.0, 2.0]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -130,23 +138,22 @@ class TestSingleStage:
         a = single_stage(points, k=2)
         b = single_stage(points, k=2)
         assert np.array_equal(a.centers, b.centers)
-        assert [c.members for c in a.clusters] == [c.members for c in b.clusters]
+        assert a.members == b.members
 
 
 class TestFamilyStage:
     def test_single_cluster_passthrough(self):
         stage = single_stage([[3.0, -4.0], [3.2, -4.1], [2.8, -3.9]], k=1)
         fam = cluster_family("fam", [stage], KPolicy(family=1), CFG)
-        assert len(fam.clusters) == 1
-        assert np.max(np.abs(fam.clusters[0].center - stage.weighted_centers()[0])) <= 1e-10
-        assert fam.clusters[0].expert_weight == 1.0
-        assert fam.clusters[0].members == [("xx", 0)]
+        assert np.max(np.abs(fam.centers - stage.weighted_centers())) <= 1e-10
+        assert fam.expert_weights.tolist() == [1.0]
+        assert fam.members == [[("xx", 0)]]
 
     def test_two_far_languages_split(self):
         a = single_stage([[0.0, 0.0], [0.1, 0.1]], k=1, lang="aa")
         b = single_stage([[500.0, 500.0], [500.1, 499.9]], k=1, lang="bb")
         fam = cluster_family("fam", [a, b], KPolicy(family=2), CFG)
-        members = {frozenset(c.members) for c in fam.clusters}
+        members = {frozenset(m) for m in fam.members}
         assert members == {frozenset({("aa", 0)}), frozenset({("bb", 0)})}
         assert sorted(fam.expert_weights) == [0.5, 0.5]
 
@@ -189,10 +196,10 @@ class TestMultiStage:
     def test_single_family_mirrors_at_full_k(self):
         a = single_stage([[0, 0], [0.1, 0.1], [200, 0], [200.2, 0.1]], k=2, lang="aa")
         fam = cluster_family("fam", [a], KPolicy(family=2), CFG)
-        multi = cluster_multi([fam], KPolicy(multi=len(fam.clusters)), CFG)
-        assert len(multi.clusters) == len(fam.clusters)
-        assert {frozenset(c.members) for c in multi.clusters} == {
-            frozenset({("fam", g)}) for g in range(len(fam.clusters))
+        multi = cluster_multi([fam], KPolicy(multi=len(fam.members)), CFG)
+        assert len(multi.members) == len(fam.members)
+        assert {frozenset(m) for m in multi.members} == {
+            frozenset({("fam", g)}) for g in range(len(fam.members))
         }
 
     def test_three_far_families_one_per_cluster(self):
@@ -202,8 +209,8 @@ class TestMultiStage:
             stage = single_stage([center, list(np.add(center, 0.1))], k=1, lang=f"l{i}")
             fams.append(cluster_family(f"f{i}", [stage], KPolicy(family=1), CFG))
         multi = cluster_multi(fams, KPolicy(multi=3), CFG)
-        assert sorted(len(c.members) for c in multi.clusters) == [1, 1, 1]
-        assert {m for c in multi.clusters for m in c.members} == {
+        assert sorted(len(m) for m in multi.members) == [1, 1, 1]
+        assert {m for members in multi.members for m in members} == {
             ("f0", 0), ("f1", 0), ("f2", 0)
         }
 
@@ -223,9 +230,9 @@ class TestBuildClusterModel:
         for lang, chains in model.chain.items():
             fam = pair_model.tax.family_of(lang)
             for word, (t, g, q) in chains.items():
-                assert word in model.single[lang].clusters[t].members
-                assert (lang, t) in model.family[fam].clusters[g].members
-                assert (fam, g) in model.multi.clusters[q].members
+                assert word in model.single[lang].members[t]
+                assert (lang, t) in model.family[fam].members[g]
+                assert (fam, g) in model.multi.members[q]
 
     def test_multi_purity_on_synonym_groups(self, pair_model):
         model = pair_model.model
@@ -249,6 +256,30 @@ class TestBuildClusterModel:
         stages = list(model.single.values()) + list(model.family.values()) + [model.multi]
         for stage in stages:
             assert abs(stage.expert_weights.sum() - 1.0) <= 1e-12
+
+    def test_empty_component_is_skipped(self):
+        # seed 0 leaves component 0 of the three single-stage components
+        # without a member
+        xs = [2.0, -6.0, 1.0, 3.0]
+        store = store_from("aa", [(f"w{i}", [x, 0.0]) for i, x in enumerate(xs)])
+        tax = LanguageTaxonomy((FamilyEntry("fam", ("aa",)),))
+        model = build_cluster_model(
+            {"aa": store}, zero_pos(), tax, KPolicy(3, 2, 1), GmmConfig(k=1, seed=0)
+        )
+        stage = model.single["aa"]
+        assert stage.gmm.k == 3
+        assert stage.gmm.assignments.tolist() == [2, 1, 2, 2]
+        assert stage.members == [["w1"], ["w0", "w2", "w3"]]
+        assert np.array_equal(stage.centers, stage.gmm.means[[1, 2]])
+        assert stage.expert_weights.tolist() == [0.25, 0.75]
+        # the chain names compact cluster ids, and the family stage fits
+        # one point per non-empty cluster
+        assert {word: t for word, (t, _, _) in model.chain["aa"].items()} == {
+            "w0": 1, "w1": 0, "w2": 1, "w3": 1
+        }
+        family = model.family["fam"]
+        assert sorted(m for members in family.members for m in members) == [("aa", 0), ("aa", 1)]
+        assert len(family.gmm.assignments) == 2
 
     def test_unknown_language_rejected(self):
         store = store_from("zz", [("x", [0.0, 0.0]), ("y", [1.0, 1.0])])

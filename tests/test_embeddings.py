@@ -16,7 +16,6 @@ from psda.embeddings import (
     final_embedding,
     final_embeddings,
     load_vectors,
-    pos_one_hot,
 )
 from psda.errors import (
     DimensionMismatchError,
@@ -209,23 +208,27 @@ def test_bulk_parse_matches_the_per_line_reference(tmp_path_factory, text):
     assert outcome(load_vectors, path) == outcome(_load_vectors_per_line, path)
 
 
+IDENTITY = PosTagging(tags={}, projection=np.eye(17), bias=np.zeros(17))
+
+
 class TestPosOneHot:
     def test_tag_set_is_the_17_upos_categories(self):
         assert len(UPOS_TAGS) == 17
         assert list(UPOS_TAGS) == sorted(UPOS_TAGS)
 
     def test_verb_one_hot(self):
-        vec = pos_one_hot("VERB")
+        # under the identity projection a tag's block is its one-hot vector
+        vec = IDENTITY.project("VERB")
         assert vec.shape == (17,)
         assert vec[UPOS_INDEX["VERB"]] == 1.0
         assert vec.sum() == 1.0
 
     def test_orthogonality(self):
-        assert pos_one_hot("NOUN") @ pos_one_hot("VERB") == 0.0
+        assert IDENTITY.project("NOUN") @ IDENTITY.project("VERB") == 0.0
 
     def test_every_tag_sums_to_one(self):
         for tag in UPOS_TAGS:
-            assert pos_one_hot(tag).sum() == 1.0
+            assert IDENTITY.project(tag).sum() == 1.0
 
 
 class TestPosTagging:
@@ -268,11 +271,10 @@ class TestFinalEmbedding:
         assert np.array_equal(out, [1.5, -2.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_identity_projection_appends_one_hot(self):
-        pos = PosTagging(tags={}, projection=np.eye(17), bias=np.zeros(17))
         vec = np.array([0.25])
-        out = final_embedding(vec, "VERB", pos)
+        out = final_embedding(vec, "VERB", IDENTITY)
         assert np.array_equal(out[:1], vec)
-        assert np.array_equal(out[1:], pos_one_hot("VERB"))
+        assert np.array_equal(out[1:], np.eye(17)[UPOS_INDEX["VERB"]])
 
     def test_word_block_is_bit_exact(self):
         pos = PosTagging.seeded({}, projection_dim=6, seed=9)
@@ -285,7 +287,7 @@ class TestFinalEmbedding:
         pos = PosTagging.seeded({}, projection_dim=6, seed=11)
         for tag in ("NOUN", "VERB", "X"):
             out = final_embedding(np.zeros(2), tag, pos)
-            expected = pos.projection @ pos_one_hot(tag) + pos.bias
+            expected = pos.projection @ np.eye(17)[UPOS_INDEX[tag]] + pos.bias
             assert np.max(np.abs(out[2:] - expected)) <= 1e-12
 
     def test_non_finite_word_vector(self):

@@ -8,7 +8,7 @@ from helpers import store_from
 from psda.domino import KPolicy, build_cluster_model
 from psda.embeddings import UPOS_TAGS, PosTagging
 from psda.errors import ModelFormatError
-from psda.gmm import GmmConfig, gmm_predict
+from psda.gmm import GmmConfig
 from psda.model_io import MODEL_MAGIC, load_model, read_manifest, save_model
 from psda.taxonomy import FamilyEntry, LanguageTaxonomy
 
@@ -32,6 +32,12 @@ def craft_container(path, manifest_obj):
     path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(body)) + body)
 
 
+def stages(model):
+    yield from model.single.values()
+    yield from model.family.values()
+    yield model.multi
+
+
 class TestRoundTrip:
     def test_full_model_survives(self, tmp_path, pair_model):
         model = pair_model.model
@@ -43,28 +49,14 @@ class TestRoundTrip:
         assert loaded.embed_dim == model.embed_dim
         assert loaded.seed == model.seed
         assert loaded.k_policy == model.k_policy
-        for lang in model.single:
-            a, b = model.single[lang], loaded.single[lang]
+        for a, b in zip(stages(model), stages(loaded), strict=True):
             assert b.scope_id == a.scope_id
-            assert [c.members for c in b.clusters] == [c.members for c in a.clusters]
-            assert [c.expert_weight for c in b.clusters] == [
-                c.expert_weight for c in a.clusters
-            ]
-            assert b.component_to_cluster == a.component_to_cluster
-            assert np.array_equal(b.centers, quantized(a.centers))
-            assert np.array_equal(b.gmm.means, quantized(a.gmm.means))
-            assert np.array_equal(b.gmm.assignments, a.gmm.assignments)
-            assert b.gmm.log_likelihood_trace == a.gmm.log_likelihood_trace
-            assert b.gmm.covariance == a.gmm.covariance
-            # the convergence flag is reported, not saved
-            assert a.gmm.converged is not None and b.gmm.converged is None
-        for fam in model.family:
-            assert [c.members for c in loaded.family[fam].clusters] == [
-                c.members for c in model.family[fam].clusters
-            ]
-        assert [c.members for c in loaded.multi.clusters] == [
-            c.members for c in model.multi.clusters
-        ]
+            assert b.members == a.members
+            assert b.warnings == a.warnings
+            assert np.array_equal(b.expert_weights, a.expert_weights)
+            used = np.unique(a.gmm.assignments)
+            assert np.array_equal(b.centers, quantized(a.gmm.means[used]))
+            assert np.array_equal(b.weighted_centers(), a.expert_weights[:, None] * b.centers)
         for lang, matrix in model.word_embeddings.items():
             assert np.array_equal(loaded.word_embeddings[lang], quantized(matrix))
 
@@ -79,16 +71,20 @@ class TestRoundTrip:
             loaded.word_embeddings["aa"], quantized(model.word_embeddings["aa"])
         )
 
-    def test_loaded_model_predicts(self, tmp_path, pair_model):
+    def test_gmm_parameters_survive(self, tmp_path, pair_model):
+        model = pair_model.model
         path = tmp_path / "model.psda"
-        save_model(path, pair_model.model)
+        save_model(path, model)
         loaded = load_model(path)
-        for lang, chains in loaded.chain.items():
-            for word in chains:
-                assert loaded.has_word(lang, word)
-        point = loaded.multi.weighted_centers()[0]
-        component = gmm_predict(loaded.multi.gmm, point)
-        assert loaded.multi.component_to_cluster[component] in range(len(loaded.multi.clusters))
+        for a, b in zip(stages(model), stages(loaded), strict=True):
+            assert np.array_equal(b.gmm.means, quantized(a.gmm.means))
+            assert np.array_equal(b.gmm.variances, quantized(a.gmm.variances))
+            assert np.array_equal(b.gmm.mixing_weights, quantized(a.gmm.mixing_weights))
+            assert np.array_equal(b.gmm.assignments, a.gmm.assignments)
+            assert b.gmm.log_likelihood_trace == a.gmm.log_likelihood_trace
+            assert b.gmm.covariance == a.gmm.covariance
+            # the convergence flag is reported, not saved
+            assert a.gmm.converged is not None and b.gmm.converged is None
 
     def test_loaded_chain_follows_stored_members(self, tmp_path, pair_model):
         path = tmp_path / "model.psda"
@@ -97,9 +93,10 @@ class TestRoundTrip:
         for lang, chains in loaded.chain.items():
             fam = pair_model.tax.family_of(lang)
             for word, (t, g, q) in chains.items():
-                assert word in loaded.single[lang].clusters[t].members
-                assert (lang, t) in loaded.family[fam].clusters[g].members
-                assert (fam, g) in loaded.multi.clusters[q].members
+                assert loaded.has_word(lang, word)
+                assert word in loaded.single[lang].members[t]
+                assert (lang, t) in loaded.family[fam].members[g]
+                assert (fam, g) in loaded.multi.members[q]
 
 
 class TestDeterminism:
@@ -120,13 +117,32 @@ class TestManifest:
         manifest = read_manifest(path)
         assert manifest["config"] == {"seed": "1", "k.single": "1"}
         assert manifest["format"] == "psda-model"
-        assert manifest["version"] == 1
+        assert manifest["version"] == 2
 
     def test_config_absent_when_not_given(self, tmp_path):
         model, _ = tiny_model()
         path = tmp_path / "m.psda"
         save_model(path, model)
         assert "config" not in read_manifest(path)
+
+    def test_payload_holds_each_array_once(self, tmp_path, pair_model):
+        # per stage the fit's means, variances and mixing weights, plus the
+        # word embeddings: no centers beside the means
+        model = pair_model.model
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        manifest = read_manifest(path)
+        floats = sum(
+            stage.gmm.means.size + stage.gmm.variances.size + stage.gmm.mixing_weights.size
+            for stage in stages(model)
+        )
+        floats += sum(m.size for m in model.word_embeddings.values())
+        assert sum(e["nbytes"] for e in manifest["arrays"]) == 4 * floats
+        body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert path.stat().st_size == len(MODEL_MAGIC) + 8 + len(body) + 4 * floats
+        saved = manifest["stages"]
+        for stage in [*saved["single"].values(), *saved["family"].values(), saved["multi"]]:
+            assert sorted(stage) == ["expert_weights", "gmm", "members", "scope_id", "warnings"]
 
     def test_words_record_row_order(self, tmp_path):
         model, _ = tiny_model(("zebra", "apple", "mango"))
@@ -171,6 +187,22 @@ class TestCorruption:
         craft_container(path, {"format": "psda-model", "version": 99})
         with pytest.raises(ModelFormatError, match="version"):
             read_manifest(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "m.psda"
+        craft_container(path, {"format": "psda-model", "version": 1})
+        with pytest.raises(ModelFormatError, match="version 1"):
+            load_model(path)
+
+    def test_flipped_payload_byte_fails_crc(self, tmp_path):
+        model, _ = tiny_model()
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="CRC"):
+            load_model(path)
 
     def test_manifest_not_json(self, tmp_path):
         path = tmp_path / "m.psda"

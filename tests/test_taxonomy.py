@@ -6,12 +6,7 @@ from psda.errors import (
     ParseError,
     UnknownLanguageError,
 )
-from psda.taxonomy import (
-    FamilyEntry,
-    LanguageTaxonomy,
-    load_taxonomy,
-    serialize_taxonomy,
-)
+from psda.taxonomy import FamilyEntry, LanguageTaxonomy, load_taxonomy
 
 
 def write(tmp_path, text):
@@ -71,14 +66,6 @@ def test_unknown_language_lookup(tmp_path):
     tax = load_taxonomy(write(tmp_path, "F: xx\n"))
     with pytest.raises(UnknownLanguageError):
         tax.family_of("yy")
-
-
-def test_serialize_round_trip(tmp_path):
-    original = load_taxonomy(write(tmp_path, "Germanic: en,de\nRomance: fr,es,it\n"))
-    p = tmp_path / "copy.txt"
-    p.write_text(serialize_taxonomy(original), encoding="utf-8")
-    again = load_taxonomy(p)
-    assert again.families == original.families
 
 
 def test_constructor_enforces_uniqueness():
