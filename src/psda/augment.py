@@ -11,7 +11,10 @@ vector goes into the matrix, never the POS-augmented vector, which
 exists only for clustering.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +28,7 @@ SKIP_MISSING_CHAIN = "missing-chain"
 SKIP_EMPTY_POOL = "empty-pool"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One pool entry: a clustered word and its raw store vector."""
 
     lang: str
@@ -52,31 +54,56 @@ class SkippedRole:
     reason: str
 
 
+class CandidatePool:
+    """The entries of one pool as runs of store rows, one run per language
+    in sorted order: entry i is the i-th row over the runs, so entries
+    come in sorted-language, vocabulary order.  A ``Candidate`` is made
+    only for an entry that is read."""
+
+    def __init__(self, runs: list[tuple[str, list[str], np.ndarray, list[int]]]):
+        # (language, its store's words and matrix in row order, this pool's rows)
+        self.runs = runs
+        self._starts = list(accumulate((len(rows) for *_, rows in runs), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> Candidate:
+        if not 0 <= i < self._starts[-1]:
+            raise IndexError(f"pool entry {i} out of range for {len(self)} entries")
+        r = bisect_right(self._starts, i) - 1
+        lang, words, matrix, rows = self.runs[r]
+        row = rows[i - self._starts[r]]
+        return Candidate(lang, words[row], matrix[row])
+
+
 @dataclass
 class CandidateIndex:
     """Every clustered word grouped by its top-level cluster id.
 
     Pools hold (lang, word, raw embedding) entries in sorted-language,
     vocabulary order, so draws are identical across runs and processes.
-    Each (cluster, excluded language) pool is filtered once, on first
-    use, and shared by every later draw from it.
+    Each (cluster, excluded language) pool is the cluster's pool without
+    that language's run, made once, on first use, and shared by every
+    later draw from it.
     """
 
-    by_multi_cluster: dict[int, list[Candidate]] = field(default_factory=dict)
-    _eligible: dict[tuple[int, str], list[Candidate]] = field(
+    by_multi_cluster: dict[int, CandidatePool] = field(default_factory=dict)
+    _eligible: dict[tuple[int, str], CandidatePool] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def eligible(self, multi_cluster: int, exclude_lang: str) -> list[Candidate]:
+    def eligible(self, multi_cluster: int, exclude_lang: str) -> CandidatePool:
         """Pool for one cluster, restricted to other languages.
 
-        The returned list is shared; callers must not modify it.
+        The returned pool is shared; callers must not modify it.
         """
         key = (multi_cluster, exclude_lang)
         pool = self._eligible.get(key)
         if pool is None:
-            everyone = self.by_multi_cluster.get(multi_cluster, [])
-            pool = self._eligible[key] = [c for c in everyone if c.lang != exclude_lang]
+            everyone = self.by_multi_cluster.get(multi_cluster, CandidatePool([]))
+            runs = [run for run in everyone.runs if run[0] != exclude_lang]
+            pool = self._eligible[key] = CandidatePool(runs)
         return pool
 
 
@@ -85,23 +112,25 @@ def build_candidate_index(
 ) -> CandidateIndex:
     """Group every store word by its multi-level cluster id.
 
-    Each entry carries the word's raw d-dim vector from its store.  A
-    store word without a chain entry means the model was built from a
-    different vocabulary, which is an error rather than a skip.
+    Each entry is a row of its store's matrix, the word's raw d-dim
+    vector.  A store word without a chain entry means the model was built
+    from a different vocabulary, which is an error rather than a skip.
     """
-    index = CandidateIndex()
+    runs: dict[int, list] = {}
     for lang in sorted(stores):
         store = stores[lang]
-        for word in store.words:
-            if not model.has_word(lang, word):
-                raise MissingChainError(
-                    f"word {word!r} of language {lang!r} has no cluster chain"
-                )
-            _, _, q = model.chain_of(lang, word)
-            index.by_multi_cluster.setdefault(q, []).append(
-                Candidate(lang, word, np.asarray(store[word], dtype=np.float64))
-            )
-    return index
+        words = store.words
+        chain = model.chain.get(lang, {})
+        try:
+            clusters = np.array([chain[word][2] for word in words], dtype=np.int64)
+        except KeyError as exc:
+            raise MissingChainError(
+                f"word {exc.args[0]!r} of language {lang!r} has no cluster chain"
+            ) from None
+        for q in np.flatnonzero(np.bincount(clusters)):
+            rows = np.flatnonzero(clusters == q).tolist()
+            runs.setdefault(int(q), []).append((lang, words, store.matrix(), rows))
+    return CandidateIndex({q: CandidatePool(runs[q]) for q in runs})
 
 
 @dataclass

@@ -14,7 +14,15 @@ means, and the few entries whose digits cancel are recomputed from the
 differences, so results match the direct per-component sums to rounding.
 The origin depends on the means alone, so the centred points are formed
 once per parameter set: the M-step's variances and the next E-step share
-them.
+them.  A fit allocates the centred points and their squares once and
+refills them in place at each step, and each E-step works in the (n, k)
+outputs of its two matrix products, in rewrites that keep every bit.
+
+k-means++ seeding takes each new centre's squared distances from one
+matrix-vector product, |x|^2 + |c|^2 - 2 x.c about the mean of the
+points, and sums the cancelled entries again from the differences, so
+duplicates of a chosen point get an exact zero.  Its draws match the
+difference form's, which the tests check index for index.
 
 Subnormal floats (below 2^-1022) cost a microcode assist on some CPUs in
 every operation that reads or writes one, and EM on well-separated points
@@ -40,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, TooFewPointsError
-from .util import LOG_TINY, logsumexp, require_finite
+from .util import CANCELLATION_SHARE, LOG_TINY, logsumexp, require_finite
 
 _LOG_2PI = np.log(2.0 * np.pi)
 # An expanded Mahalanobis term below this fraction of its raw terms, or an
@@ -111,10 +119,35 @@ def _check_points(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted draws over point indices."""
+    """k-means++ seeding (Arthur & Vassilvitskii 2007): D^2-weighted draws
+    over point indices.
+
+    Each new centre's squared distances come from one matrix-vector
+    product, as |x|^2 + |c|^2 - 2 x.c over the points centred on their
+    mean.  Entries that keep less than CANCELLATION_SHARE of |x|^2 + |c|^2
+    are summed again from the difference, as in ``pairwise_distances``, so
+    the chosen point and its duplicates get an exact 0 and are never drawn
+    again.  The rest differ from the difference form in the last bits
+    only, which moves a draw only if the uniform variate lands within
+    those bits of a boundary of the cumulative weights.
+    """
     n = points.shape[0]
+    x = points - points.mean(axis=0)
+    norms = np.einsum("ij,ij->i", x, x)
+
+    def sq_dist(idx):
+        raw = norms + norms[idx]
+        d2 = x @ x[idx]
+        d2 *= -2.0
+        d2 += raw
+        raw *= CANCELLATION_SHARE
+        rows = np.flatnonzero(d2 <= raw)
+        diff = points[rows] - points[idx]
+        d2[rows] = np.einsum("ij,ij->i", diff, diff)
+        return d2
+
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = sq_dist(chosen[0])
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -122,7 +155,7 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+        np.minimum(d2, sq_dist(idx), out=d2)
     return points[chosen].copy()
 
 
@@ -146,12 +179,18 @@ def seed_initialization(points: np.ndarray, cfg: GmmConfig) -> tuple[np.ndarray,
     return means, variances, weights
 
 
-def _centre(points, means):
+def _centre(points, means, out=None):
     """The points and the means relative to the mean of the means, and the
-    squared centred points: the expansion origin of both EM steps."""
+    squared centred points: the expansion origin of both EM steps.
+
+    ``out``, a pair of arrays shaped like ``points``, receives the centred
+    points and their squares in place; without it both are allocated.
+    """
     shift = means.mean(axis=0)
-    x = points - shift
-    return x, x * x, means - shift
+    x, xx = (np.empty_like(points), np.empty_like(points)) if out is None else out
+    np.subtract(points, shift, out=x)
+    np.multiply(x, x, out=xx)
+    return x, xx, means - shift
 
 
 def _log_density(points, means, variances, covariance, centred=None):
@@ -166,33 +205,47 @@ def _log_density(points, means, variances, covariance, centred=None):
     matching a batch call.  Entries that cancel to below 1e-6 of
     x^2.P + m^2.P are summed from the differences instead.  ``centred`` is
     ``_centre(points, means)`` when the caller already has it.
+
+    The two products' outputs are the only (n, k) arrays: every later step
+    works in them in place, in forms that keep each bit (a - 2b is taken
+    as (-2b) + a).
     """
     d = points.shape[1]
     var = variances if covariance == "diagonal" else np.repeat(variances[:, None], d, axis=1)
     prec = 1.0 / var
     x, xx, mu = _centre(points, means) if centred is None else centred
-    raw = xx @ prec.T + np.sum(mu * mu * prec, axis=1)
-    quad = raw - 2.0 * (x @ (mu * prec).T)
-    cancelled = quad <= _DENSITY_CANCEL * raw
+    raw = xx @ prec.T
+    raw += np.sum(mu * mu * prec, axis=1)
+    quad = x @ (mu * prec).T
+    quad *= -2.0
+    quad += raw
+    raw *= _DENSITY_CANCEL
+    cancelled = quad <= raw
     for c in np.flatnonzero(cancelled.any(axis=0)):
         rows = np.flatnonzero(cancelled[:, c])
         quad[rows, c] = ((points[rows] - means[c]) ** 2 / var[c]).sum(axis=1)
-    return -0.5 * (d * _LOG_2PI + np.log(var).sum(axis=1) + quad)
+    quad += d * _LOG_2PI + np.log(var).sum(axis=1)
+    quad *= -0.5
+    return quad
 
 
 def _log_responsibilities(points, means, variances, weights, covariance, centred=None):
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
-    log_joint = _log_density(points, means, variances, covariance, centred) + log_weights
+    log_joint = _log_density(points, means, variances, covariance, centred)
+    log_joint += log_weights
     norm = logsumexp(log_joint, axis=1)
-    return log_joint - norm[:, None], norm
+    log_joint -= norm[:, None]
+    return log_joint, norm
 
 
 def _m_step_responsibilities(log_resp: np.ndarray) -> np.ndarray:
     """exp(log_resp), with the entries below LOG_TINY of every component
     whose largest log responsibility reaches _LIVE_LOG as exact zeros."""
-    live = log_resp.max(axis=0) >= _LIVE_LOG
-    return np.exp(np.where((log_resp < LOG_TINY) & live, -np.inf, log_resp))
+    flush = log_resp < LOG_TINY
+    flush &= log_resp.max(axis=0) >= _LIVE_LOG
+    resp = np.where(flush, -np.inf, log_resp)
+    return np.exp(resp, out=resp)
 
 
 def _m_step_variances(points, resp, means, counts, cfg: GmmConfig, centred) -> np.ndarray:
@@ -227,7 +280,9 @@ def gmm_fit(points, cfg: GmmConfig) -> GmmModel:
     points = _check_points(points, cfg.k)
     n, _ = points.shape
     means, variances, weights = seed_initialization(points, cfg)
-    centred = _centre(points, means)
+    # the centred points and their squares, refilled in place at each step
+    buffers = (np.empty_like(points), np.empty_like(points))
+    centred = _centre(points, means, buffers)
 
     trace: list[float] = []
     log_resp = None
@@ -246,7 +301,7 @@ def gmm_fit(points, cfg: GmmConfig) -> GmmModel:
         safe_counts = np.maximum(counts, np.finfo(np.float64).tiny)
         weights = counts / n
         means = (resp.T @ points) / safe_counts[:, None]
-        centred = _centre(points, means)
+        centred = _centre(points, means, buffers)
         variances = _m_step_variances(points, resp, means, safe_counts, cfg, centred)
     if not converged:
         # refresh so assignments reflect the final parameters

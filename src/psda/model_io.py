@@ -12,10 +12,13 @@ bytes.
 Each fitted fact is stored once.  Per stage the payload holds the mixture's
 means, variances and mixing weights, plus each language's word
 embeddings; the manifest holds the members of each non-empty component,
-the hard assignments and the EM trace.  Centers and expert weights are
-derived from those on load.  A version-1 file, which stored the centers
-a second time, fails with an error naming its version; re-run
-``psda cluster`` to rewrite it.
+the hard assignments and the EM trace.  Centers, expert weights and each
+word's (single, family, multi) chain are derived from those on load.  The
+manifest also carries the chain and the expert weights for readers of the
+manifest alone; a stored chain that differs from the derived one fails,
+since the payload CRC does not cover the manifest.  A version-1 file,
+which stored the centers a second time, fails with an error naming its
+version; re-run ``psda cluster`` to rewrite it.
 """
 
 import json
@@ -117,6 +120,7 @@ def save_model(path, model: ClusterModel, config: dict | None = None) -> None:
             "family": {fam: _stage_to_json(model.family[fam], reg) for fam in sorted(model.family)},
             "multi": _stage_to_json(model.multi, reg),
         },
+        # derived from the members on load; read back only to check it
         "chain": {
             lang: {word: list(triple) for word, triple in model.chain[lang].items()}
             for lang in sorted(model.chain)
@@ -177,19 +181,14 @@ def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
     ]
 
     stages = manifest["stages"]
+    single = {lang: _stage_from_json(obj, arrays) for lang, obj in stages["single"].items()}
+    family = {fam: _stage_from_json(obj, arrays) for fam, obj in stages["family"].items()}
+    multi = _stage_from_json(stages["multi"], arrays)
     return ClusterModel(
-        single={lang: _stage_from_json(obj, arrays) for lang, obj in stages["single"].items()},
-        family={fam: _stage_from_json(obj, arrays) for fam, obj in stages["family"].items()},
-        multi=_stage_from_json(stages["multi"], arrays),
-        # the manifest JSON is written with sorted keys, so the chain dicts
-        # come back alphabetized; "words" preserves the embedding row order
-        chain={
-            lang: {
-                word: tuple(int(x) for x in manifest["chain"][lang][word])
-                for word in manifest["words"][lang]
-            }
-            for lang in manifest["words"]
-        },
+        single=single,
+        family=family,
+        multi=multi,
+        chain=_derived_chain(manifest, single, family, multi),
         embed_dim=int(manifest["embed_dim"]),
         seed=int(manifest["seed"]),
         k_policy=KPolicy(**manifest["k_policy"]),
@@ -197,6 +196,38 @@ def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
             lang: arrays[idx] for lang, idx in manifest["word_embeddings"].items()
         },
     )
+
+
+def _derived_chain(manifest: dict, single: dict, family: dict, multi: StageClusters) -> dict:
+    """Each word's (single, family, multi) cluster ids, read from the
+    stages' members in the row order of ``words``.
+
+    The manifest's ``chain`` is written for readers of the manifest alone;
+    a chain or a word list that disagrees with the members is rejected,
+    since the payload CRC does not cover the manifest.
+    """
+    multi_of = multi.cluster_of()
+    above = {}
+    for fam, stage in family.items():
+        for (lang, t), g in stage.cluster_of().items():
+            above[(lang, t)] = (g, multi_of[(fam, g)])
+    words = manifest["words"]
+    if words.keys() != single.keys() or manifest["chain"].keys() != single.keys():
+        raise ModelFormatError("manifest words or chain do not name the single-language stages")
+    chain = {}
+    for lang, stage in single.items():
+        single_of = stage.cluster_of()
+        counts = (len(words[lang]), len(single_of), sum(len(m) for m in stage.members))
+        if len(set(counts)) != 1 or single_of.keys() != set(words[lang]):
+            raise ModelFormatError(f"manifest words of {lang!r} differ from its stage's members")
+        triples = [(t, *above[(lang, t)]) for t in range(len(stage.members))]
+        as_json = [list(triple) for triple in triples]
+        if manifest["chain"][lang] != {w: as_json[t] for w, t in single_of.items()}:
+            raise ModelFormatError(
+                f"manifest chain of {lang!r} differs from the chain its stages' members give"
+            )
+        chain[lang] = {w: triples[single_of[w]] for w in words[lang]}
+    return chain
 
 
 def load_model(path) -> ClusterModel:

@@ -399,10 +399,10 @@ def eig_shrinkage_gradient(
 
 
 def spectral_term(
-    orig: np.ndarray, aug: np.ndarray, tail_count: int, eta: float
-) -> tuple[float, np.ndarray]:
+    orig: np.ndarray, aug: np.ndarray, tail_count: int, eta: float, keep_grads: bool = True
+) -> tuple[float, np.ndarray | None]:
     """The shrinkage loss over the singular values of M = aug^T @ orig,
-    and its gradient in the augmented rows.
+    and its gradient in the augmented rows (None without ``keep_grads``).
 
     A tail that holds all d values (tail_count >= d) sums the whole
     energy ||M||_F^2 = <aug, orig orig^T aug>, whose gradient in aug is
@@ -416,11 +416,13 @@ def spectral_term(
     n, d = orig.shape
     if tail_count >= d:
         pulled = orig @ (orig.T @ aug) if n > d else (orig @ orig.T) @ aug
-        return float(-eta * np.sum(aug * pulled)), -2.0 * eta * pulled
+        loss = float(-eta * np.sum(aug * pulled))
+        return loss, -2.0 * eta * pulled if keep_grads else None
     s, u, vt, k = _core_spectrum(orig, aug, tail_count)
     if k < 1:
-        return -0.0, np.zeros_like(aug)
-    return eig_shrinkage_loss(s, k, eta), eig_shrinkage_gradient(orig, u, vt, s, k, eta)
+        return -0.0, np.zeros_like(aug) if keep_grads else None
+    loss = eig_shrinkage_loss(s, k, eta)
+    return loss, eig_shrinkage_gradient(orig, u, vt, s, k, eta) if keep_grads else None
 
 
 POOL_NORM_TOL = 1e-12
@@ -542,9 +544,10 @@ BLOCK_PAIRS = 64
 
 def _term_breakdown(orig, aug, plan, dist, cost, iterations, error, params, task_loss, keep_grads):
     """The three terms of one pair, blended into a LossBreakdown; the
-    transport gradient and the blend only with ``keep_grads``."""
+    transport and spectral gradients and the blend only with
+    ``keep_grads``."""
     l_ot = ot_loss(plan, cost)
-    l_eig, g_eig = spectral_term(orig, aug, params.tail_count, params.eta)
+    l_eig, g_eig = spectral_term(orig, aug, params.tail_count, params.eta, keep_grads)
     l_dis, g_dis = distance_shrinkage(orig, aug)
 
     l_reg = compose_reg(l_ot, l_eig, l_dis, params.rho)
@@ -589,11 +592,11 @@ def score_block(
     at once, through the stacked solver behind ``sinkhorn``; the
     distances and the three terms run pair by pair.  The transport loss
     is <P, C> on the block's stacked cost.  Without ``keep_grads`` the
-    transport gradient and the blend are skipped and ``grad_augmented``
-    is None; the losses are the same bits either way.  The solver acts
-    on each pair's own rows, so a pair's breakdown is bit for bit the
-    same alone, in any block, and at any place in it.  Returns one
-    LossBreakdown per pair, in order.
+    transport and spectral gradients and the blend are skipped and
+    ``grad_augmented`` is None; the losses are the same bits either way.
+    The solver acts on each pair's own rows, so a pair's breakdown is bit
+    for bit the same alone, in any block, and at any place in it.
+    Returns one LossBreakdown per pair, in order.
     """
     pairs = [_paired(o, a) for o, a in zip(origs, augs, strict=True)]
     if not pairs:

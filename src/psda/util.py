@@ -57,7 +57,7 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     shifted = a - a_max
     np.putmask(shifted, shifted < LOG_TINY, -np.inf)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True)) + a_max
+        out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)) + a_max
     return np.squeeze(out, axis=axis)
 
 

@@ -46,6 +46,18 @@ class TestCandidateIndex:
             langs = [c.lang for c in pool]
             assert langs == sorted(langs)
 
+    def test_pools_follow_the_old_candidate_lists(self, pair_model, index):
+        """Entry for entry, each pool is the list of every store word in
+        sorted-language, vocabulary order, filtered to the cluster."""
+        model, stores = pair_model.model, pair_model.stores
+        expected = {}
+        for lang in sorted(stores):
+            for word in stores[lang].words:
+                expected.setdefault(model.chain_of(lang, word)[2], []).append((lang, word))
+        assert sorted(index.by_multi_cluster) == sorted(expected)
+        for q, pool in index.by_multi_cluster.items():
+            assert [(c.lang, c.word) for c in pool] == expected[q]
+
     def test_eligible_excludes_own_language(self, index):
         for q in index.by_multi_cluster:
             assert all(c.lang == "bb" for c in index.eligible(q, "aa"))
@@ -55,13 +67,18 @@ class TestCandidateIndex:
         for q, pool in index.by_multi_cluster.items():
             for lang in ("aa", "bb"):
                 first = index.eligible(q, lang)
-                expected = [c for c in pool if c.lang != lang]
-                assert len(first) == len(expected)
-                assert all(a is b for a, b in zip(first, expected))
+                expected = [(c.lang, c.word) for c in pool if c.lang != lang]
+                assert [(c.lang, c.word) for c in first] == expected
                 assert index.eligible(q, lang) is first
 
     def test_eligible_unknown_cluster_is_empty(self, index):
-        assert index.eligible(9999, "aa") == []
+        assert len(index.eligible(9999, "aa")) == 0
+
+    def test_pool_entry_out_of_range(self, index):
+        pool = next(iter(index.by_multi_cluster.values()))
+        for i in (-1, len(pool)):
+            with pytest.raises(IndexError):
+                pool[i]
 
     def test_unclustered_store_word_rejected(self, pair_model):
         padded = store_from(

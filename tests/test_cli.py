@@ -1295,6 +1295,37 @@ class TestCorruptPayload:
         assert "CRC" in error["message"]
 
 
+class TestCorruptManifestChain:
+    """A one-digit edit of a stored chain entry, which keeps every length
+    and the payload CRC, disagrees with the chain the stages' members give:
+    augment and report exit 2 with one JSON ModelFormatError line."""
+
+    @pytest.mark.parametrize("command", ["augment", "report"])
+    def test_exits_2(self, built, cli_workspace, tmp_path, run_cli, command):
+        data = Path(built.model).read_bytes()
+        manifest = read_manifest(built.model)
+        word, (t, g, q) = next(iter(manifest["chain"]["aa"].items()))
+        multi = len(manifest["stages"]["multi"]["members"])
+        assert multi >= 2 and q < 10 and multi <= 10
+        old = f'"{word}":[{t},{g},{q}]'.encode()
+        assert data.count(old) == 1
+        model = tmp_path / "model.psda"
+        model.write_bytes(data.replace(old, f'"{word}":[{t},{g},{(q + 1) % multi}]'.encode()))
+        if command == "augment":
+            argv = ("augment", "--config", cli_workspace.config, "--model", model,
+                    "--out", tmp_path / "aug.jsonl")
+        else:
+            argv = ("report", "--model", model,
+                    "--out-csv", tmp_path / "r.csv", "--out-svg", tmp_path / "r.svg")
+        code, stdout, err = run_cli(*argv)
+        assert code == 2
+        assert stdout == ""
+        (line,) = err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ModelFormatError"
+        assert "chain" in error["message"]
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -8,7 +8,7 @@ from helpers import unflushed_logsumexp
 from psda import gmm
 from psda.errors import DimensionMismatchError, NonFiniteInputError, TooFewPointsError
 from psda.gmm import GmmConfig, GmmModel, gmm_fit, seed_initialization
-from psda.util import LOG_TINY
+from psda.util import CANCELLATION_SHARE, LOG_TINY
 
 MONOTONE_SLACK = 1e-9
 TINY = np.finfo(np.float64).tiny
@@ -418,6 +418,126 @@ class TestSeedInitialization:
         b = seed_initialization(points, cfg)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+class RecordingRng:
+    """A Generator stand-in that records the indices k-means++ draws and
+    the weights of each weighted draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = []
+        self.weights = []
+
+    def integers(self, n):
+        self.drawn.append(int(self.rng.integers(n)))
+        return self.drawn[-1]
+
+    def choice(self, n, p):
+        self.weights.append(p.copy())
+        self.drawn.append(int(self.rng.choice(n, p=p)))
+        return self.drawn[-1]
+
+
+def difference_kmeanspp(points, k, seed):
+    """k-means++ with every squared distance summed from the difference
+    of the rows: the indices it draws."""
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+    return chosen
+
+
+def with_duplicates(rng, points, copies):
+    """``points`` plus ``copies`` repeats of randomly chosen rows, shuffled."""
+    extra = points[rng.integers(len(points), size=copies)]
+    return rng.permutation(np.concatenate([points, extra]))
+
+
+def seeding_clouds():
+    """(name, points) clouds for the seeding tests, each seeded."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        yield f"normal-{seed}", with_duplicates(rng, rng.normal(size=(60, 117)), 20)
+    for offset in (1e3, 1e4, 1e5, 1e6):
+        rng = np.random.default_rng(int(np.log10(offset)))
+        yield f"offset-{offset:g}", with_duplicates(rng, offset + rng.normal(size=(50, 8)), 15)
+        # two tight blobs at -offset and +offset: within a blob the
+        # squared distance keeps under CANCELLATION_SHARE of |x|^2 + |c|^2
+        blobs = np.concatenate([-offset + rng.normal(size=(25, 8)), offset + rng.normal(size=(25, 8))])
+        yield f"blobs-{offset:g}", with_duplicates(rng, blobs, 15)
+
+
+CLOUDS = [pytest.param(points, id=name) for name, points in seeding_clouds()]
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("points", CLOUDS)
+    @pytest.mark.parametrize("k_share", [0.2, 1.0])
+    def test_matches_the_difference_form_index_for_index(self, points, k_share):
+        k = max(1, round(k_share * len(points)))
+        for seed in range(3):
+            rng = RecordingRng(seed)
+            centers = gmm._kmeanspp_centers(points, k, rng)
+            assert rng.drawn == difference_kmeanspp(points, k, seed)
+            assert np.array_equal(centers, points[rng.drawn])
+
+    def test_blob_clouds_take_the_recompute_path(self):
+        for name, points in seeding_clouds():
+            if not name.startswith("blobs"):
+                continue
+            x = points - points.mean(axis=0)
+            norms = np.einsum("ij,ij->i", x, x)
+            d2 = np.sum((points - points[0]) ** 2, axis=1)
+            near = (d2 > 0) & (d2 < CANCELLATION_SHARE * (norms + norms[0]))
+            assert near.any(), name
+
+    @pytest.mark.parametrize("points", CLOUDS)
+    def test_duplicates_of_a_chosen_centre_get_exactly_zero(self, points):
+        distinct = len(np.unique(points, axis=0))
+        rng = RecordingRng(7)
+        gmm._kmeanspp_centers(points, len(points), rng)
+        # one weighted draw per new centre until every distinct row is chosen
+        assert len(rng.weights) == distinct - 1
+        for i, p in enumerate(rng.weights):
+            for c in rng.drawn[: i + 1]:
+                assert np.all(p[np.all(points == points[c], axis=1)] == 0.0)
+            assert np.all(p[~np.isin(np.arange(len(points)), rng.drawn[: i + 1])] >= 0.0)
+        # once every distinct row is chosen the draws are uniform
+        assert len(rng.drawn) == len(points)
+
+
+class TestFitBuffers:
+    """Each fit's reused buffers stay inside it."""
+
+    @pytest.mark.parametrize("covariance", ["diagonal", "spherical"])
+    def test_fits_in_a_row_are_bit_equal(self, covariance):
+        points = separated_points(blobs=4, per_blob=30, dim=20)
+        other = np.random.default_rng(9).normal(size=(50, 7))
+        cfg = GmmConfig(k=5, covariance=covariance, seed=2, max_iter=30)
+        first = gmm_fit(points, cfg)
+        fits = [gmm_fit(points, cfg)]
+        gmm_fit(other, GmmConfig(k=3, covariance=covariance, seed=4))
+        fits.append(gmm_fit(points, cfg))
+        for model in fits:
+            assert model.log_likelihood_trace == first.log_likelihood_trace
+            for name in ("means", "variances", "mixing_weights", "assignments"):
+                assert np.array_equal(getattr(model, name), getattr(first, name)), name
+
+    def test_centre_into_buffers_matches_a_fresh_centre(self):
+        rng = np.random.default_rng(1)
+        points, means = rng.normal(size=(30, 6)), rng.normal(size=(4, 6))
+        out = (np.full_like(points, np.nan), np.full_like(points, np.nan))
+        centred = gmm._centre(points, means, out)
+        assert centred[0] is out[0] and centred[1] is out[1]
+        for a, b in zip(centred, gmm._centre(points, means), strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestConfigValidation:

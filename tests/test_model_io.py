@@ -210,3 +210,65 @@ class TestCorruption:
         path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(body)) + body)
         with pytest.raises(ModelFormatError, match="JSON"):
             read_manifest(path)
+
+
+def rewritten(path, edit):
+    """Rewrite a saved model's manifest with ``edit`` applied; the payload,
+    and so its CRC, stay as they are."""
+    data = path.read_bytes()
+    start = len(MODEL_MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[len(MODEL_MAGIC) : start])
+    manifest = json.loads(data[start : start + length])
+    edit(manifest)
+    body = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(body)) + body + data[start + length :])
+
+
+def swap_words(m):
+    m["words"]["aa"][:2] = m["words"]["aa"][1::-1]
+
+
+class TestChainCheck:
+    """The chain is derived from the stages' members on load; the copy
+    the manifest keeps for its readers must agree with it."""
+
+    def test_chain_follows_the_members_in_row_order(self, tmp_path, pair_model):
+        path = tmp_path / "m.psda"
+        save_model(path, pair_model.model)
+        loaded = load_model(path)
+        for lang, chain in pair_model.model.chain.items():
+            assert list(loaded.chain[lang].items()) == list(chain.items())
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda m: m["chain"]["aa"]["apple"].__setitem__(0, 1), "chain of 'aa'"),
+            (lambda m: m["chain"]["aa"].pop("apple"), "chain of 'aa'"),
+            (lambda m: m["chain"]["aa"].__setitem__("kiwi", [0, 0, 0]), "chain of 'aa'"),
+            (lambda m: m["chain"].__setitem__("bb", {}), "chain do not name"),
+            (lambda m: m["words"]["aa"].append("apple"), "words of 'aa'"),
+            (lambda m: m["words"]["aa"].remove("apple"), "words of 'aa'"),
+            (lambda m: m["words"]["aa"].__setitem__(0, "kiwi"), "words of 'aa'"),
+            (lambda m: m["words"].pop("aa"), "words or chain"),
+        ],
+        ids=[
+            "chain-entry-edited", "chain-entry-dropped", "chain-entry-added",
+            "chain-language-added", "word-repeated", "word-dropped", "word-renamed",
+            "words-language-dropped",
+        ],
+    )
+    def test_disagreeing_manifest_rejected(self, tmp_path, edit, match):
+        model, _ = tiny_model()
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        rewritten(path, edit)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+    def test_reordered_words_move_the_rows_not_the_chain(self, tmp_path):
+        model, _ = tiny_model()
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        rewritten(path, swap_words)
+        assert list(load_model(path).chain["aa"]) == ["apple", "zebra", "mango"]
+

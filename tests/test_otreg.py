@@ -630,6 +630,14 @@ class TestClosedFormSpectrum:
         with pytest.raises(AssertionError):
             spectral_term(orig, aug, 5, 0.01)
 
+    @pytest.mark.parametrize("tail", [3, 6, 300])
+    def test_without_gradient_same_loss(self, tail):
+        rng = np.random.default_rng(tail)
+        orig, aug = rng.normal(size=(9, 6)), rng.normal(size=(9, 6))
+        loss, grad = spectral_term(orig, aug, tail, 0.01)
+        assert grad is not None
+        assert spectral_term(orig, aug, tail, 0.01, keep_grads=False) == (loss, None)
+
 
 class TestDistanceShrinkage:
     def test_identical_clouds_exactly_zero(self):
