@@ -51,8 +51,11 @@ def main():
     stores, model = toy_model()
     index = build_candidate_index(model, stores)
 
-    pool_sizes = {q: len(v) for q, v in sorted(index.by_multi_cluster.items())}
-    print("candidate pools per top-level cluster:", pool_sizes)
+    # per top-level cluster, one run of store rows per language
+    pool_sizes = {
+        q: {lang: len(rows) for lang, _, _, rows in runs} for q, runs in sorted(index.items())
+    }
+    print("candidate pools per top-level cluster and language:", pool_sizes)
 
     rec = SentenceRecord(
         lang="en",

@@ -183,7 +183,6 @@ def cmd_augment(args) -> int:
     skip_counts = {}
     parse_warnings = []
     parsed = 0
-    written = 0
     changed = 0
 
     streams = open_writer(args.out, args.orig_out, args.matrix_out, cfg.echo())
@@ -212,7 +211,6 @@ def cmd_augment(args) -> int:
             )
             for copy in range(cfg.copies):
                 aug = augment_sentence(rec, mat, model, index, sentence_seed(cfg.seed, rec, copy))
-                written += 1
                 changed += int(aug.changed)
                 for rep in aug.replacements:
                     role_counts[rep.role] += 1
@@ -241,7 +239,7 @@ def cmd_augment(args) -> int:
             "parse_failures": len(parse_warnings),
             "parse_warnings": parse_warnings,
             "copies": cfg.copies,
-            "written": written,
+            "written": parsed * cfg.copies,
             "changed": changed,
             "replacements": role_counts,
             "skips": dict(sorted(skip_counts.items())),

@@ -69,7 +69,9 @@ class StageClusters:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.gmm.means[np.unique(self.gmm.assignments)]
+        # the non-empty components in order; np.unique would import numpy.ma
+        used = np.bincount(self.gmm.assignments, minlength=self.gmm.k)
+        return self.gmm.means[np.flatnonzero(used)]
 
     @property
     def expert_weights(self) -> np.ndarray:

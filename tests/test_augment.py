@@ -5,6 +5,7 @@ from helpers import store_from, synonym_stores
 from psda.augment import (
     SKIP_EMPTY_POOL,
     SKIP_MISSING_CHAIN,
+    _draw,
     augment_sentence,
     build_candidate_index,
     sentence_seed,
@@ -29,22 +30,51 @@ def svo_rec(subj="aa_g0_w0", verb="aa_g1_w0", obj="aa_g2_w1", lang="aa", extra=(
     )
 
 
+class _FixedDraw:
+    """Stands in for the RNG: every draw returns entry ``i``."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def integers(self, n):
+        assert 0 <= self.i < n
+        return self.i
+
+
+def flat_pool(index, q, exclude_lang=None):
+    """Every entry of a cluster's runs, in order, as (lang, word, vector)."""
+    return [
+        (lang, words[row], matrix[row])
+        for lang, words, matrix, rows in index.get(q, [])
+        if lang != exclude_lang
+        for row in rows
+    ]
+
+
+def drawn_pool(index, q, exclude_lang):
+    """Every entry ``_draw`` can return, by the draw that returns it."""
+    n = len(flat_pool(index, q, exclude_lang))
+    return [_draw(index[q], exclude_lang, _FixedDraw(i)) for i in range(n)]
+
+
 class TestCandidateIndex:
     def test_every_word_indexed_once_with_raw_vector(self, pair_model, index):
         seen = {}
-        for q, pool in index.by_multi_cluster.items():
-            for c in pool:
-                assert (c.lang, c.word) not in seen
-                seen[(c.lang, c.word)] = q
-                assert c.embedding.shape == (6,)
-                assert np.array_equal(c.embedding, pair_model.stores[c.lang][c.word])
-                assert pair_model.model.chain_of(c.lang, c.word)[2] == q
+        for q in index:
+            for lang, word, vector in flat_pool(index, q):
+                assert (lang, word) not in seen
+                seen[(lang, word)] = q
+                assert vector.shape == (6,)
+                assert np.array_equal(vector, pair_model.stores[lang][word])
+                assert pair_model.model.chain_of(lang, word)[2] == q
         assert len(seen) == sum(len(s) for s in pair_model.stores.values())
 
     def test_pools_ordered_by_language(self, index):
-        for pool in index.by_multi_cluster.values():
-            langs = [c.lang for c in pool]
-            assert langs == sorted(langs)
+        for runs in index.values():
+            langs = [lang for lang, *_ in runs]
+            assert langs == sorted(set(langs))
+            for _, _, _, rows in runs:
+                assert rows == sorted(rows)
 
     def test_pools_follow_the_old_candidate_lists(self, pair_model, index):
         """Entry for entry, each pool is the list of every store word in
@@ -54,31 +84,36 @@ class TestCandidateIndex:
         for lang in sorted(stores):
             for word in stores[lang].words:
                 expected.setdefault(model.chain_of(lang, word)[2], []).append((lang, word))
-        assert sorted(index.by_multi_cluster) == sorted(expected)
-        for q, pool in index.by_multi_cluster.items():
-            assert [(c.lang, c.word) for c in pool] == expected[q]
+        assert sorted(index) == sorted(expected)
+        for q in index:
+            assert [(lang, word) for lang, word, _ in flat_pool(index, q)] == expected[q]
 
     def test_eligible_excludes_own_language(self, index):
-        for q in index.by_multi_cluster:
-            assert all(c.lang == "bb" for c in index.eligible(q, "aa"))
-            assert all(c.lang == "aa" for c in index.eligible(q, "bb"))
+        for q in index:
+            assert all(lang == "bb" for lang, _, _ in drawn_pool(index, q, "aa"))
+            assert all(lang == "aa" for lang, _, _ in drawn_pool(index, q, "bb"))
 
     def test_eligible_pool_is_filtered_once_in_pool_order(self, index):
-        for q, pool in index.by_multi_cluster.items():
+        for q in index:
             for lang in ("aa", "bb"):
-                first = index.eligible(q, lang)
-                expected = [(c.lang, c.word) for c in pool if c.lang != lang]
-                assert [(c.lang, c.word) for c in first] == expected
-                assert index.eligible(q, lang) is first
+                drawn = [(c_lang, word) for c_lang, word, _ in drawn_pool(index, q, lang)]
+                expected = [(c_lang, word) for c_lang, word, _ in flat_pool(index, q, lang)]
+                assert drawn == expected
 
-    def test_eligible_unknown_cluster_is_empty(self, index):
-        assert len(index.eligible(9999, "aa")) == 0
-
-    def test_pool_entry_out_of_range(self, index):
-        pool = next(iter(index.by_multi_cluster.values()))
-        for i in (-1, len(pool)):
-            with pytest.raises(IndexError):
-                pool[i]
+    def test_eligible_unknown_cluster_is_empty(self, pair_model, index):
+        rec = svo_rec()
+        mat = assemble_sentence(rec, pair_model.stores["aa"])
+        q = pair_model.model.chain_of("aa", rec.tokens[0])[2]
+        without_q = {p: runs for p, runs in index.items() if p != q}
+        aug = augment_sentence(rec, mat, pair_model.model, without_q, seed=3)
+        assert [(s.role, s.reason) for s in aug.skipped] == [("subject", SKIP_EMPTY_POOL)]
+        assert np.array_equal(aug.augmented[0], mat[0])
+        # the skip made no draw: verb and object match an index without the gap
+        full = augment_sentence(
+            SentenceRecord(lang="aa", tokens=rec.tokens, verb=1, object=2),
+            mat, pair_model.model, index, seed=3,
+        )
+        assert aug.replacements == full.replacements
 
     def test_unclustered_store_word_rejected(self, pair_model):
         padded = store_from(
@@ -199,6 +234,57 @@ class TestAugmentSentence:
         rec = svo_rec()
         with pytest.raises(DimensionMismatchError):
             augment_sentence(rec, np.zeros((4, 7)), pair_model.model, index, seed=0)
+
+
+@pytest.fixture(scope="module")
+def trio_model():
+    """Three languages, so a draw that excludes one walks two runs."""
+    stores, _ = synonym_stores(("aa", "bb", "cc"), groups=3, words_per_group=3, dim=6, seed=5)
+    tax = LanguageTaxonomy((FamilyEntry("ab", ("aa", "bb")), FamilyEntry("c", ("cc",))))
+    model = build_cluster_model(
+        stores,
+        PosTagging.seeded({}, projection_dim=4, seed=0),
+        tax,
+        KPolicy(3, 3, 3),
+        GmmConfig(k=1, seed=7),
+    )
+    return stores, model
+
+
+class TestDrawAcrossRuns:
+    def test_replacements_match_a_draw_over_the_flat_list(self, trio_model):
+        """Each role's candidate is ``rng.integers(len(flat))`` into the
+        flat list of other-language store words in its cluster, in
+        sorted-language, vocabulary order."""
+        stores, model = trio_model
+        index = build_candidate_index(model, stores)
+        assert all(len(runs) == 3 for runs in index.values())
+        for lang in sorted(stores):
+            words = stores[lang].words
+            rec = SentenceRecord(
+                lang=lang, tokens=(words[0], words[4], words[8]), subject=0, verb=1, object=2
+            )
+            mat = assemble_sentence(rec, stores[lang])
+            for seed in range(60):
+                aug = augment_sentence(rec, mat, model, index, seed)
+                rng = np.random.default_rng(seed)
+                expected = []
+                for _, pos in rec.roles():
+                    q = model.chain_of(lang, rec.tokens[pos])[2]
+                    flat = [
+                        (other, word)
+                        for other in sorted(stores)
+                        if other != lang
+                        for word in stores[other].words
+                        if model.chain_of(other, word)[2] == q
+                    ]
+                    expected.append(flat[rng.integers(len(flat))])
+                got = [(r.candidate_lang, r.candidate_word) for r in aug.replacements]
+                assert got == expected
+                for r in aug.replacements:
+                    assert np.array_equal(
+                        aug.augmented[r.position], stores[r.candidate_lang][r.candidate_word]
+                    )
 
 
 class TestSentenceSeed:

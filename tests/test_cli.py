@@ -1441,6 +1441,25 @@ class TestSubprocessEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cluster_and_report_load_no_numpy_ma(self, cli_workspace, tmp_path):
+        # psda uses nothing of numpy.ma, which costs milliseconds per process
+        model = str(tmp_path / "m.psda")
+        report = ["report", "--model", model,
+                  "--out-csv", str(tmp_path / "r.csv"), "--out-svg", str(tmp_path / "r.svg")]
+        code = (
+            "import sys\n"
+            "from psda.cli import main\n"
+            f"codes = [main({['cluster', '--config', cli_workspace.config, '--out', model]!r}),"
+            f" main({report!r})]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "psda.cli", "gradcheck", "--instances", "1"],
