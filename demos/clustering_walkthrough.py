@@ -83,7 +83,7 @@ def main():
     by_cluster = {}
     for lang in languages:
         for word in stores[lang].words:
-            _, _, q = model.chain_of(lang, word)
+            _, _, q = model.chain[lang][word]
             by_cluster.setdefault(q, []).append(group_of[(lang, word)])
 
     total = 0

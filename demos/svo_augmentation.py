@@ -81,7 +81,7 @@ def main():
     assert all(r.candidate_lang != rec.lang for r in result.replacements)
     # and stay inside the source word's own top-level cluster
     for r in result.replacements:
-        assert model.chain_of(r.candidate_lang, r.candidate_word)[2] == r.multi_cluster
+        assert model.chain[r.candidate_lang][r.candidate_word][2] == r.multi_cluster
 
     rerun = augment_sentence(rec, mat, model, index, seed=sentence_seed(0, rec, 0))
     print("\nsame seed reruns bit-identical:",

@@ -136,12 +136,13 @@ def augment_sentence(
     augmented = mat.copy()
     replacements = []
     skipped = []
+    chain = model.chain.get(rec.lang, {})
     for role, pos in rec.roles():
         word = rec.tokens[pos]
-        if not model.has_word(rec.lang, word):
+        if word not in chain:
             skipped.append(SkippedRole(pos, role, word, SKIP_MISSING_CHAIN))
             continue
-        _, _, q = model.chain_of(rec.lang, word)
+        q = chain[word][2]
         chosen = _draw(index.get(q, ()), rec.lang, rng)
         if chosen is None:
             skipped.append(SkippedRole(pos, role, word, SKIP_EMPTY_POOL))

@@ -183,6 +183,7 @@ def cmd_augment(args) -> int:
     skip_counts = {}
     parse_warnings = []
     parsed = 0
+    all_oov = 0
     changed = 0
 
     streams = open_writer(args.out, args.orig_out, args.matrix_out, cfg.echo())
@@ -201,6 +202,7 @@ def cmd_augment(args) -> int:
                     f"{cfg.corpus_path}: sentence {' '.join(rec.tokens)!r} has no "
                     f"token in the {rec.lang} vocabulary; skipped"
                 )
+                all_oov += 1
                 continue
             source_id = f"s{parsed:06d}"
             parsed += 1
@@ -228,9 +230,10 @@ def cmd_augment(args) -> int:
                 }
                 write_augmented(record, aug.augmented)
 
-    if parse_warnings and parsed == 0:
+    if parsed == 0:
         raise ParseError(
-            f"all {len(parse_warnings)} sentence blocks failed to parse",
+            f"no sentence written: {len(parse_warnings) - all_oov} sentence blocks failed "
+            f"to parse and {all_oov} sentences had no in-vocabulary token",
             path=str(cfg.corpus_path),
         )
     _emit(

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .domino import KPolicy
-from .errors import ConfigError, PsdaError
+from .errors import ConfigError, PsdaError, utf8_errors
 from .gmm import GmmConfig
 from .otreg import OtParams
 
@@ -103,7 +103,8 @@ def read_config_file(path) -> dict[str, str]:
     """Parse a config file into a raw key -> value map."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with utf8_errors(path):
+            text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OovWordError, ParseError
+from .errors import DimensionMismatchError, OovWordError, ParseError, utf8_errors
 from .embeddings import VocabStore
 
 CONLLU_COLUMNS = 10
@@ -113,7 +113,7 @@ def _parse_block(lines: list[tuple[int, str]], path, default_lang: str) -> Sente
 
 def _iter_blocks(path) -> Iterator[list[tuple[int, str]]]:
     block: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_errors(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():

@@ -7,6 +7,8 @@ the next stage: per language family first, then one global pool.  Every
 word is finally resolved to a (single, family, multi) cluster chain by
 reading the memberships the fits recorded: the stage above assigned each
 cluster to one of its own, and the chain follows those assignments.
+``read_chain`` is the one reader of chains from members, at build and at
+load alike.
 
 A stage keeps two facts: its fitted mixture and the members of each
 non-empty component.  Centers are the rows of the mixture's means that
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .embeddings import PosTagging, VocabStore, final_embeddings
-from .errors import DimensionMismatchError, UnknownLanguageError
+from .errors import DimensionMismatchError
 from .gmm import GmmConfig, GmmModel, gmm_fit
 from .taxonomy import LanguageTaxonomy
 from .util import derive_seed
@@ -89,16 +91,16 @@ class StageClusters:
         return {m: t for t, members in enumerate(self.members) for m in members}
 
 
-def _stage_from_fit(scope_id, member_ids, model: GmmModel, warnings) -> StageClusters:
+def _fit_stage(kind, scope_id, ids, points, k_policy: KPolicy, cfg: GmmConfig) -> StageClusters:
+    """Fit one scope's mixture to ``points`` (row i standing for ``ids[i]``)
+    and group the ids by non-empty component, in component order."""
+    k, warning = k_policy.resolve(kind, len(ids))
+    model = gmm_fit(points, replace(cfg, k=k, seed=derive_seed(cfg.seed, kind, scope_id)))
     by_component: dict[int, list] = {}
-    for mid, comp in zip(member_ids, model.assignments, strict=True):
+    for mid, comp in zip(ids, model.assignments, strict=True):
         by_component.setdefault(int(comp), []).append(mid)
     members = [by_component[comp] for comp in sorted(by_component)]
-    return StageClusters(scope_id, members, model, list(warnings))
-
-
-def _scope_cfg(cfg: GmmConfig, k: int, *scope) -> GmmConfig:
-    return replace(cfg, k=k, seed=derive_seed(cfg.seed, *scope))
+    return StageClusters(scope_id, members, model, [warning] if warning else [])
 
 
 def cluster_single_language(
@@ -112,9 +114,7 @@ def cluster_single_language(
     embedding of ``words[i]``."""
     if not words:
         raise ValueError(f"language {lang!r} has no words to cluster")
-    k, warning = k_policy.resolve("single", len(words))
-    model = gmm_fit(matrix, _scope_cfg(cfg, k, "single", lang))
-    return _stage_from_fit(lang, words, model, [warning] if warning else [])
+    return _fit_stage("single", lang, words, matrix, k_policy, cfg)
 
 
 def _cluster_centers_stage(
@@ -124,22 +124,14 @@ def _cluster_centers_stage(
     k_policy: KPolicy,
     cfg: GmmConfig,
 ) -> StageClusters:
-    ids = []
-    rows = []
-    for child in children:
-        weighted = child.weighted_centers()
-        for t in range(len(child.members)):
-            ids.append((child.scope_id, t))
-            rows.append(weighted[t])
+    ids = [(child.scope_id, t) for child in children for t in range(len(child.members))]
+    rows = [row for child in children for row in child.weighted_centers()]
     if not ids:
         raise ValueError(f"{scope_kind} scope {scope_id!r} has no input clusters")
     dims = {r.shape[0] for r in rows}
     if len(dims) != 1:
         raise DimensionMismatchError(f"{scope_kind} scope {scope_id!r} mixes dims {sorted(dims)}")
-    points = np.stack(rows)
-    k, warning = k_policy.resolve(scope_kind, len(ids))
-    model = gmm_fit(points, _scope_cfg(cfg, k, scope_kind, scope_id))
-    return _stage_from_fit(scope_id, ids, model, [warning] if warning else [])
+    return _fit_stage(scope_kind, scope_id, ids, np.stack(rows), k_policy, cfg)
 
 
 def cluster_family(
@@ -180,18 +172,43 @@ class ClusterModel:
     k_policy: KPolicy
     word_embeddings: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def chain_of(self, lang: str, word: str) -> tuple[int, int, int]:
-        return self.chain[lang][word]
-
-    def has_word(self, lang: str, word: str) -> bool:
-        return lang in self.chain and word in self.chain[lang]
-
     @property
     def warnings(self) -> list[str]:
         out = []
         for stage in list(self.single.values()) + list(self.family.values()) + [self.multi]:
             out.extend(f"{stage.scope_id}: {w}" for w in stage.warnings)
         return out
+
+
+def read_chain(
+    single: dict[str, StageClusters],
+    family: dict[str, StageClusters],
+    multi: StageClusters,
+    words: dict[str, list[str]],
+) -> dict[str, dict[str, tuple[int, int, int]]]:
+    """Each word's (single, family, multi) cluster ids, read from the
+    stages' members, with ``words[lang]`` giving each language's order.
+
+    A word's single cluster t holds it, its family cluster g holds
+    (lang, t), and its multi cluster holds (family, g).  Raises
+    ``ValueError`` when ``words[lang]`` is not exactly the members of
+    ``single[lang]``.
+    """
+    multi_of = multi.cluster_of()
+    above = {
+        (lang, t): (g, multi_of[(fam, g)])
+        for fam, stage in family.items()
+        for (lang, t), g in stage.cluster_of().items()
+    }
+    chain = {}
+    for lang, stage in single.items():
+        single_of = stage.cluster_of()
+        counts = (len(words[lang]), len(single_of), sum(len(m) for m in stage.members))
+        if len(set(counts)) != 1 or single_of.keys() != set(words[lang]):
+            raise ValueError(f"words of {lang!r} differ from its stage's members")
+        triples = [(t, *above[(lang, t)]) for t in range(len(stage.members))]
+        chain[lang] = {w: triples[single_of[w]] for w in words[lang]}
+    return chain
 
 
 def build_cluster_model(
@@ -201,17 +218,15 @@ def build_cluster_model(
     k_policy: KPolicy,
     cfg: GmmConfig,
 ) -> ClusterModel:
-    """Run the three stages in order and resolve every word's chain.
-
-    The chain is read from the stages' members: a word's single cluster
-    t holds it, its family cluster g holds (lang, t), and its multi
-    cluster holds (family, g).
-    """
+    """Run the three stages in order and read every word's chain from
+    their members (``read_chain``)."""
     if not stores:
         raise ValueError("no vocabulary stores given")
     langs = sorted(stores)
+    by_family: dict[str, list[str]] = {}
     for lang in langs:
-        tax.family_of(lang)  # raises UnknownLanguageError
+        # raises UnknownLanguageError before any fit
+        by_family.setdefault(tax.family_of(lang), []).append(lang)
 
     single: dict[str, StageClusters] = {}
     words_by_lang: dict[str, list[str]] = {}
@@ -229,10 +244,6 @@ def build_cluster_model(
         embeddings_by_lang[lang] = matrix
         single[lang] = cluster_single_language(lang, words, matrix, k_policy, cfg)
 
-    by_family: dict[str, list[str]] = {}
-    for lang in langs:
-        by_family.setdefault(tax.family_of(lang), []).append(lang)
-
     family: dict[str, StageClusters] = {}
     for fam in sorted(by_family):
         family[fam] = cluster_family(
@@ -241,24 +252,11 @@ def build_cluster_model(
 
     multi = cluster_multi([family[fam] for fam in sorted(family)], k_policy, cfg)
 
-    family_index = {fam: family[fam].cluster_of() for fam in family}
-    multi_index = multi.cluster_of()
-    chain: dict[str, dict[str, tuple[int, int, int]]] = {}
-    for lang in langs:
-        fam = tax.family_of(lang)
-        single_index = single[lang].cluster_of()
-        lang_chain: dict[str, tuple[int, int, int]] = {}
-        for word in words_by_lang[lang]:
-            t = single_index[word]
-            g = family_index[fam][(lang, t)]
-            lang_chain[word] = (t, g, multi_index[(fam, g)])
-        chain[lang] = lang_chain
-
     return ClusterModel(
         single=single,
         family=family,
         multi=multi,
-        chain=chain,
+        chain=read_chain(single, family, multi, words_by_lang),
         embed_dim=int(embed_dim),
         seed=cfg.seed,
         k_policy=k_policy,

@@ -16,6 +16,7 @@ from .errors import (
     DuplicateWordError,
     NonFiniteInputError,
     ParseError,
+    utf8_errors,
 )
 from .util import require_finite
 
@@ -115,11 +116,8 @@ def load_vectors(path, lang: str) -> VocabStore:
     again line by line, which loads it or raises the error that names the
     offending line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return _load_vectors_per_line(path, lang)
+    with open(path, encoding="utf-8") as fh, utf8_errors(path):
+        text = fh.read()
     castable = not any(c in text for c in _CAST_REJECTS)
     lines = text.split("\n")
     del text  # hold one copy of the file's text at a time
@@ -149,7 +147,7 @@ def _load_vectors_per_line(path, lang: str) -> VocabStore:
     """``load_vectors`` one line at a time: the reference for the bulk
     parse, and the reader of files it does not take."""
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_errors(path):
         count, dim = _parse_header(fh.readline(), path)
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():

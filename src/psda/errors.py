@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import contextlib
+
 
 class PsdaError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,6 +17,24 @@ class ParseError(PsdaError):
         if path is not None:
             where = f"{path}:" if line is None else f"{path}:{line}:"
         super().__init__(f"{where} {message}".strip())
+
+
+@contextlib.contextmanager
+def utf8_errors(path):
+    """Turn a ``UnicodeDecodeError`` raised in the body into a ParseError
+    naming ``path`` and the line of its first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            message = f"not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}"
+            raise ParseError(message, path, line) from None
+        raise
 
 
 class DuplicateLanguageError(ParseError):

@@ -12,11 +12,13 @@ bytes.
 Each fitted fact is stored once.  Per stage the payload holds the mixture's
 means, variances and mixing weights, plus each language's word
 embeddings; the manifest holds the members of each non-empty component,
-the hard assignments and the EM trace.  Centers, expert weights and each
-word's (single, family, multi) chain are derived from those on load.  The
-manifest also carries the chain and the expert weights for readers of the
-manifest alone; a stored chain that differs from the derived one fails,
-since the payload CRC does not cover the manifest.  A version-1 file,
+the hard assignments and the EM trace; a ``(scope, index)`` member is
+written as a two-item list.  Centers, expert weights and each word's
+(single, family, multi) chain are derived from those on load, the chain
+by ``domino.read_chain`` in the row order of the manifest's ``words``.
+The manifest also carries the chain and the expert weights for readers of
+the manifest alone; a stored chain that differs from the derived one
+fails, since the payload CRC does not cover the manifest.  A version-1 file,
 which stored the centers a second time, fails with an error naming its
 version; re-run ``psda cluster`` to rewrite it.
 """
@@ -25,12 +27,12 @@ import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, BinaryIO
+from typing import BinaryIO
 
 import numpy as np
 
 from .binio import _read_exact
-from .domino import ClusterModel, KPolicy, StageClusters
+from .domino import ClusterModel, KPolicy, StageClusters, read_chain
 from .errors import ModelFormatError
 from .gmm import GmmModel
 
@@ -56,25 +58,11 @@ class _ArrayRegistry:
         return len(self.arrays) - 1
 
 
-def _member_to_json(member) -> Any:
-    if isinstance(member, str):
-        return member
-    scope, idx = member
-    return [scope, int(idx)]
-
-
-def _member_from_json(value) -> Any:
-    if isinstance(value, str):
-        return value
-    scope, idx = value
-    return (scope, int(idx))
-
-
 def _stage_to_json(stage: StageClusters, reg: _ArrayRegistry) -> dict:
     gmm = stage.gmm
     return {
         "scope_id": stage.scope_id,
-        "members": [[_member_to_json(m) for m in members] for members in stage.members],
+        "members": stage.members,
         # derived, written for readers of the manifest alone; not read back
         "expert_weights": stage.expert_weights.tolist(),
         "warnings": list(stage.warnings),
@@ -99,7 +87,8 @@ def _stage_from_json(obj: dict, arrays: list[np.ndarray]) -> StageClusters:
         log_likelihood_trace=[float(v) for v in g["log_likelihood_trace"]],
         covariance=g["covariance"],
     )
-    members = [[_member_from_json(m) for m in ms] for ms in obj["members"]]
+    # json writes a (scope, index) member as a list
+    members = [[tuple(m) if isinstance(m, list) else m for m in ms] for ms in obj["members"]]
     return StageClusters(obj["scope_id"], members, gmm, list(obj["warnings"]))
 
 
@@ -184,11 +173,25 @@ def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
     single = {lang: _stage_from_json(obj, arrays) for lang, obj in stages["single"].items()}
     family = {fam: _stage_from_json(obj, arrays) for fam, obj in stages["family"].items()}
     multi = _stage_from_json(stages["multi"], arrays)
+    words, stored = manifest["words"], manifest["chain"]
+    if words.keys() != single.keys() or stored.keys() != single.keys():
+        raise ModelFormatError("manifest words or chain do not name the single-language stages")
+    try:
+        chain = read_chain(single, family, multi, words)
+    except ValueError as exc:
+        raise ModelFormatError(f"manifest {exc}") from exc
+    for lang, lang_chain in chain.items():
+        # the stored copy is for readers of the manifest alone, and the
+        # payload CRC does not cover it
+        if stored[lang] != {w: list(triple) for w, triple in lang_chain.items()}:
+            raise ModelFormatError(
+                f"manifest chain of {lang!r} differs from the chain its stages' members give"
+            )
     return ClusterModel(
         single=single,
         family=family,
         multi=multi,
-        chain=_derived_chain(manifest, single, family, multi),
+        chain=chain,
         embed_dim=int(manifest["embed_dim"]),
         seed=int(manifest["seed"]),
         k_policy=KPolicy(**manifest["k_policy"]),
@@ -196,38 +199,6 @@ def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
             lang: arrays[idx] for lang, idx in manifest["word_embeddings"].items()
         },
     )
-
-
-def _derived_chain(manifest: dict, single: dict, family: dict, multi: StageClusters) -> dict:
-    """Each word's (single, family, multi) cluster ids, read from the
-    stages' members in the row order of ``words``.
-
-    The manifest's ``chain`` is written for readers of the manifest alone;
-    a chain or a word list that disagrees with the members is rejected,
-    since the payload CRC does not cover the manifest.
-    """
-    multi_of = multi.cluster_of()
-    above = {}
-    for fam, stage in family.items():
-        for (lang, t), g in stage.cluster_of().items():
-            above[(lang, t)] = (g, multi_of[(fam, g)])
-    words = manifest["words"]
-    if words.keys() != single.keys() or manifest["chain"].keys() != single.keys():
-        raise ModelFormatError("manifest words or chain do not name the single-language stages")
-    chain = {}
-    for lang, stage in single.items():
-        single_of = stage.cluster_of()
-        counts = (len(words[lang]), len(single_of), sum(len(m) for m in stage.members))
-        if len(set(counts)) != 1 or single_of.keys() != set(words[lang]):
-            raise ModelFormatError(f"manifest words of {lang!r} differ from its stage's members")
-        triples = [(t, *above[(lang, t)]) for t in range(len(stage.members))]
-        as_json = [list(triple) for triple in triples]
-        if manifest["chain"][lang] != {w: as_json[t] for w, t in single_of.items()}:
-            raise ModelFormatError(
-                f"manifest chain of {lang!r} differs from the chain its stages' members give"
-            )
-        chain[lang] = {w: triples[single_of[w]] for w in words[lang]}
-    return chain
 
 
 def load_model(path) -> ClusterModel:

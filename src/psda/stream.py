@@ -31,7 +31,7 @@ import re
 import numpy as np
 
 from . import binio
-from .errors import ParseError
+from .errors import ParseError, utf8_errors
 
 _DECODER = json.JSONDecoder()
 _WS = re.compile(r"[ \t\n\r]*")
@@ -230,7 +230,7 @@ def read_stream(path, rows: dict):
     meta = None
     records = []
     refs = []  # (record, offset) of each sidecar matrix
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_errors(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

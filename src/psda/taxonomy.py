@@ -13,7 +13,9 @@ safe to share across workers.
 
 from dataclasses import dataclass, field
 
-from .errors import DuplicateLanguageError, EmptyFamilyError, ParseError, UnknownLanguageError
+from .errors import (
+    DuplicateLanguageError, EmptyFamilyError, ParseError, UnknownLanguageError, utf8_errors,
+)
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def load_taxonomy(path) -> LanguageTaxonomy:
     families = []
     seen_langs = {}
     seen_families = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_errors(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -66,7 +66,7 @@ class TestCandidateIndex:
                 seen[(lang, word)] = q
                 assert vector.shape == (6,)
                 assert np.array_equal(vector, pair_model.stores[lang][word])
-                assert pair_model.model.chain_of(lang, word)[2] == q
+                assert pair_model.model.chain[lang][word][2] == q
         assert len(seen) == sum(len(s) for s in pair_model.stores.values())
 
     def test_pools_ordered_by_language(self, index):
@@ -83,7 +83,7 @@ class TestCandidateIndex:
         expected = {}
         for lang in sorted(stores):
             for word in stores[lang].words:
-                expected.setdefault(model.chain_of(lang, word)[2], []).append((lang, word))
+                expected.setdefault(model.chain[lang][word][2], []).append((lang, word))
         assert sorted(index) == sorted(expected)
         for q in index:
             assert [(lang, word) for lang, word, _ in flat_pool(index, q)] == expected[q]
@@ -103,7 +103,7 @@ class TestCandidateIndex:
     def test_eligible_unknown_cluster_is_empty(self, pair_model, index):
         rec = svo_rec()
         mat = assemble_sentence(rec, pair_model.stores["aa"])
-        q = pair_model.model.chain_of("aa", rec.tokens[0])[2]
+        q = pair_model.model.chain["aa"][rec.tokens[0]][2]
         without_q = {p: runs for p, runs in index.items() if p != q}
         aug = augment_sentence(rec, mat, pair_model.model, without_q, seed=3)
         assert [(s.role, s.reason) for s in aug.skipped] == [("subject", SKIP_EMPTY_POOL)]
@@ -154,8 +154,8 @@ class TestAugmentSentence:
         model = pair_model.model
         for r in aug.replacements:
             assert r.candidate_lang != rec.lang
-            assert model.chain_of(rec.lang, r.source_word)[2] == r.multi_cluster
-            assert model.chain_of(r.candidate_lang, r.candidate_word)[2] == r.multi_cluster
+            assert model.chain[rec.lang][r.source_word][2] == r.multi_cluster
+            assert model.chain[r.candidate_lang][r.candidate_word][2] == r.multi_cluster
 
     def test_same_seed_same_outcome(self, pair_model, index):
         rec = svo_rec()
@@ -270,13 +270,13 @@ class TestDrawAcrossRuns:
                 rng = np.random.default_rng(seed)
                 expected = []
                 for _, pos in rec.roles():
-                    q = model.chain_of(lang, rec.tokens[pos])[2]
+                    q = model.chain[lang][rec.tokens[pos]][2]
                     flat = [
                         (other, word)
                         for other in sorted(stores)
                         if other != lang
                         for word in stores[other].words
-                        if model.chain_of(other, word)[2] == q
+                        if model.chain[other][word][2] == q
                     ]
                     expected.append(flat[rng.integers(len(flat))])
                 got = [(r.candidate_lang, r.candidate_word) for r in aug.replacements]

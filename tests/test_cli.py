@@ -175,6 +175,10 @@ class TestCluster:
         assert "--set expects key=value" in payload["message"]
 
 
+OOV_AA = conllu_block("aa", [("zork", "NOUN", 2, "nsubj"), ("blarg", "VERB", 0, "root")])
+OOV_BB = conllu_block("bb", [("quux", "NOUN", 0, "root")])
+
+
 class TestAugment:
     def test_meta_lines(self, built):
         meta, _ = read_stream(built.aug)
@@ -319,6 +323,33 @@ class TestAugment:
         code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)
         assert code == 0, err
         assert json.loads(stdout.strip().splitlines()[-1])["aggregate"]["pairs"] == 3
+
+    @pytest.mark.parametrize(
+        "blocks, failed, all_oov",
+        [
+            ([], 0, 0),
+            ([OOV_AA, OOV_BB], 0, 2),
+            ([OOV_AA, "# lang = aa\n1\tfoo\tbar", OOV_BB], 1, 2),
+        ],
+        ids=["empty", "all-oov", "all-oov-and-broken"],
+    )
+    def test_run_that_writes_no_sentence_fails(
+        self, built, cli_workspace, tmp_path, run_cli, blocks, failed, all_oov
+    ):
+        corpus = tmp_path / "corpus.conllu"
+        corpus.write_text("\n\n".join(blocks), encoding="utf-8")
+        code, stdout, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--set", f"corpus={corpus}",
+            "--model", built.model, "--out", tmp_path / "x.jsonl",
+        )
+        assert code == 2
+        assert stdout == ""
+        payload = stderr_error(err)
+        assert payload["error"] == "ParseError"
+        assert (
+            f"no sentence written: {failed} sentence blocks failed to parse and "
+            f"{all_oov} sentences had no in-vocabulary token"
+        ) in payload["message"]
 
 
 @pytest.fixture(scope="module")
@@ -1106,6 +1137,43 @@ def test_output_naming_an_input_is_refused(
     assert output in payload["message"] and source in payload["message"]
     assert inputs[source].read_bytes() == before
     assert not any(path.exists() for path in outputs.values())
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("psda.cfg", "cluster"),
+        ("families.txt", "cluster"),
+        ("corpus.conllu", "augment"),
+        ("vec_aa.txt", "cluster"),
+        ("orig.jsonl", "loss"),
+    ],
+    ids=["config", "taxonomy", "corpus", "embeddings", "stream"],
+)
+def test_input_that_is_not_utf8_names_file_and_line(
+    built, cli_workspace, tmp_path, run_cli, name, command
+):
+    ws = tmp_path / "ws"
+    shutil.copytree(cli_workspace.root, ws)
+    for attr in ("model", "orig", "aug"):
+        shutil.copy(getattr(built, attr), ws)
+    lines = (ws / name).read_bytes().split(b"\n")
+    lines.insert(2, b"\xff")  # a third line that is not UTF-8
+    (ws / name).write_bytes(b"\n".join(lines))
+    argv = {
+        "cluster": ["--config", ws / "psda.cfg", "--out", tmp_path / "m.psda"],
+        "augment": [
+            "--config", ws / "psda.cfg", "--model", ws / "model.psda",
+            "--out", tmp_path / "a.jsonl",
+        ],
+        "loss": ["--orig", ws / "orig.jsonl", "--aug", ws / "aug.jsonl"],
+    }[command]
+    code, stdout, err = run_cli(command, *argv)
+    assert code == 2
+    assert stdout == ""
+    payload = stderr_error(err)
+    assert payload["error"] == "ParseError"
+    assert re.search(re.escape(name) + r":3: not UTF-8: byte 0xff", payload["message"])
 
 
 class TestReport:

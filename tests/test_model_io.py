@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import store_from
+from helpers import store_from, synonym_stores
 from psda.domino import KPolicy, build_cluster_model
 from psda.embeddings import UPOS_TAGS, PosTagging
 from psda.errors import ModelFormatError
@@ -93,7 +93,7 @@ class TestRoundTrip:
         for lang, chains in loaded.chain.items():
             fam = pair_model.tax.family_of(lang)
             for word, (t, g, q) in chains.items():
-                assert loaded.has_word(lang, word)
+                assert word in loaded.chain[lang]
                 assert word in loaded.single[lang].members[t]
                 assert (lang, t) in loaded.family[fam].members[g]
                 assert (fam, g) in loaded.multi.members[q]
@@ -231,6 +231,31 @@ def swap_words(m):
 class TestChainCheck:
     """The chain is derived from the stages' members on load; the copy
     the manifest keeps for its readers must agree with it."""
+
+    def test_two_families_give_the_taxonomy_walk(self, tmp_path):
+        stores, _ = synonym_stores(
+            languages=("aa", "bb", "cc"), groups=3, words_per_group=3, dim=6, seed=5
+        )
+        tax = LanguageTaxonomy((FamilyEntry("fx", ("aa", "cc")), FamilyEntry("fy", ("bb",))))
+        pos = PosTagging.seeded({}, projection_dim=4, seed=0)
+        model = build_cluster_model(stores, pos, tax, KPolicy(3, 2, 2), GmmConfig(k=1, seed=7))
+        assert sorted(model.family) == ["fx", "fy"]
+        # each word's family found through the taxonomy, not the members
+        family_of = {fam: stage.cluster_of() for fam, stage in model.family.items()}
+        multi_of = model.multi.cluster_of()
+        reference = {}
+        for lang in ("aa", "bb", "cc"):
+            fam = tax.family_of(lang)
+            single_of = model.single[lang].cluster_of()
+            reference[lang] = []
+            for word in stores[lang].words:
+                t = single_of[word]
+                g = family_of[fam][(lang, t)]
+                reference[lang].append((word, (t, g, multi_of[(fam, g)])))
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        for chain in (model.chain, load_model(path).chain):
+            assert {lang: list(words.items()) for lang, words in chain.items()} == reference
 
     def test_chain_follows_the_members_in_row_order(self, tmp_path, pair_model):
         path = tmp_path / "m.psda"
