@@ -49,13 +49,13 @@ def build_candidate_index(
 ) -> dict[int, list[tuple[str, list[str], np.ndarray, list[int]]]]:
     """Group every store word by its multi-level cluster id.
 
-    Returns ``{q: runs}``: one run ``(lang, words, matrix, rows)`` per
+    Returns ``{q: runs}``: one run ``(lang, words, store, rows)`` per
     language with words in cluster q, in sorted-language order, where
-    ``words`` and ``matrix`` are that language's store in row order and
-    ``rows`` the cluster's rows in vocabulary order.  A row of the matrix
-    is the word's raw d-dim vector.  A store word without a chain entry
-    means the model was built from a different vocabulary, which is an
-    error rather than a skip.
+    ``words`` is that language's store words in row order and ``rows``
+    the cluster's rows in vocabulary order.  The store gives a word's raw
+    d-dim vector, and no row is read here.  A store word without a chain
+    entry means the model was built from a different vocabulary, which is
+    an error rather than a skip.
     """
     index: dict[int, list] = {}
     for lang in sorted(stores):
@@ -70,23 +70,24 @@ def build_candidate_index(
             ) from None
         for q in np.flatnonzero(np.bincount(clusters)):
             rows = np.flatnonzero(clusters == q).tolist()
-            index.setdefault(int(q), []).append((lang, words, store.matrix(), rows))
+            index.setdefault(int(q), []).append((lang, words, store, rows))
     return index
 
 
 def _draw(runs, exclude_lang: str, rng: np.random.Generator):
     """Draw one entry uniformly from the runs of every language but
     ``exclude_lang``: entry i is the i-th row over those runs, in order.
-    Returns ``(lang, word, raw vector)``, or None without a draw when no
-    row is left."""
+    Returns ``(lang, word, raw vector)``, reading only the drawn row from
+    its store, or None without a draw when no row is left."""
     runs = [run for run in runs if run[0] != exclude_lang]
     total = sum(len(rows) for *_, rows in runs)
     if total == 0:
         return None
     i = int(rng.integers(total))
-    for lang, words, matrix, rows in runs:
+    for lang, words, store, rows in runs:
         if i < len(rows):
-            return lang, words[rows[i]], matrix[rows[i]]
+            word = words[rows[i]]
+            return lang, word, store[word]
         i -= len(rows)
 
 

@@ -105,11 +105,14 @@ def _pipeline_config(args, need=()):
     return cfg
 
 
-def _load_stores(cfg):
+def _load_stores(cfg, digests=None):
+    """Each configured language's store; a file whose SHA-256 is its
+    entry in ``digests`` has its rows parsed on first read."""
     from .embeddings import load_vectors
 
+    digests = digests or {}
     return {
-        lang: load_vectors(path, lang)
+        lang: load_vectors(path, lang, digests.get(lang))
         for lang, path in sorted(cfg.embedding_paths.items())
     }
 
@@ -175,8 +178,9 @@ def cmd_augment(args) -> int:
         args,
         cfg,
     )
-    stores = _load_stores(cfg)
     model = load_model(args.model)
+    # cluster checked every row of a file with the digest it recorded
+    stores = _load_stores(cfg, model.embeddings_sha256)
     index = build_candidate_index(model, stores)
 
     role_counts = {"subject": 0, "verb": 0, "object": 0}
@@ -229,13 +233,14 @@ def cmd_augment(args) -> int:
                     "skipped": [vars(s) for s in aug.skipped],
                 }
                 write_augmented(record, aug.augmented)
+        # raised inside, so the outputs keep their earlier bytes
+        if parsed == 0:
+            raise ParseError(
+                f"no sentence written: {len(parse_warnings) - all_oov} sentence blocks failed "
+                f"to parse and {all_oov} sentences had no in-vocabulary token",
+                path=str(cfg.corpus_path),
+            )
 
-    if parsed == 0:
-        raise ParseError(
-            f"no sentence written: {len(parse_warnings) - all_oov} sentence blocks failed "
-            f"to parse and {all_oov} sentences had no in-vocabulary token",
-            path=str(cfg.corpus_path),
-        )
     _emit(
         {
             "sentences": parsed,
@@ -247,6 +252,13 @@ def cmd_augment(args) -> int:
             "replacements": role_counts,
             "skips": dict(sorted(skip_counts.items())),
             "out": args.out,
+            "vectors": {
+                lang: {
+                    "verified_by_model": store.sha256 == model.embeddings_sha256.get(lang),
+                    "rows_parsed": store.rows_parsed,
+                }
+                for lang, store in sorted(stores.items())
+            },
             "config": cfg.echo(),
         }
     )

@@ -163,13 +163,15 @@ def assemble_sentence(rec: SentenceRecord, store: VocabStore, oov_policy: str = 
     """Stack per-token vectors into the (|tokens|, d) sentence matrix.
 
     ``oov_policy`` is ``zero`` (out-of-vocabulary tokens become zero rows)
-    or ``error``.
+    or ``error``.  The store parses the sentence's rows it still holds as
+    text in one batch.
     """
     if rec.lang != store.lang:
         raise ValueError(f"record language {rec.lang!r} does not match store {store.lang!r}")
     if oov_policy not in ("zero", "error"):
         raise ValueError(f"unknown oov policy {oov_policy!r}")
     rows = np.zeros((len(rec.tokens), store.dim))
+    store.parse(rec.tokens)
     for j, token in enumerate(rec.tokens):
         if token in store:
             vec = store[token]

@@ -160,7 +160,9 @@ class ClusterModel:
     ``chain[lang][word]`` is (single_id, family_id, multi_id).  Word
     embeddings (final, d+p) are retained per language, row-aligned with
     the chain's insertion order, so reports can be produced from the
-    serialized model alone.
+    serialized model alone.  ``embeddings_sha256[lang]`` is the SHA-256
+    hex digest of the embeddings file a language's store was loaded from
+    (absent for a store built in memory).
     """
 
     single: dict[str, StageClusters]
@@ -171,6 +173,7 @@ class ClusterModel:
     seed: int
     k_policy: KPolicy
     word_embeddings: dict[str, np.ndarray] = field(default_factory=dict)
+    embeddings_sha256: dict[str, str] = field(default_factory=dict)
 
     @property
     def warnings(self) -> list[str]:
@@ -261,4 +264,7 @@ def build_cluster_model(
         seed=cfg.seed,
         k_policy=k_policy,
         word_embeddings=embeddings_by_lang,
+        embeddings_sha256={
+            lang: stores[lang].sha256 for lang in langs if stores[lang].sha256 is not None
+        },
     )

@@ -18,12 +18,17 @@ written as a two-item list.  Centers, expert weights and each word's
 by ``domino.read_chain`` in the row order of the manifest's ``words``.
 The manifest also carries the chain and the expert weights for readers of
 the manifest alone; a stored chain that differs from the derived one
-fails, since the payload CRC does not cover the manifest.  A version-1 file,
+fails, since the payload CRC does not cover the manifest.  The manifest's
+``embeddings_sha256`` maps each language to the SHA-256 of the embeddings
+file its vectors came from, so ``augment`` can tell a file ``cluster``
+already checked; a model built from stores in memory has none.  A
+version-1 file,
 which stored the centers a second time, fails with an error naming its
 version; re-run ``psda cluster`` to rewrite it.
 """
 
 import json
+import re
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -39,6 +44,7 @@ from .gmm import GmmModel
 MODEL_MAGIC = b"PSDAMDL\x00"
 _FORMAT_NAME = "psda-model"
 _FORMAT_VERSION = 2
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 @dataclass
@@ -121,6 +127,8 @@ def save_model(path, model: ClusterModel, config: dict | None = None) -> None:
         "words": {lang: list(model.chain[lang]) for lang in sorted(model.chain)},
         "arrays": reg.entries,
     }
+    if model.embeddings_sha256:
+        manifest["embeddings_sha256"] = dict(model.embeddings_sha256)
     if config is not None:
         manifest["config"] = {str(k): str(v) for k, v in sorted(config.items())}
     payload = b"".join(arr.tobytes() for arr in reg.arrays)
@@ -180,6 +188,14 @@ def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
         chain = read_chain(single, family, multi, words)
     except ValueError as exc:
         raise ModelFormatError(f"manifest {exc}") from exc
+    digests = manifest.get("embeddings_sha256", {})
+    if not isinstance(digests, dict) or not all(
+        lang in single and isinstance(d, str) and _SHA256_HEX.fullmatch(d)
+        for lang, d in digests.items()
+    ):
+        raise ModelFormatError(
+            "manifest embeddings_sha256 is not a map from its languages to SHA-256 hex digests"
+        )
     for lang, lang_chain in chain.items():
         # the stored copy is for readers of the manifest alone, and the
         # payload CRC does not cover it
@@ -198,6 +214,7 @@ def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
         word_embeddings={
             lang: arrays[idx] for lang, idx in manifest["word_embeddings"].items()
         },
+        embeddings_sha256=dict(digests),
     )
 
 

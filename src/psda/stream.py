@@ -58,6 +58,11 @@ def _matrix_json(matrix, row_text: dict) -> str:
     return "[" + ",".join(texts) + "]"
 
 
+def _named(exc: OSError, path) -> OSError:
+    """``exc`` naming the output ``path`` rather than its temporary file."""
+    return type(exc)(exc.errno, exc.strerror, path)
+
+
 @contextlib.contextmanager
 def open_writer(out, orig_out, matrix_out, config: dict):
     """Open the augmented stream ``out``, the original stream ``orig_out``
@@ -68,43 +73,84 @@ def open_writer(out, orig_out, matrix_out, config: dict):
     goes into the sidecar when there is one, and inline otherwise, where
     the line is byte-identical to ``jsonl_line`` of the record with
     ``matrix.tolist()`` under ``"matrix"``.  Without an original stream
-    write_original does nothing.  The files are closed on exit."""
+    write_original does nothing.
+
+    An output that is a regular file, or does not exist yet, is written
+    under a temporary name beside its final one.  When the body ends
+    without an exception, once all are closed, each earlier file is
+    removed and the temporary one renamed into its place.  On any
+    exception the temporary files are removed, so earlier files at those
+    paths keep their bytes.  Any other output (a device such as
+    /dev/null, a FIFO, a pipe) is opened and written as given."""
     # JSON text of each distinct inline row: every row written is a
     # vocabulary vector or a zero row, so most repeat across records
     row_text = {}
-    with contextlib.ExitStack() as stack:
-        sidecar_fh = stack.enter_context(open(matrix_out, "wb")) if matrix_out else None
+    renames = []  # (temporary path, final path, output as given)
+    try:
+        with contextlib.ExitStack() as stack:
 
-        def writer(path, stream):
-            if not path:
-                return lambda record, matrix: None
-            matrix_file = None
-            if matrix_out:
-                # relative to the stream's directory, where the reader joins
-                # it; from real paths, as ".." in the join crosses symlinks
-                stream_dir = os.path.dirname(os.path.abspath(path))
-                matrix_file = os.path.relpath(
-                    os.path.realpath(matrix_out), os.path.realpath(stream_dir)
-                )
-            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-            meta = {"config": config, "matrix_file": matrix_file, "stream": stream}
-            fh.write(jsonl_line({"meta": meta}) + "\n")
+            def create(path, mode, **kwargs):
+                if os.path.exists(path) and not os.path.isfile(path):
+                    # a device, a FIFO or a pipe: a file renamed into its
+                    # place would replace the node, so it is written through
+                    return stack.enter_context(open(path, "w" + mode, **kwargs))
+                final = os.path.realpath(path)
+                name = f".{os.path.basename(final)}.{os.urandom(4).hex()}.tmp"
+                temp = os.path.join(os.path.dirname(final), name)
+                try:
+                    fh = stack.enter_context(open(temp, "x" + mode, **kwargs))
+                except OSError as exc:
+                    raise _named(exc, path) from None
+                renames.append((temp, final, path))
+                return fh
 
-            def write(record: dict, matrix) -> None:
-                if sidecar_fh is not None:
-                    offset, nbytes = binio.write_array(sidecar_fh, matrix)
-                    ref = {"offset": offset, "nbytes": nbytes}
-                    fh.write(jsonl_line({**record, "matrix_ref": ref}) + "\n")
-                    return
-                fields = {key: jsonl_line(value) for key, value in record.items()}
-                fields["matrix"] = _matrix_json(matrix, row_text)
-                body = ",".join(f"{jsonl_line(k)}:{fields[k]}" for k in sorted(fields))
-                fh.write("{" + body + "}\n")
+            sidecar_fh = create(matrix_out, "b") if matrix_out else None
 
-            return write
+            def writer(path, stream):
+                if not path:
+                    return lambda record, matrix: None
+                matrix_file = None
+                if matrix_out:
+                    # relative to the stream's directory, where the reader
+                    # joins it; from real paths, as ".." in the join crosses
+                    # symlinks
+                    stream_dir = os.path.dirname(os.path.abspath(path))
+                    matrix_file = os.path.relpath(
+                        os.path.realpath(matrix_out), os.path.realpath(stream_dir)
+                    )
+                fh = create(path, "", encoding="utf-8", newline="\n")
+                meta = {"config": config, "matrix_file": matrix_file, "stream": stream}
+                fh.write(jsonl_line({"meta": meta}) + "\n")
 
-        write_original = writer(orig_out, "original")
-        yield write_original, writer(out, "augmented")
+                def write(record: dict, matrix) -> None:
+                    if sidecar_fh is not None:
+                        offset, nbytes = binio.write_array(sidecar_fh, matrix)
+                        ref = {"offset": offset, "nbytes": nbytes}
+                        fh.write(jsonl_line({**record, "matrix_ref": ref}) + "\n")
+                        return
+                    fields = {key: jsonl_line(value) for key, value in record.items()}
+                    fields["matrix"] = _matrix_json(matrix, row_text)
+                    body = ",".join(f"{jsonl_line(k)}:{fields[k]}" for k in sorted(fields))
+                    fh.write("{" + body + "}\n")
+
+                return write
+
+            write_original = writer(orig_out, "original")
+            yield write_original, writer(out, "augmented")
+        for temp, final, path in renames:
+            try:
+                # removed first, not replaced by os.replace: ext4 writes a
+                # file renamed over another out to disk before the rename
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(final)
+                os.rename(temp, final)
+            except OSError as exc:
+                raise _named(exc, path) from None
+    finally:
+        # whatever was not renamed into place
+        for temp, _, _ in renames:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _row_spans(line: str, pos: int):

@@ -2,7 +2,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import conllu_block, synonym_stores, write_conllu, write_taxonomy, write_vectors
+from helpers import (
+    conllu_block,
+    store_entries,
+    synonym_stores,
+    write_conllu,
+    write_taxonomy,
+    write_vectors,
+)
 
 from psda.domino import KPolicy, build_cluster_model
 from psda.embeddings import PosTagging
@@ -44,7 +51,7 @@ def cli_workspace(tmp_path_factory):
         languages=("aa", "bb"), groups=3, words_per_group=3, dim=6, seed=5
     )
     for lang, store in stores.items():
-        write_vectors(root / f"vec_{lang}.txt", lang, store.entries)
+        write_vectors(root / f"vec_{lang}.txt", lang, store_entries(store))
     write_taxonomy(root / "families.txt", {"germ": ["aa", "bb"]})
     blocks = [
         _block_svo("aa", "aa_g0_w0", "aa_g1_w0", "aa_g2_w1"),

@@ -55,6 +55,11 @@ def store_from(lang: str, entries) -> VocabStore:
     )
 
 
+def store_entries(store: VocabStore) -> dict[str, np.ndarray]:
+    """Each word of ``store`` mapped to its vector, in file order."""
+    return dict(zip(store.words, store.matrix()))
+
+
 def read_stream(path):
     """Parse a JSONL stream file into (meta, records)."""
     meta = None

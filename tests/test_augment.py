@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import store_from, synonym_stores
+from helpers import store_entries, store_from, synonym_stores
 from psda.augment import (
     SKIP_EMPTY_POOL,
     SKIP_MISSING_CHAIN,
@@ -44,8 +44,8 @@ class _FixedDraw:
 def flat_pool(index, q, exclude_lang=None):
     """Every entry of a cluster's runs, in order, as (lang, word, vector)."""
     return [
-        (lang, words[row], matrix[row])
-        for lang, words, matrix, rows in index.get(q, [])
+        (lang, words[row], store[words[row]])
+        for lang, words, store, rows in index.get(q, [])
         if lang != exclude_lang
         for row in rows
     ]
@@ -117,7 +117,7 @@ class TestCandidateIndex:
 
     def test_unclustered_store_word_rejected(self, pair_model):
         padded = store_from(
-            "aa", {**pair_model.stores["aa"].entries, "ghost": np.zeros(6)}
+            "aa", {**store_entries(pair_model.stores["aa"]), "ghost": np.zeros(6)}
         )
         with pytest.raises(MissingChainError):
             build_candidate_index(

@@ -8,11 +8,14 @@ assert on summaries, stream layouts, exit codes and determinism.
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
+import stat
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +27,7 @@ from helpers import (
     child_env,
     conllu_block,
     read_stream,
+    store_entries,
     write_conllu,
     write_vectors,
 )
@@ -206,7 +210,7 @@ class TestAugment:
             assert rec["skipped"] == []
             for rep in rec["replacements"]:
                 assert rep["candidate_lang"] == other
-                assert rep["candidate_word"] in cli_workspace.stores[other].entries
+                assert rep["candidate_word"] in store_entries(cli_workspace.stores[other])
 
     def test_sentence_without_roles_passes_through(self, built):
         _, aug_records = read_stream(built.aug)
@@ -358,7 +362,7 @@ def format_run(cli_workspace, tmp_path_factory):
     encoding: a non-ASCII word, an out-of-vocabulary token, two copies,
     and two words whose vectors differ only in the sign of one zero."""
     root = cli_workspace.root
-    aa = dict(cli_workspace.stores["aa"].entries)
+    aa = store_entries(cli_workspace.stores["aa"])
     aa["äpfel"] = aa["aa_g0_w1"] + 0.01
     aa["aa_pos_zero"] = aa["aa_g1_w2"].copy()
     aa["aa_pos_zero"][2] = 0.0
@@ -1174,6 +1178,241 @@ def test_input_that_is_not_utf8_names_file_and_line(
     payload = stderr_error(err)
     assert payload["error"] == "ParseError"
     assert re.search(re.escape(name) + r":3: not UTF-8: byte 0xff", payload["message"])
+
+
+def private_workspace(cli_workspace, built, dest: Path) -> Path:
+    """A copy of the CLI inputs and of the built model under ``dest``;
+    returns the copy's config."""
+    shutil.copytree(cli_workspace.root, dest)
+    shutil.copy(built.model, dest)
+    return dest / "psda.cfg"
+
+
+def without_digests(model: Path, out: Path) -> None:
+    """``model`` with its manifest's embeddings_sha256 key removed and the
+    manifest length rewritten, written to ``out``."""
+    data = model.read_bytes()
+    start = 8 + 8
+    (length,) = struct.unpack("<Q", data[8:start])
+    manifest = json.loads(data[start : start + length])
+    del manifest["embeddings_sha256"]
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    out.write_bytes(data[:8] + struct.pack("<Q", len(body)) + body + data[start + length :])
+
+
+class TestVerifiedVectors:
+    """``cluster`` records each embeddings file's SHA-256 in the model;
+    ``augment`` then parses only the rows it reads from a file whose bytes
+    match, and every row of any other file, with the same outputs and the
+    same errors."""
+
+    def test_summary_reports_each_language(self, built, cli_workspace):
+        vectors = built.augment_summary["vectors"]
+        assert list(vectors) == sorted(cli_workspace.stores)
+        for lang, info in vectors.items():
+            assert info["verified_by_model"] is True
+            assert 0 < info["rows_parsed"] <= len(cli_workspace.stores[lang])
+
+    def test_rows_parsed_are_the_rows_read(self, built, cli_workspace):
+        """A language's rows parsed are its corpus tokens in the vocabulary
+        plus the words drawn from it, and no other."""
+        read = {lang: set() for lang in cli_workspace.stores}
+        for rec, _ in iter_conllu_lenient(Path(cli_workspace.root) / "corpus.conllu"):
+            read[rec.lang].update(t for t in rec.tokens if t in cli_workspace.stores[rec.lang])
+        for rec in read_stream(built.aug)[1]:
+            for rep in rec["replacements"]:
+                read[rep["candidate_lang"]].add(rep["candidate_word"])
+        vectors = built.augment_summary["vectors"]
+        assert {lang: info["rows_parsed"] for lang, info in vectors.items()} == {
+            lang: len(words) for lang, words in read.items()
+        }
+        assert any(len(words) < len(cli_workspace.stores[lang]) for lang, words in read.items())
+
+    @pytest.mark.parametrize(
+        "bad, error, text",
+        [
+            ("oops", "ParseError", "non-numeric component for word {word!r}"),
+            ("nan", "NonFiniteInputError", "word {word!r} has NaN/Inf components"),
+        ],
+    )
+    def test_unread_row_corrupted_after_cluster_fails_as_before(
+        self, built, cli_workspace, tmp_path, run_cli, bad, error, text
+    ):
+        cfg = private_workspace(cli_workspace, built, tmp_path / "ws")
+        read = {t for rec, _ in iter_conllu_lenient(cfg.parent / "corpus.conllu") for t in rec.tokens}
+        read |= {
+            rep["candidate_word"]
+            for rec in read_stream(built.aug)[1]
+            for rep in rec["replacements"]
+        }
+        vec = cfg.parent / "vec_aa.txt"
+        lines = vec.read_text(encoding="utf-8").split("\n")
+        lineno, line = next(
+            (n, line) for n, line in enumerate(lines, start=1)
+            if n > 1 and line and line.split(" ")[0] not in read
+        )
+        word = line.split(" ")[0]
+        lines[lineno - 1] = " ".join(line.split(" ")[:-1] + [bad])
+        vec.write_text("\n".join(lines), encoding="utf-8")
+        code, stdout, err = run_cli(
+            "augment", "--config", cfg, "--model", cfg.parent / "model.psda",
+            "--out", tmp_path / "a.jsonl",
+        )
+        assert code == 2
+        assert stdout == ""
+        payload = stderr_error(err)
+        assert payload["error"] == error
+        # the path as the config resolves it, as the full parse names it
+        path = load_config(str(cfg)).embedding_paths["aa"]
+        assert payload["message"] == f"{path}:{lineno}: " + text.format(word=word)
+        assert not (tmp_path / "a.jsonl").exists()
+
+    def test_model_without_digests_parses_every_row(
+        self, built, cli_workspace, tmp_path, run_cli
+    ):
+        model = tmp_path / "model.psda"
+        without_digests(Path(built.model), model)
+        assert "embeddings_sha256" not in read_manifest(model)
+        aug, orig = tmp_path / "aug.jsonl", tmp_path / "orig.jsonl"
+        code, stdout, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--model", model,
+            "--out", aug, "--orig-out", orig,
+        )
+        assert code == 0, err
+        summary = json.loads(stdout)
+        assert summary.pop("vectors") == {
+            lang: {"verified_by_model": False, "rows_parsed": len(store)}
+            for lang, store in cli_workspace.stores.items()
+        }
+        expected = dict(built.augment_summary)
+        del expected["vectors"]
+        summary["out"] = expected["out"]
+        assert summary == expected
+        assert aug.read_bytes() == Path(built.aug).read_bytes()
+        assert orig.read_bytes() == Path(built.orig).read_bytes()
+
+
+class TestAugmentFailureKeepsOutputs:
+    """``augment`` writes each output under a temporary name and renames it
+    into place only when the run succeeds: a failed run leaves the files
+    that were there before as they were, and no temporary file."""
+
+    @pytest.mark.parametrize(
+        "corpus, error",
+        [
+            (b"", "ParseError"),
+            (
+                f"{conllu_block('aa', [('aa_g0_w0', 'NOUN', 0, 'root')])}\n\n"
+                f"{conllu_block('zz', [('mystery', 'NOUN', 0, 'root')])}\n".encode(),
+                "UnknownLanguageError",
+            ),
+            (
+                f"{conllu_block('aa', [('aa_g0_w0', 'NOUN', 0, 'root')])}\n\n".encode()
+                + b"# lang = aa\n1\t\xff\n",
+                "ParseError",
+            ),
+        ],
+        ids=["empty", "unknown-language-mid-corpus", "not-utf8"],
+    )
+    def test_failed_run_leaves_earlier_outputs(
+        self, built, cli_workspace, tmp_path, run_cli, corpus, error
+    ):
+        (tmp_path / "corpus.conllu").write_bytes(corpus)
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = {name: f"earlier {name}\n".encode() for name in ("a.jsonl", "o.jsonl", "m.f32")}
+        for name, data in earlier.items():
+            (out / name).write_bytes(data)
+        code, stdout, err = run_cli(
+            "augment", "--config", cli_workspace.config,
+            "--set", f"corpus={tmp_path / 'corpus.conllu'}", "--model", built.model,
+            "--out", out / "a.jsonl", "--orig-out", out / "o.jsonl",
+            "--matrix-out", out / "m.f32",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr_error(err)["error"] == error
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_run_replaces_earlier_outputs(self, built, cli_workspace, tmp_path, run_cli):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("a.jsonl", "o.jsonl", "m.f32"):
+            (out / name).write_bytes(b"earlier\n")
+        code, _, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--model", built.model,
+            "--out", out / "a.jsonl", "--orig-out", out / "o.jsonl",
+            "--matrix-out", out / "m.f32",
+        )
+        assert code == 0, err
+        assert sorted(p.name for p in out.iterdir()) == ["a.jsonl", "m.f32", "o.jsonl"]
+        for name in ("a.jsonl", "o.jsonl"):
+            meta, records = read_stream(out / name)
+            # the sidecar is named by its final name, not the temporary one
+            assert meta["matrix_file"] == "m.f32"
+            assert records
+        assert (out / "m.f32").read_bytes() != b"earlier\n"
+
+    @pytest.mark.parametrize(
+        "target, error, strerror",
+        [
+            ("missing/a.jsonl", "FileNotFoundError", "No such file or directory"),
+            ("out", "IsADirectoryError", "Is a directory"),
+        ],
+    )
+    def test_output_that_cannot_be_written_is_named_as_given(
+        self, built, cli_workspace, tmp_path, run_cli, target, error, strerror
+    ):
+        (tmp_path / "out").mkdir()
+        code, stdout, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--model", built.model,
+            "--out", tmp_path / target,
+        )
+        assert code == 2
+        assert stdout == ""
+        payload = stderr_error(err)
+        assert payload["error"] == error
+        assert payload["message"].endswith(f"{strerror}: '{tmp_path / target}'")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_dev_null_is_written_through(self, built, cli_workspace, tmp_path, run_cli):
+        before = set(os.listdir("/dev"))
+        code, _, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--model", built.model,
+            "--out", tmp_path / "a.jsonl", "--orig-out", "/dev/null",
+        )
+        assert code == 0, err
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+        assert not {name for name in set(os.listdir("/dev")) - before if name.endswith(".tmp")}
+
+    def test_fifo_is_written_through(self, built, cli_workspace, tmp_path, run_cli):
+        fifo = tmp_path / "o.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code, _, err = run_cli(
+                "augment", "--config", cli_workspace.config, "--model", built.model,
+                "--out", tmp_path / "a.jsonl", "--orig-out", fifo,
+            )
+        finally:
+            if not received:
+                # a writer that never opened the FIFO would leave the reader blocked
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0, err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        code, _, err = run_cli(
+            "augment", "--config", cli_workspace.config, "--model", built.model,
+            "--out", tmp_path / "a.jsonl", "--orig-out", tmp_path / "o.jsonl",
+        )
+        assert code == 0, err
+        assert received == [(tmp_path / "o.jsonl").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "o.fifo", "o.jsonl"]
 
 
 class TestReport:

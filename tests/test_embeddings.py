@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import store_from, synonym_stores, write_vectors
+from helpers import store_entries, store_from, synonym_stores, write_vectors
 
 import psda.embeddings
 from psda.embeddings import (
@@ -151,13 +153,13 @@ WORDS = ["a", "b", "ä", "w#", 'q"', "x\ty", "#", "", "nan", "1"]
 
 
 @st.composite
-def vector_files(draw):
+def vector_files(draw, kinds=("regular", "spaced", "broken")):
     """word2vec text: regular, or with the irregular spacing real files
     carry (doubled, leading and trailing spaces, tabs), or with defects
     on top (duplicate words, ragged rows, bad components, wrong header
     counts).  Any file may have CRLF or CR line ends and blank or
     whitespace-only lines."""
-    kind = draw(st.sampled_from(["regular", "spaced", "broken"]))
+    kind = draw(st.sampled_from(kinds))
 
     def pick(regular, spaced=(), broken=()):
         options = list(regular)
@@ -206,6 +208,74 @@ def test_bulk_parse_matches_the_per_line_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("vectors", numbered=True) / "vec.txt"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(load_vectors, path) == outcome(_load_vectors_per_line, path)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(text=vector_files(kinds=("regular", "spaced")), data=st.data())
+def test_rows_read_on_first_use_equal_the_full_parse(tmp_path_factory, text, data):
+    """A store loaded with its file's digest parses each row on first read;
+    in any order and any split into batches, every row has the bytes of
+    the store that parsed them all at load."""
+    path = tmp_path_factory.mktemp("vectors", numbered=True) / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    eager = load_vectors(path, "xx")
+    assert eager.sha256 == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert eager.rows_parsed == len(eager)
+    lazy = load_vectors(path, "xx", sha256=eager.sha256)
+    assert (lazy.sha256, lazy.words, lazy.dim, lazy.rows_parsed) == (
+        eager.sha256, eager.words, eager.dim, 0,
+    )
+    order = data.draw(st.permutations(eager.words))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
+    read = set()
+    for start, end in zip([0] + cuts, cuts + [len(order)]):
+        batch = order[start:end]
+        if data.draw(st.booleans()):
+            # one batch, an unknown word and repeats included
+            lazy.parse(batch + ["not a word"] + batch[:1])
+        for word in batch:
+            row = lazy[word]
+            assert not row.flags.writeable
+            assert row.tobytes() == eager[word].tobytes()
+        read.update(batch)
+        assert lazy.rows_parsed == len(read)
+    assert lazy.matrix().tobytes() == eager.matrix().tobytes()
+    assert not lazy.matrix().flags.writeable
+
+
+class TestDigest:
+    TEXT = "3 2\na 1 2\nb 1 nan\nc 1 2 3\n"
+
+    def test_a_digest_that_differs_parses_every_row(self, tmp_path):
+        path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+        store = load_vectors(path, "en", sha256="0" * 64)
+        assert store.rows_parsed == 2
+        assert store.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_store_built_in_memory_has_no_digest(self):
+        assert VocabStore(lang="en", dim=2, entries={"a": [1, 2]}).sha256 is None
+
+    def test_matching_digest_defers_the_rows_and_their_checks(self, tmp_path):
+        path = write(tmp_path, self.TEXT)
+        with pytest.raises(NonFiniteInputError, match=f"^{path}:3: "):
+            load_vectors(path, "en")
+        store = load_vectors(path, "en", sha256=hashlib.sha256(path.read_bytes()).hexdigest())
+        assert store.rows_parsed == 0
+        assert np.array_equal(store["a"], [1.0, 2.0])
+        assert store.rows_parsed == 1
+        with pytest.raises(NonFiniteInputError, match=f"^{path}:3: word 'b'"):
+            store["b"]
+        with pytest.raises(DimensionMismatchError, match=f"^{path}:4: word 'c' has 3"):
+            store.parse(["c"])
+        assert store.rows_parsed == 1
+
+    def test_matching_digest_still_checks_count_and_duplicates(self, tmp_path):
+        for text, error in [("3 1\na 1\nb 2\n", ParseError), ("2 1\na 1\na 2\n", DuplicateWordError)]:
+            path = write(tmp_path, text)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            with pytest.raises(error):
+                load_vectors(path, "en", sha256=digest)
 
 
 IDENTITY = PosTagging(tags={}, projection=np.eye(17), bias=np.zeros(17))
@@ -320,7 +390,7 @@ class TestFinalEmbedding:
         tags = {w: UPOS_TAGS[i % len(UPOS_TAGS)] for i, w in enumerate(words[::2])}
         pos = PosTagging.seeded(tags, projection_dim=5, seed=2)
         path = tmp_path / "vec.txt"
-        write_vectors(path, "aa", stores["aa"].entries)
+        write_vectors(path, "aa", store_entries(stores["aa"]))
         for store in (stores["aa"], load_vectors(path, "aa")):
             got_words, matrix = final_embeddings(store, pos)
             expected = np.stack([final_embedding(store[w], pos.tag_of(w), pos) for w in words])

@@ -4,9 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import store_from, synonym_stores
+from helpers import store_entries, store_from, synonym_stores, write_vectors
 from psda.domino import KPolicy, build_cluster_model
-from psda.embeddings import UPOS_TAGS, PosTagging
+from psda.embeddings import UPOS_TAGS, PosTagging, load_vectors
 from psda.errors import ModelFormatError
 from psda.gmm import GmmConfig
 from psda.model_io import MODEL_MAGIC, load_model, read_manifest, save_model
@@ -297,3 +297,66 @@ class TestChainCheck:
         rewritten(path, swap_words)
         assert list(load_model(path).chain["aa"]) == ["apple", "zebra", "mango"]
 
+
+
+DIGEST = "0123456789abcdef" * 4
+
+
+class TestEmbeddingsDigests:
+    """``embeddings_sha256`` maps a language to the SHA-256 of the file its
+    vectors came from; it is written only when the model has one."""
+
+    def test_digests_round_trip(self, tmp_path):
+        model, _ = tiny_model()
+        model.embeddings_sha256 = {"aa": DIGEST}
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        assert read_manifest(path)["embeddings_sha256"] == {"aa": DIGEST}
+        assert load_model(path).embeddings_sha256 == {"aa": DIGEST}
+
+    def test_stores_built_in_memory_record_none(self, tmp_path):
+        model, _ = tiny_model()
+        assert model.embeddings_sha256 == {}
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        assert "embeddings_sha256" not in read_manifest(path)
+        assert load_model(path).embeddings_sha256 == {}
+
+    def test_loaded_stores_give_their_digests(self, tmp_path):
+        _, store = tiny_model()
+        path = tmp_path / "vec_aa.txt"
+        write_vectors(path, "aa", store_entries(store))
+        loaded = load_vectors(path, "aa")
+        tax = LanguageTaxonomy((FamilyEntry("fam", ("aa",)),))
+        pos = PosTagging(tags={}, projection=np.zeros((1, len(UPOS_TAGS))), bias=np.zeros(1))
+        model = build_cluster_model(
+            {"aa": loaded}, pos, tax, KPolicy(1, 1, 1), GmmConfig(k=1, seed=0)
+        )
+        assert model.embeddings_sha256 == {"aa": loaded.sha256}
+        assert len(loaded.sha256) == 64
+
+    @pytest.mark.parametrize(
+        "digests",
+        [
+            [DIGEST],
+            DIGEST,
+            {"bb": DIGEST},
+            {"aa": DIGEST.upper()},
+            {"aa": DIGEST[:-1]},
+            {"aa": DIGEST + "0"},
+            {"aa": DIGEST[:-1] + "g"},
+            {"aa": int("1" * 20)},
+            {"aa": None},
+        ],
+        ids=[
+            "list", "string", "unknown-language", "upper-case", "short", "long",
+            "not-hex", "number", "null",
+        ],
+    )
+    def test_malformed_digest_map_rejected(self, tmp_path, digests):
+        model, _ = tiny_model()
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        rewritten(path, lambda m: m.__setitem__("embeddings_sha256", digests))
+        with pytest.raises(ModelFormatError, match="embeddings_sha256"):
+            load_model(path)
