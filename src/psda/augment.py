@@ -77,8 +77,8 @@ def build_candidate_index(
 def _draw(runs, exclude_lang: str, rng: np.random.Generator):
     """Draw one entry uniformly from the runs of every language but
     ``exclude_lang``: entry i is the i-th row over those runs, in order.
-    Returns ``(lang, word, raw vector)``, reading only the drawn row from
-    its store, or None without a draw when no row is left."""
+    Returns ``(lang, word, store)`` without reading the drawn row, or
+    None without a draw when no row is left."""
     runs = [run for run in runs if run[0] != exclude_lang]
     total = sum(len(rows) for *_, rows in runs)
     if total == 0:
@@ -86,8 +86,7 @@ def _draw(runs, exclude_lang: str, rng: np.random.Generator):
     i = int(rng.integers(total))
     for lang, words, store, rows in runs:
         if i < len(rows):
-            word = words[rows[i]]
-            return lang, word, store[word]
+            return lang, words[rows[i]], store
         i -= len(rows)
 
 
@@ -124,8 +123,9 @@ def augment_sentence(
     role draws uniformly, with an RNG seeded by ``seed``, from the other
     languages' runs in its word's cluster of ``build_candidate_index``'s
     result.  Skipped roles consume no draw, so a rare word in one role
-    cannot shift the replacements of the others.  Rows outside the
-    replaced positions are copied bit-exactly.
+    cannot shift the replacements of the others.  Every role draws before
+    any drawn row is read, and the drawn rows are read in one batch per
+    store.  Rows outside the replaced positions are copied bit-exactly.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != len(rec.tokens):
@@ -134,8 +134,7 @@ def augment_sentence(
             f"pair with {len(rec.tokens)} tokens"
         )
     rng = np.random.default_rng(seed)
-    augmented = mat.copy()
-    replacements = []
+    drawn = []
     skipped = []
     chain = model.chain.get(rec.lang, {})
     for role, pos in rec.roles():
@@ -148,7 +147,18 @@ def augment_sentence(
         if chosen is None:
             skipped.append(SkippedRole(pos, role, word, SKIP_EMPTY_POOL))
             continue
-        lang, candidate, embedding = chosen
+        drawn.append((role, pos, word, q, *chosen))
+    # the draws do not depend on vector values, so the drawn rows are
+    # read after them, in one batch per store
+    batches = {}
+    for *_, candidate, store in drawn:
+        batches.setdefault(store, []).append(candidate)
+    for store, words in batches.items():
+        store.parse(words)
+    augmented = mat.copy()
+    replacements = []
+    for role, pos, word, q, lang, candidate, store in drawn:
+        embedding = store[candidate]
         if embedding.shape != (mat.shape[1],):
             raise DimensionMismatchError(
                 f"candidate {candidate!r} has dim {embedding.shape[0]}, "

@@ -102,15 +102,19 @@ def _columns_matched(f: np.ndarray, neg_scaled: np.ndarray) -> np.ndarray:
     column sums to b = 1/m: column j is 1/m times the softmax of f +
     column j.  Stacked: f (B, n), neg_scaled (B, n, m)."""
     z = f[:, :, None] + neg_scaled
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e * ((1.0 / neg_scaled.shape[2]) / e.sum(axis=1, keepdims=True))
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z, out=z)
+    e *= (1.0 / neg_scaled.shape[2]) / e.sum(axis=1, keepdims=True)
+    return e
 
 
-def _newton_step(f, plan):
+def _newton_step(f, plan, row_sums, a, b):
     """One damped Newton step on the semi-dual for each of a stack of
     problems with marginals a = 1/n and b = 1/m; returns the stepped f and
     whether each step was taken (a row that is not keeps its f, for the
-    caller to replace).
+    caller to replace).  ``row_sums`` holds the plans' row sums P1, and
+    ``a`` and ``b`` one full row of each marginal per problem, so that
+    each row's dot products keep their bits.
 
     F(f) = <f, a> + <g(f), b> with g(f) the column elimination is concave,
     with gradient a - P1 and negative Hessian diag(P1) - P diag(1/b) P^T,
@@ -121,34 +125,44 @@ def _newton_step(f, plan):
     t <a, d> - sum_j b_j log(sum_i pi_ij exp(t d_i)), with pi the plan
     divided by b (each column sums to 1).  Each problem backtracks on its
     own t until the Armijo rule holds, for up to MAX_HALVINGS halvings.
+
+    The matrix is formed in place: 1/n - (P diag(1/b) P^T)_ij off the
+    diagonal and (P1_i - (P diag(1/b) P^T)_ii) + (mu + 1/n) on it, the
+    bits of diag(P1) - P diag(1/b) P^T + mu I + 11^T/n summed in that
+    order for any plan without a NaN.  A plan with one has a NaN gradient
+    and so a NaN slope, and its step is not taken, whatever the matrix.
     """
-    n, m = plan.shape[1:]
-    # full marginals, so that each row's dot products keep their bits
-    a, b = np.full_like(f, 1.0 / n), np.full(plan.shape[::2], 1.0 / m)
-    eye = np.eye(n)
-    row_sums = plan.sum(axis=2)
+    count, n, m = plan.shape
     grad = a - row_sums
-    pi = plan / b[:, None, :]
-    hess = row_sums[:, :, None] * eye - pi @ np.swapaxes(plan, 1, 2)
+    pi = plan / (1.0 / m)
     damping = NEWTON_DAMPING * np.sqrt(_dot(grad, grad))
-    hess += damping[:, None, None] * eye + 1.0 / n
+    hess = pi @ np.swapaxes(plan, 1, 2)
+    diag = np.arange(n)
+    diagonal = (row_sums - hess[:, diag, diag]) + (damping[:, None] + 1.0 / n)
+    np.subtract(1.0 / n, hess, out=hess)
+    hess[:, diag, diag] = diagonal
     step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
     slope = _dot(grad, step)
     a_step = _dot(a, step)
     stepped = f.copy()
-    taken = np.zeros(f.shape[0], dtype=bool)
-    t = np.ones(f.shape[0])
+    taken = np.zeros(count, dtype=bool)
+    t = np.ones(count)
     search = np.flatnonzero(slope > 0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(MAX_HALVINGS):
             if search.size == 0:
                 break
-            ts = t[search]
-            move = ts[:, None] * step[search]
-            shift = (np.swapaxes(pi[search], 1, 2) @ np.expm1(move)[:, :, None])[:, :, 0]
-            gain = ts * a_step[search] - _dot(b[search], np.log1p(shift))
+            # the whole stack is read in place, a part of it through copies
+            part = slice(None) if search.size == count else search
+            ts = t[part]
+            move = ts[:, None] * step[part]
+            shift = (np.swapaxes(pi[part], 1, 2) @ np.expm1(move)[:, :, None])[:, :, 0]
+            gain = ts * a_step[part] - _dot(b[: search.size], np.log1p(shift))
             # a column whose mass underflows gives an infinite gain: too far
-            ok = np.isfinite(gain) & (gain >= ARMIJO * ts * slope[search])
+            ok = np.isfinite(gain) & (gain >= ARMIJO * ts * slope[part])
+            if search.size == count and ok.all():
+                # every full step holds
+                return f + move, np.ones(count, dtype=bool)
             won = search[ok]
             stepped[won] = f[won] + move[ok]
             taken[won] = True
@@ -181,6 +195,8 @@ def _solve_stacked(neg_scaled, max_iter: int, tol: float):
         )
         return plan, iterations, error
     log_a, log_b = np.log(a), np.log(b)
+    # the marginals in full rows, for every Newton step
+    a_rows, b_rows = np.full((count, n), a), np.full((count, m), b)
     plan = np.empty_like(neg_scaled)
     error = np.empty(count)
     # the working set: problem numbers, their -C/eps and their f, all of
@@ -190,7 +206,8 @@ def _solve_stacked(neg_scaled, max_iter: int, tol: float):
     it = 1
     while True:
         p = _columns_matched(f, ns)
-        err = np.abs(p.sum(axis=2) - a).max(axis=1)
+        row_sums = p.sum(axis=2)
+        err = np.abs(row_sums - a).max(axis=1)
         done = (err <= tol) | (it == max_iter)
         if done.any():
             stop = at[done]
@@ -198,9 +215,10 @@ def _solve_stacked(neg_scaled, max_iter: int, tol: float):
             if done.all():
                 return plan, iterations, error
             keep = ~done
-            at, ns, f, p = at[keep], ns[keep], f[keep], p[keep]
+            at, ns, f, p, row_sums = at[keep], ns[keep], f[keep], p[keep], row_sums[keep]
         it += 1
-        f, taken = _newton_step(f, p)
+        k = f.shape[0]
+        f, taken = _newton_step(f, p, row_sums, a_rows[:k], b_rows[:k])
         if not taken.all():
             # a failed backtracking is replaced by one log-domain iteration
             back = ~taken
@@ -473,14 +491,23 @@ def _check_weights(weights, size: int, name: str) -> tuple[float, ...]:
 
 def compose_reg(ot: float, eig: float, dis: float, rho) -> float:
     """Convex blend of the three regularizer terms."""
-    r = _check_weights(rho, 3, "regularizer weights")
-    return r[0] * ot + r[1] * eig + r[2] * dis
+    return _blend_reg(ot, eig, dis, _check_weights(rho, 3, "regularizer weights"))
 
 
 def compose_total(task: float, reg: float, lam) -> float:
     """Convex blend of the task loss with the blended regularizer."""
-    w = _check_weights(lam, 2, "total-loss weights")
-    return w[0] * task + w[1] * reg
+    return _blend_total(task, reg, _check_weights(lam, 2, "total-loss weights"))
+
+
+# The blends without the weight checks, for weights checked already
+# (``OtParams`` checks its own); each weight is taken as a float, as the
+# checks return it.
+def _blend_reg(ot: float, eig: float, dis: float, rho) -> float:
+    return float(rho[0]) * ot + float(rho[1]) * eig + float(rho[2]) * dis
+
+
+def _blend_total(task: float, reg: float, lam) -> float:
+    return float(lam[0]) * task + float(lam[1]) * reg
 
 
 @dataclass(frozen=True)
@@ -550,8 +577,9 @@ def _term_breakdown(orig, aug, plan, dist, cost, iterations, error, params, task
     l_eig, g_eig = spectral_term(orig, aug, params.tail_count, params.eta, keep_grads)
     l_dis, g_dis = distance_shrinkage(orig, aug)
 
-    l_reg = compose_reg(l_ot, l_eig, l_dis, params.rho)
-    l_total = compose_total(task_loss, l_reg, params.lam)
+    # OtParams checked its weights when it was made
+    l_reg = _blend_reg(l_ot, l_eig, l_dis, params.rho)
+    l_total = _blend_total(task_loss, l_reg, params.lam)
     grad = None
     if keep_grads:
         g_ot = _transport_gradient(orig, aug, plan, dist, params.power)

@@ -10,23 +10,29 @@ line is one record whose matrix is inline, as nested arrays under
 the row texts into the line, whose bytes stay those of ``json.dumps`` on
 the whole record.  ``read_stream`` returns every record with its matrix,
 so a malformed matrix of either layout stops a reader before it uses any
-record.  It decodes each distinct inline row text once per ``rows``
-cache, which streams may share, and packs each record's matrix into its
-own read-only float64 array, bit-equal to
+record.  It reads a stream line by line and finds the row texts of a
+line's matrix in one scan.  Each row text is hashed once (SHA-256, over
+the line's UTF-8 bytes in place), and only the texts whose digest is not
+yet in the ``rows`` cache, which streams may share, are decoded, together.
+Each record's matrix is filled from that cache into its own read-only
+float64 array, bit-equal to
 ``np.asarray(json.loads(line)["matrix"], dtype=np.float64)``.  An inline
 matrix must be a non-empty list of equal-length, non-empty rows of JSON
-numbers (not strings, booleans, null, NaN or Infinity), and an integer
-must fit a float64.  A ``matrix_ref`` needs a non-negative integer
-``offset`` at the start of an array in the sidecar, whose path the meta
-line gives relative to the stream's directory.  ``read_pairs`` pairs each
-augmented record with the original its ``source`` names.
+numbers (not strings, booleans, null, NaN or Infinity), and every number
+must fit a finite float64: an integer too large and a literal such as
+``1e999``, which JSON decoders read as an infinity, are rejected.  A
+``matrix_ref`` needs a non-negative integer ``offset`` at the start of an
+array in the sidecar, whose path the meta line gives relative to the
+stream's directory, and that array may hold no NaN or Inf.
+``read_pairs`` pairs each augmented record with the original its
+``source`` names.
 """
 
 import contextlib
-import hashlib
 import json
 import os
 import re
+from hashlib import sha256
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .errors import ParseError, utf8_errors
 
 _DECODER = json.JSONDecoder()
 _WS = re.compile(r"[ \t\n\r]*")
+_WS_BYTES = re.compile(rb"[ \t\n\r]*")
 # The bytes a row text of JSON numbers may hold besides its brackets.
 # Strings, true, false, null and Python's NaN and Infinity all need others.
 _NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
@@ -128,10 +135,14 @@ def open_writer(out, orig_out, matrix_out, config: dict):
                         ref = {"offset": offset, "nbytes": nbytes}
                         fh.write(jsonl_line({**record, "matrix_ref": ref}) + "\n")
                         return
-                    fields = {key: jsonl_line(value) for key, value in record.items()}
-                    fields["matrix"] = _matrix_json(matrix, row_text)
-                    body = ",".join(f"{jsonl_line(k)}:{fields[k]}" for k in sorted(fields))
-                    fh.write("{" + body + "}\n")
+                    # the keys that sort before "matrix" and those after it,
+                    # each dumped in one call, around the spliced rows
+                    parts = [
+                        jsonl_line({k: v for k, v in record.items() if k < "matrix"})[1:-1],
+                        '"matrix":' + _matrix_json(matrix, row_text),
+                        jsonl_line({k: v for k, v in record.items() if k > "matrix"})[1:-1],
+                    ]
+                    fh.write("{" + ",".join(part for part in parts if part) + "}\n")
 
                 return write
 
@@ -153,36 +164,51 @@ def open_writer(out, orig_out, matrix_out, config: dict):
                 os.remove(temp)
 
 
-def _row_spans(line: str, pos: int):
-    """The (start, end) spans of the row texts of the list of lists at
-    ``line[pos]``, and the end of that list; None when the value there is
-    not a non-empty list of lists.  A row text runs to the first ``]``
-    after its ``[``, so inside a nested array or a string holding ``]``
-    it is cut short; ``_decode_rows`` rejects such a text."""
-    if not line.startswith("[", pos):
+def _row_texts(data: bytes, pos: int):
+    """The texts inside the brackets of the rows of the list of lists at
+    byte ``pos`` of ``data``, as views of it, and the end of that list;
+    None when the value there is not a non-empty list of lists.  A row
+    runs from its ``[`` to the first ``]`` after it, so inside a nested
+    array or a string holding ``]`` it is cut short; ``_decode_rows``
+    rejects such a text.  Whitespace is matched only where a row is not
+    opened at once by ``[`` or followed at once by ``,`` or the closing
+    ``]``."""
+    if not data.startswith(b"[", pos):
         return None
-    spans = []
+    view = memoryview(data)
+    find = data.find
+    texts = []
+    pos += 1
     while True:
-        start = _WS.match(line, pos + 1).end()
-        end = line.find("]", start) + 1
-        if not (end and line.startswith("[", start)):
+        if not data.startswith(b"[", pos):
+            pos = _WS_BYTES.match(data, pos).end()
+            if not data.startswith(b"[", pos):
+                return None
+        end = find(b"]", pos)
+        if end < 0:
             return None
-        spans.append((start, end))
-        pos = _WS.match(line, end).end()
-        if line.startswith("]", pos):
-            return spans, pos + 1
-        if not line.startswith(",", pos):
+        texts.append(view[pos + 1 : end])
+        pos = end + 1
+        sep = data[pos : pos + 1]
+        if sep != b"," and sep != b"]":
+            pos = _WS_BYTES.match(data, pos).end()
+            sep = data[pos : pos + 1]
+        pos += 1
+        if sep == b"]":
+            return texts, pos
+        if sep != b",":
             return None
 
 
 def _decode_line(line: str):
     """``json.loads(line)``, except that in an object line a ``matrix``
-    value that is a list of lists is not decoded: it comes back as the
-    spans of its row texts.  Returns (value, spans or None).
+    value that is a list of lists is not decoded.  Returns (value, None),
+    or (value, texts) with ``None`` under ``"matrix"`` and ``texts`` the
+    UTF-8 texts inside the brackets of its rows (``_row_texts``).
 
-    A line the key-by-key walk cannot read goes to ``json.loads``, which
-    raises where the line is not JSON; a matrix it decodes is never a
-    valid one, since a valid one always scans.
+    A line the walk cannot read goes to ``json.loads``, which raises
+    where the line is not JSON; a matrix it decodes is never a valid
+    one, since a valid one always scans.
     """
     if line.startswith("{"):
         try:
@@ -193,7 +219,11 @@ def _decode_line(line: str):
 
 
 def _walk_object(line: str):
-    obj, spans = {}, None
+    """``_decode_line`` of an object line.  The keys before a ``matrix``
+    whose rows scan are read one by one, and the keys after it in one
+    ``raw_decode`` call; should those hold another ``matrix``, the last
+    one counts, as in ``json.loads``, and the walk goes on key by key."""
+    obj, found, data = {}, None, None
     pos = _WS.match(line, 1).end()
     if line.startswith("}", pos):
         pos += 1
@@ -204,17 +234,33 @@ def _walk_object(line: str):
             if not (isinstance(key, str) and line.startswith(":", pos)):
                 raise json.JSONDecodeError("Expecting a key and ':'", line, pos)
             pos = _WS.match(line, pos + 1).end()
-            scanned = _row_spans(line, pos) if key == "matrix" else None
+            scanned = None
+            if key == "matrix":
+                if data is None:
+                    data = line.encode()
+                    ascii_only = len(data) == len(line)
+                # byte and character offsets differ past a non-ASCII one
+                scanned = _row_texts(data, pos if ascii_only else len(line[:pos].encode()))
             if scanned is None:
                 obj[key], pos = _DECODER.raw_decode(line, pos)
                 if key == "matrix":
-                    spans = None
+                    found = None
             else:
-                spans, pos = scanned
+                found, end = scanned
                 obj[key] = None
+                pos = end if ascii_only else len(data[:end].decode())
             pos = _WS.match(line, pos).end()
             if line.startswith(",", pos):
                 pos = _WS.match(line, pos + 1).end()
+                if scanned is not None:
+                    # the keys after the matrix, decoded as one object; if
+                    # they hold another "matrix" or do not end the line,
+                    # the walk goes on key by key
+                    tail = "{" + line[pos:]
+                    rest, end = _DECODER.raw_decode(tail)
+                    if rest and end == len(tail) and "matrix" not in rest:
+                        obj.update(rest)
+                        return obj, found
             elif line.startswith("}", pos):
                 pos += 1
                 break
@@ -222,43 +268,53 @@ def _walk_object(line: str):
                 raise json.JSONDecodeError("Expecting ',' delimiter", line, pos)
     if _WS.match(line, pos).end() != len(line):
         raise json.JSONDecodeError("Extra data", line, pos)
-    return obj, spans
+    return obj, found
 
 
 def _decode_rows(texts, line: str):
-    """One float64 array of the row texts ``texts`` (bytes) of ``line``,
-    decoded together.  Raises ``json.JSONDecodeError`` when ``line`` is
-    not valid JSON, and ValueError or OverflowError when the rows are not
-    equal-length, non-empty lists of numbers that fit a float64."""
-    if any(text.translate(None, _NUMBER_BYTES) != b"[]" for text in texts):
+    """One float64 array of the row texts ``texts`` (bytes-like, inside
+    their brackets) of ``line``, decoded together.  Raises
+    ``json.JSONDecodeError`` when ``line`` is not valid JSON, ValueError
+    when the rows are not equal-length, non-empty lists of numbers, and
+    OverflowError when a number does not fit a finite float64."""
+    joined = b"[[" + b"],[".join(texts) + b"]]"
+    # all but the brackets around each text must be number bytes
+    if joined.translate(None, _NUMBER_BYTES) != b"[" + b"[]" * len(texts) + b"]":
         json.loads(line)  # raises where the line is not valid JSON
         raise ValueError("a row is not a list of numbers")
-    values = json.loads(b"[" + b",".join(texts) + b"]")
+    values = json.loads(joined)
     if not all(values):
         raise ValueError("a row is empty")
-    return np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        # a literal such as 1e999, which the decoder reads as inf
+        raise OverflowError("a number is beyond the float64 range")
+    return values
 
 
-def _pack(line: str, spans, rows: dict):
-    """The read-only float64 matrix of the row texts at ``spans``.
+def _pack(line: str, texts, rows: dict):
+    """The read-only float64 matrix of the row texts ``texts`` of
+    ``line``.
 
-    ``rows`` maps the digest of a row text to a view of that row in the
-    first matrix that held it.  The texts not in it are decoded together
-    (``_decode_rows``) and then added to it.
+    ``rows`` maps the SHA-256 digest of a row text to a view of that row
+    in the first matrix that held it.  Each text is hashed once; the
+    texts not in ``rows`` are decoded together (``_decode_rows``), and
+    the matrix is filled from ``rows`` and that batch, whose rows then
+    join ``rows``.
     """
-    texts = [line[s:e].encode() for s, e in spans]
-    keys = [hashlib.blake2b(text, digest_size=16).digest() for text in texts]
-    fresh = {}
-    for key, text in zip(keys, texts):
-        if key not in rows and key not in fresh:
-            fresh[key] = text
-    if fresh:
-        fresh = dict(zip(fresh, _decode_rows(list(fresh.values()), line)))
-    matrix = np.stack([rows[key] if key in rows else fresh[key] for key in keys])
+    keys = [sha256(text).digest() for text in texts]
+    fresh = {key: text for key, text in zip(keys, texts) if key not in rows}
+    if not fresh:
+        matrix = np.array([rows[key] for key in keys])
+    else:
+        new = dict(zip(fresh, _decode_rows(list(fresh.values()), line)))
+        matrix = np.array([new[key] if key in new else rows[key] for key in keys])
+    # a ValueError above when the rows differ in length
     matrix.flags.writeable = False
-    for key, row in zip(keys, matrix):
-        if key in fresh:
-            rows.setdefault(key, row)
+    if fresh:
+        for i, key in enumerate(keys):
+            if key not in rows:
+                rows[key] = matrix[i]
     return matrix
 
 
@@ -270,7 +326,10 @@ def read_stream(path, rows: dict):
     read, each distinct row text decoded once per ``rows`` cache (see
     ``_pack``), so the decoded values of only one line's new rows are
     alive at a time.  The matrices under ``"matrix_ref"`` are read from
-    the sidecar the meta line names once every line has been read.
+    the sidecar the meta line names once every line has been read.  Each
+    fault of a matrix, a number beyond the float64 range inline or a NaN
+    or Inf in the sidecar among them, is a ParseError naming the stream
+    and the record.
     """
     path = str(path)
     meta = None
@@ -282,13 +341,13 @@ def read_stream(path, rows: dict):
             if not line:
                 continue
             try:
-                obj, spans = _decode_line(line)
+                obj, found = _decode_line(line)
             except json.JSONDecodeError as exc:
                 raise ParseError("not valid JSON", path=path, line=lineno) from exc
             matrix = None
-            if spans is not None:
+            if found is not None:
                 try:
-                    matrix = _pack(line, spans, rows)
+                    matrix = _pack(line, found, rows)
                 except json.JSONDecodeError as exc:
                     raise ParseError("not valid JSON", path=path, line=lineno) from exc
                 except (ValueError, OverflowError) as exc:
@@ -306,6 +365,11 @@ def read_stream(path, rows: dict):
                 continue
             rid = obj.get("id")
             if "matrix" in obj:
+                if isinstance(matrix, OverflowError):
+                    raise ParseError(
+                        f"record {rid!r}: 'matrix' holds a number beyond the float64 range",
+                        path=path,
+                    ) from matrix
                 if not isinstance(matrix, np.ndarray):
                     raise ParseError(
                         f"record {rid!r}: 'matrix' is not a numeric array", path=path
@@ -345,6 +409,12 @@ def read_stream(path, rows: dict):
                         path=path,
                     )
                 matrix = binio.read_array(fh, offset)
+                if not np.isfinite(matrix).all():
+                    raise ParseError(
+                        f"record {obj.get('id')!r}: the 'matrix_ref' array in {sidecar} "
+                        "holds NaN or Inf",
+                        path=path,
+                    )
                 matrix.flags.writeable = False
                 obj["matrix"] = matrix
     return meta, records

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from helpers import store_entries, store_from, synonym_stores
+from helpers import store_entries, store_from, synonym_stores, write_vectors
 from psda.augment import (
     SKIP_EMPTY_POOL,
     SKIP_MISSING_CHAIN,
@@ -12,7 +14,7 @@ from psda.augment import (
 )
 from psda.corpus import SentenceRecord, assemble_sentence
 from psda.domino import KPolicy, build_cluster_model
-from psda.embeddings import PosTagging
+from psda.embeddings import PosTagging, VocabStore, load_vectors
 from psda.errors import DimensionMismatchError, MissingChainError
 from psda.gmm import GmmConfig
 from psda.taxonomy import FamilyEntry, LanguageTaxonomy
@@ -285,6 +287,42 @@ class TestDrawAcrossRuns:
                     assert np.array_equal(
                         aug.augmented[r.position], stores[r.candidate_lang][r.candidate_word]
                     )
+
+
+class TestDrawnRowsReadTogether:
+    def test_a_sentences_drawn_rows_are_parsed_in_one_batch_per_store(
+        self, pair_model, index, tmp_path, monkeypatch
+    ):
+        # stores that parse each row on first read, as ``augment`` loads
+        # files whose digest the model recorded
+        lazy = {}
+        for lang, store in pair_model.stores.items():
+            path = tmp_path / f"vec_{lang}.txt"
+            write_vectors(path, lang, store_entries(store))
+            lazy[lang] = load_vectors(path, lang, hashlib.sha256(path.read_bytes()).hexdigest())
+        lazy_index = build_candidate_index(pair_model.model, lazy)
+        batches = []
+        parse = VocabStore._parse
+
+        def counted(store, rows):
+            batches.append((store.lang, len(rows)))
+            return parse(store, rows)
+
+        monkeypatch.setattr(VocabStore, "_parse", counted)
+        rec = svo_rec()
+        mat = assemble_sentence(rec, pair_model.stores["aa"])
+        for seed in range(12):
+            batches.clear()
+            got = augment_sentence(rec, mat, pair_model.model, lazy_index, seed)
+            want = augment_sentence(rec, mat, pair_model.model, index, seed)
+            assert got.replacements == want.replacements
+            assert got.augmented.tobytes() == want.augmented.tobytes()
+            # every candidate of an "aa" sentence is a "bb" word: at most
+            # one parse, of the drawn rows not parsed before
+            assert len(batches) <= 1
+            if seed == 0:
+                drawn = {r.candidate_word for r in got.replacements}
+                assert batches == [("bb", len(drawn))]
 
 
 class TestSentenceSeed:

@@ -745,12 +745,15 @@ class TestLoss:
         "bad, named",
         [
             ({"matrix": [["x", 1.0, 2.0], [0.0, 1.0, 1.0]]}, "not a numeric array"),
+            ({"matrix": [["1e999", 1.0, 2.0], [0.0, 1.0, 1.0]]},
+             "'matrix' holds a number beyond the float64 range"),
             ({"matrix_ref": {"offset": -8}}, "non-negative integer 'offset'"),
             ({"matrix_ref": {"offset": "end"}}, "not the start of an array"),
             ({"matrix_ref": {"offset": 1}}, "not the start of an array"),
+            ({"matrix_ref": {"offset": "nan"}}, "the 'matrix_ref' array in m.bin holds NaN or Inf"),
         ],
-        ids=["inline-non-numeric", "sidecar-negative-offset", "sidecar-past-the-end",
-             "sidecar-off-a-block-start"],
+        ids=["inline-non-numeric", "inline-beyond-float64", "sidecar-negative-offset",
+             "sidecar-past-the-end", "sidecar-off-a-block-start", "sidecar-nan"],
     )
     def test_malformed_third_matrix_stops_loss_before_any_output(
         self, tmp_path, run_cli, bad, named
@@ -759,13 +762,15 @@ class TestLoss:
         origs = {f"o{i}": rng.normal(size=(2, 3)) + 2.0 for i in range(4)}
         side = tmp_path / "m.bin"
         with open(side, "wb") as fh:
+            nan_at = write_array(fh, np.full((2, 3), np.nan))[0]
             refs = [{"offset": write_array(fh, m + 0.5)[0]} for m in origs.values()]
             end = fh.tell()
         records = [{"id": f"o{i}c0", "source": f"o{i}", "matrix_ref": refs[i]} for i in range(4)]
         if "matrix" in bad:
             del records[2]["matrix_ref"]
-        elif bad["matrix_ref"]["offset"] == "end":
-            bad = {"matrix_ref": {"offset": end}}
+        elif bad["matrix_ref"]["offset"] in ("end", "nan"):
+            offset = end if bad["matrix_ref"]["offset"] == "end" else nan_at
+            bad = {"matrix_ref": {"offset": offset}}
         records[2].update(bad)
         orig, aug = tmp_path / "orig.jsonl", tmp_path / "aug.jsonl"
         orig.write_text(
@@ -773,9 +778,10 @@ class TestLoss:
             + "".join(json.dumps({"id": k, "matrix": m.tolist()}) + "\n" for k, m in origs.items()),
             encoding="utf-8",
         )
+        # "1e999" unquoted: a literal JSON decoders read as an infinity
         aug.write_text(
             json.dumps({"meta": {"matrix_file": "m.bin"}}) + "\n"
-            + "".join(json.dumps(r) + "\n" for r in records),
+            + "".join(json.dumps(r).replace('"1e999"', "1e999") + "\n" for r in records),
             encoding="utf-8",
         )
         code, stdout, err = run_cli("loss", "--orig", orig, "--aug", aug)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 from itertools import permutations
@@ -1053,3 +1054,91 @@ def test_compose_reg_stays_within_hull(losses, raw):
     rho = tuple(r / total for r in raw)
     blended = compose_reg(*losses, rho)
     assert min(losses) - 1e-9 <= blended <= max(losses) + 1e-9
+
+
+# Blocks for the stacked solver whose results are pinned bit for bit:
+# (kind, seed, pairs, n, m, epsilon, max_iter, tol).  Sentence blocks at
+# and far from the default eps, a block cut short by max_iter, one of
+# zero iterations, uniform costs iterated past convergence (tol = 0),
+# where backtracking fails and log-domain iterations stand in, a
+# non-square block, and costs so large that -C/eps overflows, which gives
+# NaN plans where a whole column is -inf.
+GOLDEN_BLOCKS = [
+    ("sentences", 31, 64, 18, 18, 0.1, 1000, 1e-9),
+    ("sentences", 32, 24, 9, 9, 0.1, 1000, 1e-9),
+    ("sentences", 33, 16, 30, 30, 0.01, 1000, 1e-9),
+    ("sentences", 34, 16, 30, 30, 0.003, 1000, 1e-9),
+    ("sentences", 35, 8, 6, 6, 1.0, 1000, 1e-9),
+    ("sentences", 36, 24, 18, 18, 0.1, 3, 1e-9),
+    ("sentences", 37, 4, 12, 12, 0.1, 0, 1e-9),
+    ("uniform", 38, 8, 12, 12, 0.01, 40, 0.0),
+    ("uniform", 39, 3, 7, 11, 0.05, 1000, 1e-9),
+    ("overflow", 41, 6, 5, 5, 0.01, 50, 1e-9),
+]
+# SHA-256 of each block's plans, iteration counts and marginal errors, in
+# that order, as the solver gave them before its Newton step was reworked
+# (numpy 2 with OpenBLAS 0.3.31, AVX-512, one BLAS thread).
+GOLDEN_DIGESTS = [
+    "a84558f718e50ef4c740a2857633768b32190c14dacde1a096af3e3ca4f3ea4a",
+    "11c24663df026553736c1bb02fc0ad71045e7ff9f0c1401a501b75d20c407c31",
+    "4b98df14139f2e388f54f836efcc2bd45c30f7d0321688cef9b78f4adac03ddf",
+    "e99cfb1f53c045943349e6c72753e50da412352573c688b5863e031e86c554ea",
+    "13903f8e0b7ae47efd138bb0fde64431262b4f8470e2c4e1b6bf716714c24724",
+    "4af26993fa8802f46fa5a665e7f528d3ba321b49aea1c04796ad0b9ed1eab982",
+    "192e720e8335f741a5ac6d02603012d7707eda40e55b1d180d2f07c7398467a9",
+    "d4ee519879e4b860361bd3b67714cd751e73b238053a6f1d7ff5f09811edb037",
+    "946dc1090283f5835f4b2880bc3e89fdc535869d17242b63c0f1d07150906503",
+    "baeab2b273024d73853a059fe4f893037f8d735e72f8337aad54b909159cba72",
+]
+# SHA-256 of the kernels the solver is built from (exp, log, log1p,
+# expm1, stacked products, solves and sums) on fixed inputs, on the
+# machine the digests come from.  Another CPU or BLAS may round them
+# differently; there the pinned bits cannot be expected.
+GOLDEN_KERNELS = "6666f57fac7c3d2d1dc636af2c7f5222caa8d29b3ae0706ac0dde936dffe9c53"
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _kernel_digest() -> str:
+    rng = np.random.default_rng(40)
+    x = rng.uniform(-30.0, 30.0, size=4096)
+    y = rng.normal(size=(8, 18, 18))
+    z = rng.normal(size=(8, 18))
+    spd = y @ np.swapaxes(y, 1, 2) + np.eye(18)
+    return _sha256(
+        np.exp(x), np.log(np.abs(x)), np.log1p(np.abs(x)), np.expm1(x / 10),
+        np.swapaxes(y, 1, 2) @ z[:, :, None], y @ np.swapaxes(y, 1, 2),
+        np.linalg.solve(spd, z[:, :, None]), z[:, None, :] @ z[:, :, None],
+        y.sum(axis=2), y.sum(axis=1),
+    )
+
+
+def _golden_block(kind, seed, pairs, n, m, epsilon):
+    rng = np.random.default_rng(seed)
+    if kind != "sentences":
+        cost = rng.uniform(0.0, 1.0, size=(pairs, n, m))
+        if kind == "overflow":
+            # a column, a row and one entry of three problems
+            cost[1, :, 2] = cost[3, 4, :] = cost[4, 0, 0] = 1e308
+    else:
+        clouds = [sentence_clouds(rng, n, replaced=(0, 1, 3, 6)[i % 4]) for i in range(pairs)]
+        cost = np.stack([pairwise_distances(o, a) for o, a in clouds])
+    return -cost / epsilon
+
+
+@pytest.mark.parametrize("case, digest", list(zip(GOLDEN_BLOCKS, GOLDEN_DIGESTS)))
+def test_stacked_solver_keeps_its_bits(case, digest):
+    if _kernel_digest() != GOLDEN_KERNELS:
+        pytest.skip("this platform rounds the solver's kernels otherwise than where the "
+                    "digests were taken")
+    kind, seed, pairs, n, m, epsilon, max_iter, tol = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan, iterations, error = otreg._solve_stacked(
+            _golden_block(kind, seed, pairs, n, m, epsilon), max_iter, tol
+        )
+    assert _sha256(plan, iterations, error) == digest
