@@ -19,8 +19,11 @@ lines in input order; a pair's line and gradient do not depend on how
 the pairs are grouped, and the first pair that cannot be paired or
 scored still aborts right after the lines of the pairs before it.
 
-Heavy imports stay inside the command functions so ``--threads`` can
-pin BLAS pools through the environment before numpy first loads.
+``--threads`` is the number of worker threads ``cluster`` runs its
+independent fits on, by default the CPUs the process may use.  BLAS runs
+one thread whatever it is, so no output depends on it: ``main`` pins the
+BLAS pools through the environment before numpy first loads, which is
+why heavy imports stay inside the command functions.
 """
 
 import argparse
@@ -33,7 +36,9 @@ from .errors import PsdaError
 # What main reports with exit 2 and one JSON error line.
 _INPUT_ERRORS = (PsdaError, ValueError, OSError, MemoryError)
 
-_THREAD_VARS = (
+# BLAS pools, pinned to one thread before numpy loads: the thread count
+# moves the last bits of matrix products.
+_BLAS_THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
@@ -135,7 +140,7 @@ def cmd_cluster(args) -> int:
     tax = load_taxonomy(cfg.taxonomy_path)
     stores = _load_stores(cfg)
     pos = _pos_tagging(cfg)
-    model = build_cluster_model(stores, pos, tax, cfg.k, cfg.gmm)
+    model = build_cluster_model(stores, pos, tax, cfg.k, cfg.gmm, workers=args.threads)
     save_model(args.out, model, config=cfg.echo())
 
     def stage_info(stage):
@@ -411,6 +416,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (all of the machine's where
+    the platform cannot tell)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="key = value configuration file")
@@ -424,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="BLAS thread cap, applied before numpy loads (default 1)",
+        default=_usable_cpus(),
+        help="worker threads for independent fits (default: the CPUs this process may "
+        "use); BLAS always runs one thread",
     )
 
     parser = argparse.ArgumentParser(
@@ -478,12 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     from .errors import ConfigError
 
+    for var in _BLAS_THREAD_VARS:
+        os.environ[var] = "1"
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         _fail(ConfigError(f"--threads must be at least 1, got {args.threads}"))
         return 2
-    for var in _THREAD_VARS:
-        os.environ[var] = str(args.threads)
 
     try:
         return args.func(args)

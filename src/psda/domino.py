@@ -26,7 +26,7 @@ from .embeddings import PosTagging, VocabStore, final_embeddings
 from .errors import DimensionMismatchError
 from .gmm import GmmConfig, GmmModel, gmm_fit
 from .taxonomy import LanguageTaxonomy
-from .util import derive_seed
+from .util import derive_seed, map_sorted
 
 MULTI_SCOPE = "MUL"
 
@@ -220,9 +220,16 @@ def build_cluster_model(
     tax: LanguageTaxonomy,
     k_policy: KPolicy,
     cfg: GmmConfig,
+    workers: int = 1,
 ) -> ClusterModel:
     """Run the three stages in order and read every word's chain from
-    their members (``read_chain``)."""
+    their members (``read_chain``).
+
+    Every language is prepared and checked, in sorted order, before any
+    fit starts.  The single-language fits, then the family fits, are
+    independent and run on up to ``workers`` threads (``map_sorted``);
+    each fit's seed comes from its scope, so no byte depends on how many.
+    """
     if not stores:
         raise ValueError("no vocabulary stores given")
     langs = sorted(stores)
@@ -231,7 +238,6 @@ def build_cluster_model(
         # raises UnknownLanguageError before any fit
         by_family.setdefault(tax.family_of(lang), []).append(lang)
 
-    single: dict[str, StageClusters] = {}
     words_by_lang: dict[str, list[str]] = {}
     embeddings_by_lang: dict[str, np.ndarray] = {}
     embed_dim = None
@@ -245,15 +251,20 @@ def build_cluster_model(
             )
         words_by_lang[lang] = words
         embeddings_by_lang[lang] = matrix
-        single[lang] = cluster_single_language(lang, words, matrix, k_policy, cfg)
 
-    family: dict[str, StageClusters] = {}
-    for fam in sorted(by_family):
-        family[fam] = cluster_family(
-            fam, [single[lang] for lang in by_family[fam]], k_policy, cfg
-        )
-
-    multi = cluster_multi([family[fam] for fam in sorted(family)], k_policy, cfg)
+    single = map_sorted(
+        lambda lang: cluster_single_language(
+            lang, words_by_lang[lang], embeddings_by_lang[lang], k_policy, cfg
+        ),
+        langs,
+        workers,
+    )
+    family = map_sorted(
+        lambda fam: cluster_family(fam, [single[lang] for lang in by_family[fam]], k_policy, cfg),
+        by_family,
+        workers,
+    )
+    multi = cluster_multi(list(family.values()), k_policy, cfg)
 
     return ClusterModel(
         single=single,

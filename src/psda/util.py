@@ -1,8 +1,11 @@
 """Small shared helpers: stable seed derivation, finiteness checks, a
-stable log-sum-exp and the Euclidean distance kernel."""
+stable log-sum-exp, the Euclidean distance kernel and an ordered map over
+worker threads."""
 
 import hashlib
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -31,6 +34,58 @@ def derive_seed(base_seed: int, *parts) -> int:
         h.update(b"\x1f")
         h.update(repr(part).encode("utf-8"))
     return int.from_bytes(h.digest(), "little")
+
+
+def map_sorted(fn, keys, workers: int = 1) -> dict:
+    """``{key: fn(key)}`` for each of ``keys``, in sorted key order, with
+    the calls run on ``min(workers, len(keys))`` threads.
+
+    With one thread every call runs inline: no thread starts and no CPU
+    affinity is set.  Otherwise worker i first binds itself to CPU i of
+    the calling thread's affinity set (in turn, when there are more
+    workers than CPUs), and runs unbound where ``os.sched_setaffinity``
+    is missing or raises ``OSError``: a kernel that does not balance load
+    between CPUs keeps a thread on the CPU it was created on.  On Linux
+    the call binds the calling thread only, so this thread's affinity
+    never changes.  Workers take keys in sorted order.  When calls raise,
+    the error of the first failing key in sorted order is raised here,
+    once every worker has stopped; no key is taken after a failure, as
+    every key left comes after the failing one.
+    """
+    keys = sorted(keys)
+    workers = min(workers, len(keys))
+    if workers <= 1:
+        return {key: fn(key) for key in keys}
+    setaffinity = getattr(os, "sched_setaffinity", None)
+    cpus = sorted(os.sched_getaffinity(0)) if setaffinity is not None else []
+    todo = iter(keys)
+    lock = threading.Lock()
+    results, errors = {}, {}
+
+    def work(index):
+        if cpus:
+            try:
+                setaffinity(0, {cpus[index % len(cpus)]})
+            except OSError:
+                pass
+        while True:
+            with lock:
+                key = None if errors else next(todo, None)
+            if key is None:
+                return
+            try:
+                results[key] = fn(key)
+            except BaseException as exc:  # re-raised in the calling thread
+                errors[key] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return {key: results[key] for key in keys}
 
 
 def require_finite(arr: np.ndarray, what: str) -> None:

@@ -1746,7 +1746,7 @@ class TestSubprocessEntryPoints:
         assert_help(proc)
 
     def test_import_loads_no_numpy(self):
-        # --threads sets the BLAS environment after these imports
+        # main pins BLAS to one thread through the environment after these imports
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, psda, psda.cli; print('numpy' in sys.modules)"],
             capture_output=True, text=True, timeout=120, env=child_env(),
