@@ -23,7 +23,10 @@ scored still aborts right after the lines of the pairs before it.
 independent fits on, by default the CPUs the process may use.  BLAS runs
 one thread whatever it is, so no output depends on it: ``main`` pins the
 BLAS pools through the environment before numpy first loads, which is
-why heavy imports stay inside the command functions.
+why heavy imports stay inside the command functions.  A process that
+loaded numpy before its first ``main`` call, with any BLAS variable other
+than 1, keeps BLAS pools of several threads; there ``--threads``
+defaults to 1, so that worker threads do not each run such a pool.
 """
 
 import argparse
@@ -45,6 +48,10 @@ _BLAS_THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
+
+# Whether numpy was loaded, with BLAS not pinned to one thread, before
+# the process's first ``main`` call; set by that call.
+_blas_unpinned = None
 
 
 def _emit(obj) -> None:
@@ -425,7 +432,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(default_threads: int | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``--threads`` defaults to ``default_threads``, or
+    to the usable CPUs when that is None."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="key = value configuration file")
     shared.add_argument(
@@ -438,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--threads",
         type=int,
-        default=_usable_cpus(),
+        default=default_threads or _usable_cpus(),
         help="worker threads for independent fits (default: the CPUs this process may "
-        "use); BLAS always runs one thread",
+        "use; 1 if numpy was loaded before BLAS could be pinned to one thread)",
     )
 
     parser = argparse.ArgumentParser(
@@ -493,9 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     from .errors import ConfigError
 
+    global _blas_unpinned
+    if _blas_unpinned is None:
+        _blas_unpinned = "numpy" in sys.modules and any(
+            os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS
+        )
     for var in _BLAS_THREAD_VARS:
         os.environ[var] = "1"
-    args = build_parser().parse_args(argv)
+    args = build_parser(1 if _blas_unpinned else None).parse_args(argv)
     if args.threads < 1:
         _fail(ConfigError(f"--threads must be at least 1, got {args.threads}"))
         return 2

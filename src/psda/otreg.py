@@ -15,18 +15,21 @@ rows):
 The three are blended with convex weights, then blended again with a
 task loss.  Both weight vectors must sum to one.
 
-``score_block`` evaluates a block of pairs that share a shape: the
-Sinkhorn solve is stacked across the block, everything else runs pair by
-pair, and the blended gradient is formed only when it is asked for.  A
-pair's result is bit for bit the same in any block;
-``affinity_regularization`` is a block of one, and ``score_pairs`` scores
-any sequence of pairs in such blocks.
+``score_block`` evaluates a block of pairs that share a width and a
+padded length (the length rounded up to a multiple of BUCKET_WIDTH): the
+Sinkhorn solve is stacked across the block, each problem padded with
+rows and columns of zero mass, everything else runs pair by pair, and
+the blended gradient is formed only when it is asked for.  A pair's
+result depends only on its own clouds and its padded length, so it is
+bit for bit the same in any block; ``sinkhorn`` pads the same way,
+``affinity_regularization`` is a block of one, and ``score_pairs``
+scores any sequence of pairs in such blocks.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -89,6 +92,62 @@ NEWTON_DAMPING = 1e-3
 ARMIJO = 1e-4
 MAX_HALVINGS = 30
 
+# Stacked solves pad each problem's rows and columns up to the next
+# multiple of this, so problems of nearby sizes share a stack.
+BUCKET_WIDTH = 8
+
+
+def _padded(size: int) -> int:
+    """``size`` rounded up to the next multiple of BUCKET_WIDTH."""
+    return -(-size // BUCKET_WIDTH) * BUCKET_WIDTH
+
+
+def _padded_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2-D arrays of one padded size, zero-filled into a (B, N, M) stack;
+    returns the stack and each array's rows and columns."""
+    rows = np.array([x.shape[0] for x in mats])
+    cols = np.array([x.shape[1] for x in mats])
+    stack = np.zeros((len(mats), _padded(rows.max()), _padded(cols.max())))
+    for i, x in enumerate(mats):
+        stack[i, : x.shape[0], : x.shape[1]] = x
+    return stack, rows, cols
+
+
+class _Marginals(NamedTuple):
+    """Per-problem constants of a padded stack of k problems with n real
+    rows and m real columns each: the marginals a = 1/n and b = 1/m in
+    full (k, N) and (k, M) rows, zero on the padding, so that each row's
+    dot products keep their bits; their logs, 0 on padded rows (whose f
+    stays 0) and -inf on padded columns (which so drop out of the
+    log-domain iteration); m as a (k, 1, 1) scale; the 11^T/n term, 1/n on
+    the real block and zero elsewhere; and which rows are real."""
+
+    a: np.ndarray
+    b: np.ndarray
+    log_a: np.ndarray
+    log_b: np.ndarray
+    m: np.ndarray
+    ones: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cols: np.ndarray, n: int, m: int) -> "_Marginals":
+        real_rows = np.arange(n) < rows[:, None]
+        real_cols = np.arange(m) < cols[:, None]
+        inv_n, inv_m = 1.0 / rows, 1.0 / cols
+        return cls(
+            np.where(real_rows, inv_n[:, None], 0.0),
+            np.where(real_cols, inv_m[:, None], 0.0),
+            np.where(real_rows, np.log(inv_n)[:, None], 0.0),
+            np.where(real_cols, np.log(inv_m)[:, None], -np.inf),
+            cols.astype(np.float64)[:, None, None],
+            (real_rows[:, :, None] & real_rows[:, None, :]) * inv_n[:, None, None],
+            real_rows,
+        )
+
+    def take(self, keep: np.ndarray) -> "_Marginals":
+        return _Marginals(*(x[keep] for x in self))
+
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-by-row dot products of two stacks of vectors, as one (1, n) @
@@ -97,24 +156,24 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _columns_matched(f: np.ndarray, neg_scaled: np.ndarray) -> np.ndarray:
+def _columns_matched(f: np.ndarray, neg_scaled: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The plans exp(f_i + g_j - C_ij/eps) with g eliminated so that every
-    column sums to b = 1/m: column j is 1/m times the softmax of f +
-    column j.  Stacked: f (B, n), neg_scaled (B, n, m)."""
+    column sums to b: column j is b_j times the softmax of f + column j.
+    Stacked: f (B, N), neg_scaled (B, N, M), b (B, M).  A padded row is
+    -inf in neg_scaled and a padded column zero in its real rows, so both
+    come out zero; a real column that is all -inf comes out NaN."""
     z = f[:, :, None] + neg_scaled
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z, out=z)
-    e *= (1.0 / neg_scaled.shape[2]) / e.sum(axis=1, keepdims=True)
+    e *= b[:, None, :] / e.sum(axis=1, keepdims=True)
     return e
 
 
-def _newton_step(f, plan, row_sums, a, b):
-    """One damped Newton step on the semi-dual for each of a stack of
-    problems with marginals a = 1/n and b = 1/m; returns the stepped f and
-    whether each step was taken (a row that is not keeps its f, for the
-    caller to replace).  ``row_sums`` holds the plans' row sums P1, and
-    ``a`` and ``b`` one full row of each marginal per problem, so that
-    each row's dot products keep their bits.
+def _newton_step(f, plan, row_sums, marg: _Marginals):
+    """One damped Newton step on the semi-dual for each of a padded stack
+    of problems with marginals a = 1/n and b = 1/m; returns the stepped f
+    and whether each step was taken (a row that is not keeps its f, for
+    the caller to replace).  ``row_sums`` holds the plans' row sums P1.
 
     F(f) = <f, a> + <g(f), b> with g(f) the column elimination is concave,
     with gradient a - P1 and negative Hessian diag(P1) - P diag(1/b) P^T,
@@ -122,28 +181,31 @@ def _newton_step(f, plan, row_sums, a, b):
     d solves that Hessian plus mu I + 11^T/n, mu = NEWTON_DAMPING |a - P1|,
     for the gradient.  Near the optimum the gain F(f + t d) - F(f) lies
     far below the rounding of F, so it is computed directly as
-    t <a, d> - sum_j b_j log(sum_i pi_ij exp(t d_i)), with pi the plan
-    divided by b (each column sums to 1).  Each problem backtracks on its
-    own t until the Armijo rule holds, for up to MAX_HALVINGS halvings.
+    t <a, d> - sum_j b_j log(sum_i pi_ij exp(t d_i)), with pi = m P (each
+    column sums to 1).  Each problem backtracks on its own t until the
+    Armijo rule holds, for up to MAX_HALVINGS halvings.
 
     The matrix is formed in place: 1/n - (P diag(1/b) P^T)_ij off the
     diagonal and (P1_i - (P diag(1/b) P^T)_ii) + (mu + 1/n) on it, the
     bits of diag(P1) - P diag(1/b) P^T + mu I + 11^T/n summed in that
-    order for any plan without a NaN.  A plan with one has a NaN gradient
-    and so a NaN slope, and its step is not taken, whatever the matrix.
+    order for any plan without a NaN.  A padded row carries no mass: it
+    has a zero gradient, stays out of 11^T/n and gets a unit diagonal, so
+    its step is zero and the real rows' system is their own.  A plan with
+    a NaN has a NaN gradient and so a NaN slope, and its step is not
+    taken, whatever the matrix.
     """
-    count, n, m = plan.shape
-    grad = a - row_sums
-    pi = plan / (1.0 / m)
+    count, n, _ = plan.shape
+    grad = marg.a - row_sums
+    pi = plan * marg.m
     damping = NEWTON_DAMPING * np.sqrt(_dot(grad, grad))
     hess = pi @ np.swapaxes(plan, 1, 2)
     diag = np.arange(n)
-    diagonal = (row_sums - hess[:, diag, diag]) + (damping[:, None] + 1.0 / n)
-    np.subtract(1.0 / n, hess, out=hess)
-    hess[:, diag, diag] = diagonal
+    diagonal = (row_sums - hess[:, diag, diag]) + (damping[:, None] + marg.a)
+    np.subtract(marg.ones, hess, out=hess)
+    hess[:, diag, diag] = np.where(marg.rows, diagonal, 1.0)
     step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
     slope = _dot(grad, step)
-    a_step = _dot(a, step)
+    a_step = _dot(marg.a, step)
     stepped = f.copy()
     taken = np.zeros(count, dtype=bool)
     t = np.ones(count)
@@ -157,7 +219,7 @@ def _newton_step(f, plan, row_sums, a, b):
             ts = t[part]
             move = ts[:, None] * step[part]
             shift = (np.swapaxes(pi[part], 1, 2) @ np.expm1(move)[:, :, None])[:, :, 0]
-            gain = ts * a_step[part] - _dot(b[: search.size], np.log1p(shift))
+            gain = ts * a_step[part] - _dot(marg.b[part], np.log1p(shift))
             # a column whose mass underflows gives an infinite gain: too far
             ok = np.isfinite(gain) & (gain >= ARMIJO * ts * slope[part])
             if search.size == count and ok.all():
@@ -171,43 +233,52 @@ def _newton_step(f, plan, row_sums, a, b):
     return stepped, taken
 
 
-def _solve_stacked(neg_scaled, max_iter: int, tol: float):
-    """The solver behind ``sinkhorn`` on a stack of B problems at once.
+def _solve_stacked(neg_scaled, rows, cols, max_iter: int, tol: float):
+    """The solver behind ``sinkhorn`` on a padded stack of B problems at
+    once.
 
-    neg_scaled (B, n, m) holds -C/eps; the marginals are uniform, a = 1/n
-    and b = 1/m.  The problems still iterating form a working set.  One
-    loop serves every iteration: it forms the column-matched plans of the
-    working set and their row errors, records the problems that stopped
-    (within ``tol``, or out of budget) and drops them, then takes one
-    Newton step on the rest, with a log-domain iteration for each problem
-    whose backtracking failed.  Every operation acts on each problem's
-    rows alone, so a problem's result does not depend on the others or on
-    B.  Returns the plans (B, n, m), the iterations used (B,) and the
-    marginal errors (B,).
+    neg_scaled (B, N, M) holds -C/eps; problem i is its block of rows[i]
+    real rows and cols[i] real columns, and its other entries are ignored.
+    The marginals are uniform on the real block, a = 1/n and b = 1/m, and
+    zero on the padding.  The problems still iterating form a working set.
+    One loop serves every iteration: it forms the column-matched plans of
+    the working set and their row errors, records the problems that
+    stopped (within ``tol``, or out of budget) and drops them, then takes
+    one Newton step on the rest, with a log-domain iteration for each
+    problem whose backtracking failed.  Padded rows and columns carry no
+    mass and take no step, and every operation acts on each problem's rows
+    alone, so a problem's result depends only on its own block and on
+    (N, M), never on the others or on B.  Returns the plans (B, N, M),
+    zero outside each real block unless the plan holds a NaN, the
+    iterations used (B,) and the marginal errors (B,).  With ``max_iter = 0`` each plan is the kernel
+    exp(-C/eps) and its error covers rows and columns, on the real block.
     """
     count, n, m = neg_scaled.shape
-    a, b = 1.0 / n, 1.0 / m
     iterations = np.zeros(count, dtype=np.int64)
-    if max_iter == 0:
-        plan = np.exp(neg_scaled)
-        error = np.maximum(
-            np.abs(plan.sum(axis=2) - a).max(axis=1), np.abs(plan.sum(axis=1) - b).max(axis=1)
-        )
-        return plan, iterations, error
-    log_a, log_b = np.log(a), np.log(b)
-    # the marginals in full rows, for every Newton step
-    a_rows, b_rows = np.full((count, n), a), np.full((count, m), b)
-    plan = np.empty_like(neg_scaled)
+    plan = np.zeros_like(neg_scaled)
     error = np.empty(count)
-    # the working set: problem numbers, their -C/eps and their f, all of
-    # them after the same number of iterations
-    at, ns = np.arange(count), neg_scaled
-    f = log_a - logsumexp(neg_scaled, axis=2)
+    if max_iter == 0:
+        for i, (rows_i, cols_i) in enumerate(zip(rows, cols)):
+            kernel = plan[i, :rows_i, :cols_i] = np.exp(neg_scaled[i, :rows_i, :cols_i])
+            error[i] = np.maximum(
+                np.abs(kernel.sum(axis=1) - 1.0 / rows_i).max(),
+                np.abs(kernel.sum(axis=0) - 1.0 / cols_i).max(),
+            )
+        return plan, iterations, error
+    marg = _Marginals.of(rows, cols, n, m)
+    real_cols = np.arange(m) < cols[:, None, None]
+    # padded rows are -inf and padded columns zero in the real rows, so a
+    # column maximum is finite unless a real column is all -inf
+    ns = np.where(marg.rows[:, :, None], np.where(real_cols, neg_scaled, 0.0), -np.inf)
+    f = np.where(marg.rows, marg.log_a - logsumexp(np.where(real_cols, ns, -np.inf), axis=2), 0.0)
+    # the working set: problem numbers, their -C/eps, f and marginals, all
+    # of them after the same number of iterations
+    at = np.arange(count)
     it = 1
     while True:
-        p = _columns_matched(f, ns)
+        p = _columns_matched(f, ns, marg.b)
         row_sums = p.sum(axis=2)
-        err = np.abs(row_sums - a).max(axis=1)
+        err = np.abs(row_sums - marg.a).max(axis=1)
         done = (err <= tol) | (it == max_iter)
         if done.any():
             stop = at[done]
@@ -216,14 +287,17 @@ def _solve_stacked(neg_scaled, max_iter: int, tol: float):
                 return plan, iterations, error
             keep = ~done
             at, ns, f, p, row_sums = at[keep], ns[keep], f[keep], p[keep], row_sums[keep]
+            marg = marg.take(keep)
         it += 1
-        k = f.shape[0]
-        f, taken = _newton_step(f, p, row_sums, a_rows[:k], b_rows[:k])
+        f, taken = _newton_step(f, p, row_sums, marg)
         if not taken.all():
-            # a failed backtracking is replaced by one log-domain iteration
+            # a failed backtracking is replaced by one log-domain iteration;
+            # padded rows keep f = 0 and padded columns get g = -inf
             back = ~taken
-            g = log_b - logsumexp(f[back][:, :, None] + ns[back], axis=1)
-            f[back] = log_a - logsumexp(g[:, None, :] + ns[back], axis=2)
+            nb = ns[back]
+            g = marg.log_b[back] - logsumexp(f[back][:, :, None] + nb, axis=1)
+            f_new = marg.log_a[back] - logsumexp(g[:, None, :] + nb, axis=2)
+            f[back] = np.where(marg.rows[back], f_new, 0.0)
 
 
 def sinkhorn(
@@ -241,7 +315,7 @@ def sinkhorn(
 
     and every later one a damped Newton step on the semi-dual in f
     (Brauer, Clason, Lorenz & Wirth 2017, "A Sinkhorn-Newton method for
-    entropic optimal transport").  Each step solves an n x n system and
+    entropic optimal transport").  Each step solves a linear system and
     backtracks with an Armijo rule; a step whose backtracking fails is
     replaced by one log-domain iteration,
 
@@ -256,7 +330,10 @@ def sinkhorn(
 
     This is the stacked solver ``score_block`` runs on many problems at
     once (batched as in Peyre & Cuturi 2019, "Computational Optimal
-    Transport", section 4), applied to a stack of one.
+    Transport", section 4), applied to a stack of one.  The problem is
+    padded as there, with rows and columns of zero mass up to the next
+    multiples of BUCKET_WIDTH, so its plan has the bits it has in any
+    block.
 
     Failure to reach ``tol`` within ``max_iter`` iterations is reported
     through ``converged=False``, never as an exception.
@@ -271,9 +348,11 @@ def sinkhorn(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    plans, iterations, errors = _solve_stacked((-cost / epsilon)[None], max_iter, tol)
+    n, m = cost.shape
+    stack, rows, cols = _padded_stack([cost])
+    plans, iterations, errors = _solve_stacked(-stack / epsilon, rows, cols, max_iter, tol)
     error = float(errors[0])
-    return TransportPlan(plans[0], epsilon, int(iterations[0]), error, error <= tol)
+    return TransportPlan(plans[0, :n, :m], epsilon, int(iterations[0]), error, error <= tol)
 
 
 def ot_loss(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> float:
@@ -489,19 +568,8 @@ def _check_weights(weights, size: int, name: str) -> tuple[float, ...]:
     return w
 
 
-def compose_reg(ot: float, eig: float, dis: float, rho) -> float:
-    """Convex blend of the three regularizer terms."""
-    return _blend_reg(ot, eig, dis, _check_weights(rho, 3, "regularizer weights"))
-
-
-def compose_total(task: float, reg: float, lam) -> float:
-    """Convex blend of the task loss with the blended regularizer."""
-    return _blend_total(task, reg, _check_weights(lam, 2, "total-loss weights"))
-
-
-# The blends without the weight checks, for weights checked already
-# (``OtParams`` checks its own); each weight is taken as a float, as the
-# checks return it.
+# The blends score_block forms, for weights ``OtParams`` checked; each
+# weight is taken as a float, as the checks return it.
 def _blend_reg(ot: float, eig: float, dis: float, rho) -> float:
     return float(rho[0]) * ot + float(rho[1]) * eig + float(rho[2]) * dis
 
@@ -565,7 +633,8 @@ class LossBreakdown:
     sinkhorn_converged: bool = True
 
 
-# The most pairs ``score_pairs`` passes to one score_block call.
+# The most pairs ``score_pairs`` passes to one score_block call; the
+# length they share is padded to a multiple of BUCKET_WIDTH.
 BLOCK_PAIRS = 64
 
 
@@ -613,18 +682,20 @@ def score_block(
     task_loss: float = 0.0,
     keep_grads: bool = True,
 ) -> list[LossBreakdown]:
-    """Evaluate all terms for a block of pairs that share one shape (n, d).
+    """Evaluate all terms for a block of pairs that share a width d and a
+    padded length: n rounded up to the next multiple of BUCKET_WIDTH.
 
     ``origs`` and ``augs`` are equal-length sequences of (n, d) clouds (a
-    (B, n, d) array is one).  The transport solve runs on the whole block
-    at once, through the stacked solver behind ``sinkhorn``; the
-    distances and the three terms run pair by pair.  The transport loss
-    is <P, C> on the block's stacked cost.  Without ``keep_grads`` the
-    transport and spectral gradients and the blend are skipped and
-    ``grad_augmented`` is None; the losses are the same bits either way.
-    The solver acts on each pair's own rows, so a pair's breakdown is bit
-    for bit the same alone, in any block, and at any place in it.
-    Returns one LossBreakdown per pair, in order.
+    (B, n, d) array is one), each pair of one shape.  The transport solve
+    runs on the whole block at once, through the stacked solver behind
+    ``sinkhorn``, with every pair's cost padded to the block's size; the
+    distances and the three terms run pair by pair on the real rows.
+    Without ``keep_grads`` the transport and spectral gradients and the
+    blend are skipped and ``grad_augmented`` is None; the losses are the
+    same bits either way.  A pair's solve depends only on its own cost and
+    its padded size, so its breakdown is bit for bit the same alone, in
+    any block, and at any place in it.  Returns one LossBreakdown per
+    pair, in order.
     """
     pairs = [_paired(o, a) for o, a in zip(origs, augs, strict=True)]
     if not pairs:
@@ -633,39 +704,50 @@ def score_block(
     if len(shape) != 2 or shape[0] == 0:
         raise ValueError("clouds must be nonempty 2-D arrays")
     for orig, _ in pairs:
-        if orig.shape != shape:
+        if _bucket(orig.shape) != _bucket(shape):
             raise DimensionMismatchError(
-                f"a block holds clouds of one shape, got {shape} and {orig.shape}"
+                f"a block holds clouds of one width and one padded length, got {shape} "
+                f"and {orig.shape}"
             )
-    dist = np.stack([pairwise_distances(o, a) for o, a in pairs])
-    cost = dist if params.power == 1.0 else dist**params.power
-    require_finite(cost, "cost matrix")
-    plan, iterations, error = _solve_stacked(-cost / params.epsilon, params.max_iter, params.tol)
+    dist = [pairwise_distances(o, a) for o, a in pairs]
+    cost = dist if params.power == 1.0 else [x**params.power for x in dist]
+    stack, rows, cols = _padded_stack(cost)
+    require_finite(stack, "cost matrix")
+    plan, iterations, error = _solve_stacked(
+        -stack / params.epsilon, rows, cols, params.max_iter, params.tol
+    )
     return [
         _term_breakdown(
-            o, a, plan[i], dist[i], cost[i], iterations[i], error[i], params, task_loss, keep_grads
+            o, a, plan[i, : len(o), : len(a)], dist[i], cost[i], iterations[i], error[i],
+            params, task_loss, keep_grads,
         )
         for i, (o, a) in enumerate(pairs)
     ]
 
 
-def score_pairs(pairs, params: OtParams, keep_grads: bool):
-    """Score (orig, aug) matrix pairs in blocks that share a shape and
-    yield each pair's breakdown in input order.
+def _bucket(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The padded length and the other dimensions of a cloud's shape."""
+    return (_padded(shape[0]), *shape[1:]) if shape else shape
 
-    Blocks hold up to BLOCK_PAIRS pairs of one shape, taken in input
-    order, and are scored in the order of their first pair; a pair's
-    result waits only for the pairs before it.  A block that raises is
-    scored again one pair at a time, so an error is raised at the pair
-    that caused it, once every pair before it has been yielded.  Since a
-    pair's breakdown does not depend on its block, that changes no other
-    pair's result.  Without ``keep_grads`` no gradient is formed
-    (``score_block``), and every breakdown's ``grad_augmented`` is None.
+
+def score_pairs(pairs, params: OtParams, keep_grads: bool):
+    """Score (orig, aug) matrix pairs in blocks that share a padded shape
+    and yield each pair's breakdown in input order.
+
+    Blocks hold up to BLOCK_PAIRS pairs of one width whose lengths round
+    up to the same multiple of BUCKET_WIDTH, taken in input order, and are
+    scored in the order of their first pair; a pair's result waits only
+    for the pairs before it.  A block that raises is scored again one pair
+    at a time, so an error is raised at the pair that caused it, once
+    every pair before it has been yielded.  Since a pair's breakdown does
+    not depend on its block, that changes no other pair's result.  Without
+    ``keep_grads`` no gradient is formed (``score_block``), and every
+    breakdown's ``grad_augmented`` is None.
     """
     errors = (PsdaError, ValueError, MemoryError)
     groups = {}
     for i, (orig, aug) in enumerate(pairs):
-        groups.setdefault((orig.shape, aug.shape), []).append(i)
+        groups.setdefault((_bucket(orig.shape), _bucket(aug.shape)), []).append(i)
     blocks = sorted(
         (
             idx[s : s + BLOCK_PAIRS]

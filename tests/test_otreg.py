@@ -22,11 +22,10 @@ from psda.errors import (
 )
 from psda.otreg import (
     BLOCK_PAIRS,
+    BUCKET_WIDTH,
     LossBreakdown,
     OtParams,
     affinity_regularization,
-    compose_reg,
-    compose_total,
     cost_matrix,
     distance_shrinkage,
     eig_shrinkage_gradient,
@@ -707,41 +706,53 @@ class TestDistanceShrinkage:
         assert not grad.flags.writeable
 
 
+def blend_reg(ot, eig, dis, rho):
+    """The regularizer blend ``score_block`` forms, with weights that
+    ``OtParams`` checked."""
+    return otreg._blend_reg(ot, eig, dis, OtParams(rho=rho).rho)
+
+
+def blend_total(task, reg, lam):
+    """The total-loss blend ``score_block`` forms, with weights that
+    ``OtParams`` checked."""
+    return otreg._blend_total(task, reg, OtParams(lam=lam).lam)
+
+
 class TestCompose:
     def test_projections(self):
-        assert compose_reg(2.0, 5.0, 7.0, (1.0, 0.0, 0.0)) == 2.0
-        assert compose_reg(2.0, 5.0, 7.0, (0.0, 1.0, 0.0)) == 5.0
-        assert compose_reg(2.0, 5.0, 7.0, (0.0, 0.0, 1.0)) == 7.0
+        assert blend_reg(2.0, 5.0, 7.0, (1.0, 0.0, 0.0)) == 2.0
+        assert blend_reg(2.0, 5.0, 7.0, (0.0, 1.0, 0.0)) == 5.0
+        assert blend_reg(2.0, 5.0, 7.0, (0.0, 0.0, 1.0)) == 7.0
 
     def test_zero_losses(self):
-        assert compose_reg(0.0, 0.0, 0.0, (0.4, 0.2, 0.4)) == 0.0
+        assert blend_reg(0.0, 0.0, 0.0, (0.4, 0.2, 0.4)) == 0.0
 
     def test_default_blend(self):
-        assert compose_reg(2.0, 5.0, 7.0, (0.4, 0.2, 0.4)) == pytest.approx(4.6, abs=1e-14)
+        assert blend_reg(2.0, 5.0, 7.0, (0.4, 0.2, 0.4)) == pytest.approx(4.6, abs=1e-14)
 
     def test_total_projections(self):
-        assert compose_total(9.0, 3.0, (0.0, 1.0)) == 3.0
-        assert compose_total(9.0, 3.0, (1.0, 0.0)) == 9.0
+        assert blend_total(9.0, 3.0, (0.0, 1.0)) == 3.0
+        assert blend_total(9.0, 3.0, (1.0, 0.0)) == 9.0
 
     def test_total_fixed_point_at_even_split(self):
         value = 0.7342
-        assert compose_total(value, value, (0.5, 0.5)) == value
-        assert compose_total(value, value, (0.3, 0.7)) == pytest.approx(value, rel=1e-15)
+        assert blend_total(value, value, (0.5, 0.5)) == value
+        assert blend_total(value, value, (0.3, 0.7)) == pytest.approx(value, rel=1e-15)
 
     def test_weight_validation(self):
         with pytest.raises(WeightSumError):
-            compose_reg(1.0, 1.0, 1.0, (0.5, 0.5))
+            blend_reg(1.0, 1.0, 1.0, (0.5, 0.5))
         with pytest.raises(WeightSumError):
-            compose_reg(1.0, 1.0, 1.0, (0.5, 0.3, 0.1))
+            blend_reg(1.0, 1.0, 1.0, (0.5, 0.3, 0.1))
         with pytest.raises(WeightSumError):
-            compose_reg(1.0, 1.0, 1.0, (0.5, 0.6, -0.1))
+            blend_reg(1.0, 1.0, 1.0, (0.5, 0.6, -0.1))
         with pytest.raises(WeightSumError):
-            compose_total(1.0, 1.0, (np.nan, 1.0))
+            blend_total(1.0, 1.0, (np.nan, 1.0))
         with pytest.raises(WeightSumError):
-            compose_total(1.0, 1.0, (0.5, 0.5, 0.0))
+            blend_total(1.0, 1.0, (0.5, 0.5, 0.0))
 
     def test_sum_tolerance_accepted(self):
-        assert compose_reg(1.0, 1.0, 1.0, (0.4 + 1e-10, 0.2, 0.4)) == pytest.approx(1.0)
+        assert blend_reg(1.0, 1.0, 1.0, (0.4 + 1e-10, 0.2, 0.4)) == pytest.approx(1.0)
 
 
 class TestOtParams:
@@ -921,14 +932,46 @@ class TestScoreBlock:
         block = score_block(origs, augs, params)
         # the same pairs in reverse order: every pair at another place
         reverse = score_block(origs[::-1], augs[::-1], params)[::-1]
+        # every other pair among pairs of the other lengths of its bucket
+        others = [sentence_block(28 + n, 4, n=n) for n in (17, 19, 20, 21, 22, 23, 24)]
+        mixed_origs, mixed_augs = [], []
+        for i in range(0, BLOCK_PAIRS, 2):
+            other_origs, other_augs = others[(i // 2) % len(others)]
+            mixed_origs += [origs[i], other_origs[(i // 2) % 4]]
+            mixed_augs += [augs[i], other_augs[(i // 2) % 4]]
+        assert {len(o) for o in mixed_origs} == set(range(17, 25))
+        mixed = score_block(mixed_origs, mixed_augs, params)
         iterations = set()
         for i, (orig, aug) in enumerate(zip(origs, augs)):
             alone = affinity_regularization(orig, aug, params)
             assert_same_breakdown(block[i], alone)
             assert_same_breakdown(reverse[i], alone)
+            if i % 2 == 0:
+                assert_same_breakdown(mixed[i], alone)
             iterations.add(alone.sinkhorn_iterations)
+        for i in range(1, BLOCK_PAIRS, 2):
+            alone = affinity_regularization(mixed_origs[i], mixed_augs[i], params)
+            assert_same_breakdown(mixed[i], alone)
         # pairs left the working set at different iterations
         assert len(iterations) > 1
+
+    def test_all_minus_inf_column_gives_nan_in_its_own_problem_only(self):
+        rng = np.random.default_rng(29)
+        costs = [rng.uniform(0.0, 1.0, size=(5, 5)) for _ in range(4)]
+        costs[1][:, 2] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack, rows, cols = otreg._padded_stack([-c / 0.01 for c in costs])
+            plan, iterations, error = otreg._solve_stacked(stack, rows, cols, 50, 1e-9)
+        # three padded columns beside the real ones
+        assert stack.shape == (4, BUCKET_WIDTH, BUCKET_WIDTH)
+        assert np.isnan(plan[1, :5, 2]).all()
+        assert iterations[1] == 50 and np.isnan(error[1])
+        for i in (0, 2, 3):
+            assert np.isfinite(plan[i]).all()
+            assert not plan[i, 5:].any() and not plan[i, :, 5:].any()
+            alone = sinkhorn(costs[i], 0.01, max_iter=50, tol=1e-9)
+            assert np.array_equal(plan[i, :5, :5], alone.plan)
+            assert (iterations[i], error[i]) == (alone.iterations_used, alone.marginal_error)
 
     def test_without_gradients_alone_and_in_a_full_block(self):
         origs, augs = sentence_block(26, BLOCK_PAIRS)
@@ -978,8 +1021,8 @@ class TestScoreBlock:
             l_dis, g_dis = distance_shrinkage(orig, aug)
             assert (out.loss_ot, out.loss_eig, out.loss_dis) == (l_ot, l_eig, l_dis)
             assert out.loss_eig < 0.0
-            assert out.loss_reg == compose_reg(l_ot, l_eig, l_dis, params.rho)
-            assert out.loss_total == compose_total(0.0, out.loss_reg, params.lam)
+            assert out.loss_reg == blend_reg(l_ot, l_eig, l_dis, params.rho)
+            assert out.loss_total == blend_total(0.0, out.loss_reg, params.lam)
             blend = params.rho[0] * g_ot + params.rho[1] * g_eig + params.rho[2] * g_dis
             assert np.array_equal(out.grad_augmented, blend)
 
@@ -1000,8 +1043,9 @@ class TestScoreBlock:
             score_block([], [])
         with pytest.raises(ValueError):
             score_block([np.ones((2, 2))], [np.ones((2, 2)), np.ones((2, 2))])
+        # 2 and 9 rows pad to 8 and 16
         with pytest.raises(DimensionMismatchError):
-            score_block([np.ones((2, 2)), np.ones((3, 2))], [np.ones((2, 2)), np.ones((3, 2))])
+            score_block([np.ones((2, 2)), np.ones((9, 2))], [np.ones((2, 2)), np.ones((9, 2))])
         with pytest.raises(DimensionMismatchError):
             score_block([np.ones((2, 2))], [np.ones((3, 2))])
         with pytest.raises(NonFiniteInputError):
@@ -1009,6 +1053,21 @@ class TestScoreBlock:
 
 
 class TestScorePairs:
+    def test_lengths_that_pad_alike_share_a_block(self, monkeypatch):
+        pairs = [sentence_clouds(np.random.default_rng(n), n) for n in (17, 9, 24, 18, 10, 20)]
+        blocks = []
+        real = otreg.score_block
+
+        def record(origs, augs, *args, **kwargs):
+            blocks.append([len(o) for o in origs])
+            return real(origs, augs, *args, **kwargs)
+
+        monkeypatch.setattr(otreg, "score_block", record)
+        scored = list(score_pairs(pairs, OtParams(), keep_grads=False))
+        assert blocks == [[17, 24, 18, 20], [9, 10]]
+        for (orig, aug), got in zip(pairs, scored):
+            assert_same_breakdown(got, score_block([orig], [aug], keep_grads=False)[0])
+
     def test_an_error_is_raised_at_its_pair_after_the_pairs_before_it(self):
         rng = np.random.default_rng(12)
         pairs = [(rng.normal(size=(4, 5)) + 1.0, rng.normal(size=(4, 5)) + 1.0) for _ in range(4)]
@@ -1052,7 +1111,7 @@ def test_cost_matrix_swap_symmetry(seed, n, m):
 def test_compose_reg_stays_within_hull(losses, raw):
     total = sum(raw)
     rho = tuple(r / total for r in raw)
-    blended = compose_reg(*losses, rho)
+    blended = blend_reg(*losses, rho)
     assert min(losses) - 1e-9 <= blended <= max(losses) + 1e-9
 
 
@@ -1075,20 +1134,38 @@ GOLDEN_BLOCKS = [
     ("uniform", 39, 3, 7, 11, 0.05, 1000, 1e-9),
     ("overflow", 41, 6, 5, 5, 0.01, 50, 1e-9),
 ]
-# SHA-256 of each block's plans, iteration counts and marginal errors, in
-# that order, as the solver gave them before its Newton step was reworked
-# (numpy 2 with OpenBLAS 0.3.31, AVX-512, one BLAS thread).
+# SHA-256 of each block's plans (each problem's real block), iteration
+# counts and marginal errors, in that order, as the solver gives them on
+# stacks padded to multiples of BUCKET_WIDTH (numpy 2 with OpenBLAS
+# 0.3.31, AVX-512, one BLAS thread).
 GOLDEN_DIGESTS = [
-    "a84558f718e50ef4c740a2857633768b32190c14dacde1a096af3e3ca4f3ea4a",
-    "11c24663df026553736c1bb02fc0ad71045e7ff9f0c1401a501b75d20c407c31",
-    "4b98df14139f2e388f54f836efcc2bd45c30f7d0321688cef9b78f4adac03ddf",
-    "e99cfb1f53c045943349e6c72753e50da412352573c688b5863e031e86c554ea",
-    "13903f8e0b7ae47efd138bb0fde64431262b4f8470e2c4e1b6bf716714c24724",
-    "4af26993fa8802f46fa5a665e7f528d3ba321b49aea1c04796ad0b9ed1eab982",
+    "6fc752876be3d5eefed2f4305484fbf9a4c61801d0b54aa0ec283e8e226bc29f",
+    "e16e90b4e415fd932def978285322370a2eda04cf883c563d0776b5967e2ad2e",
+    "1fe80e93f5293d481a4f9bb588316abe737b93435b0cd591045aaddc0e30672d",
+    "0a2bc08d2208eddd73a38580490a7f951a279dd19480ffe0536b8e5eba9786bf",
+    "d7fe26315dc26e7a9e3911c67b8d862ad70e2e36706c89990b7ac52d08fa9614",
+    "e4fd6184a447e59a328f0000364b718bd2e5725ab7a3b708ac830b23786d0f8a",
     "192e720e8335f741a5ac6d02603012d7707eda40e55b1d180d2f07c7398467a9",
-    "d4ee519879e4b860361bd3b67714cd751e73b238053a6f1d7ff5f09811edb037",
-    "946dc1090283f5835f4b2880bc3e89fdc535869d17242b63c0f1d07150906503",
-    "baeab2b273024d73853a059fe4f893037f8d735e72f8337aad54b909159cba72",
+    "0ea2a295a607a17e879abe0b769e77589efd7c8f0b0b99a118e9cf00d5b0c934",
+    "019a49d81e9169fbf98d0feb7bd4a6a1e4e2d91f6ae0c6129d2bb6f72e470a5b",
+    "1addf3ed0c68c483cdbf3ff5c0e7fa80132dafab0654288a262950ebefa1bfae",
+]
+# The iterations each problem of each block takes.  They are integers, so
+# unlike the digests they hold on any CPU; the padding left every one as
+# the solver took it on unpadded stacks.
+GOLDEN_ITERATIONS = [
+    [1, 8, 9, 9, 2, 7, 8, 9, 3, 6, 7, 9, 2, 9, 9, 10, 3, 6, 10, 10, 1, 7, 10, 9, 2, 6, 8,
+     9, 3, 8, 9, 11, 4, 5, 10, 9, 2, 7, 9, 10, 2, 8, 9, 8, 2, 5, 6, 10, 2, 7, 10, 10, 3,
+     7, 9, 11, 2, 7, 8, 10, 2, 8, 9, 10],
+    [1, 7, 10, 5, 3, 7, 8, 10, 1, 5, 9, 10, 1, 6, 9, 10, 1, 6, 10, 10, 1, 8, 10, 7],
+    [1, 17, 18, 18, 1, 1, 20, 18, 1, 1, 18, 18, 1, 18, 18, 17],
+    [1, 18, 21, 18, 1, 1, 17, 18, 1, 5, 22, 19, 1, 18, 18, 18],
+    [3, 4, 4, 4, 3, 4, 4, 4],
+    [3, 3, 3, 3, 2, 3, 3, 3, 1, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 3],
+    [0, 0, 0, 0],
+    [40, 40, 40, 40, 40, 40, 40, 40],
+    [5, 7, 6],
+    [16, 50, 13, 50, 10, 8],
 ]
 # SHA-256 of the kernels the solver is built from (exp, log, log1p,
 # expm1, stacked products, solves and sums) on fixed inputs, on the
@@ -1131,14 +1208,29 @@ def _golden_block(kind, seed, pairs, n, m, epsilon):
     return -cost / epsilon
 
 
-@pytest.mark.parametrize("case, digest", list(zip(GOLDEN_BLOCKS, GOLDEN_DIGESTS)))
+def _solve_golden(kind, seed, pairs, n, m, epsilon, max_iter, tol):
+    """The solver's plans (real blocks), iterations and errors on a
+    golden block, padded as ``score_block`` pads it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan, iterations, error = otreg._solve_stacked(
+            *otreg._padded_stack(_golden_block(kind, seed, pairs, n, m, epsilon)), max_iter, tol
+        )
+    return plan[:, :n, :m], iterations, error
+
+
+GOLDEN_IDS = [f"{kind}-{seed}" for kind, seed, *_ in GOLDEN_BLOCKS]
+
+
+@pytest.mark.parametrize(
+    "case, iterations", list(zip(GOLDEN_BLOCKS, GOLDEN_ITERATIONS)), ids=GOLDEN_IDS
+)
+def test_stacked_solver_keeps_its_iteration_counts(case, iterations):
+    assert _solve_golden(*case)[1].tolist() == iterations
+
+
+@pytest.mark.parametrize("case, digest", list(zip(GOLDEN_BLOCKS, GOLDEN_DIGESTS)), ids=GOLDEN_IDS)
 def test_stacked_solver_keeps_its_bits(case, digest):
     if _kernel_digest() != GOLDEN_KERNELS:
         pytest.skip("this platform rounds the solver's kernels otherwise than where the "
                     "digests were taken")
-    kind, seed, pairs, n, m, epsilon, max_iter, tol = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        plan, iterations, error = otreg._solve_stacked(
-            _golden_block(kind, seed, pairs, n, m, epsilon), max_iter, tol
-        )
-    assert _sha256(plan, iterations, error) == digest
+    assert _sha256(*_solve_golden(*case)) == digest

@@ -137,6 +137,41 @@ class TestByteIdentityAcrossWorkers:
         usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         assert args.threads == (len(usable) if usable else os.cpu_count())
 
+    @pytest.mark.parametrize("blas", ["unpinned", "pinned"])
+    def test_default_workers_after_numpy_was_preloaded(self, four_languages, tmp_path, blas):
+        # numpy loads before main can pin BLAS; only a pool left unpinned
+        # makes --threads default to one worker, from main's first call on
+        script = """
+import contextlib, io, json, os, sys
+import numpy
+from psda import cli, domino
+real, seen = domino.build_cluster_model, []
+def record(*args, workers, **kwargs):
+    seen.append(workers)
+    return real(*args, workers=workers, **kwargs)
+domino.build_cluster_model = record
+argv = ["cluster", "--config", sys.argv[1], "--out", sys.argv[2]]
+with contextlib.redirect_stdout(io.StringIO()):
+    for extra in ([], [], ["--threads", "2"]):
+        assert cli.main(argv + extra) == 0
+print(json.dumps(seen))
+"""
+        env = child_env()
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+            env.pop(var, None)
+            if blas == "pinned":
+                env[var] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, four_languages.config, str(tmp_path / "m.psda")],
+            capture_output=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        from psda.cli import _usable_cpus
+
+        default = 1 if blas == "unpinned" else _usable_cpus()
+        assert json.loads(proc.stdout) == [default, default, 2]
+
     def test_cluster(self, four_languages, tmp_path):
         model = tmp_path / "m.psda"
         runs = set()
