@@ -28,6 +28,7 @@ version; re-run ``psda cluster`` to rewrite it.
 """
 
 import json
+import math
 import re
 import struct
 import zlib
@@ -156,6 +157,9 @@ def _read_manifest(fh: BinaryIO) -> dict:
         raise ModelFormatError(f"unknown container format {manifest.get('format')!r}")
     if manifest.get("version") != _FORMAT_VERSION:
         raise ModelFormatError(f"unsupported container version {manifest.get('version')!r}")
+    config = manifest.get("config", {})  # echoed by report; the CRC does not cover it
+    if not (isinstance(config, dict) and all(isinstance(v, str) for v in config.values())):
+        raise ModelFormatError("manifest config is not an object of strings")
     return manifest
 
 
@@ -170,6 +174,11 @@ def _model_from_manifest(manifest: dict, fh: BinaryIO) -> ClusterModel:
     payload = _read_exact(fh, sum(e["nbytes"] for e in entries), "array payload")
     if zlib.crc32(payload) != manifest["payload_crc32"]:
         raise ModelFormatError("array payload does not match its CRC-32: the file is corrupt")
+    for shape, nbytes in ((e["shape"], e["nbytes"]) for e in entries):
+        # the CRC does not cover the shapes, and reshape would infer a -1
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+                and 4 * math.prod(shape) == nbytes):
+            raise ModelFormatError(f"manifest array shape {shape!r} does not hold {nbytes!r} bytes")
     arrays = [
         np.frombuffer(payload, "<f4", count=e["nbytes"] // 4, offset=e["offset"])
         .astype(np.float64)

@@ -11,8 +11,8 @@ the row texts into the line, whose bytes stay those of ``json.dumps`` on
 the whole record.  ``read_stream`` returns every record with its matrix,
 so a malformed matrix of either layout stops a reader before it uses any
 record.  It reads a stream line by line and finds the row texts of a
-line's matrix in one scan.  Each row text is hashed once (SHA-256, over
-the line's UTF-8 bytes in place), and only the texts whose digest is not
+decoded line's matrix in one scan.  Each row text is hashed once
+(SHA-256 of its UTF-8 encoding), and only the texts whose digest is not
 yet in the ``rows`` cache, which streams may share, are decoded, together.
 Each record's matrix is filled from that cache into its own read-only
 float64 array, bit-equal to
@@ -41,10 +41,9 @@ from .errors import ParseError, utf8_errors
 
 _DECODER = json.JSONDecoder()
 _WS = re.compile(r"[ \t\n\r]*")
-_WS_BYTES = re.compile(rb"[ \t\n\r]*")
-# The bytes a row text of JSON numbers may hold besides its brackets.
-# Strings, true, false, null and Python's NaN and Infinity all need others.
-_NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
+# Deletes what a row text of JSON numbers may hold besides its brackets.
+# Strings, true, false, null and Python's NaN and Infinity all need more.
+_NUMBER_CHARS = str.maketrans("", "", "0123456789+-.eE, \t\n\r")
 
 
 def jsonl_line(obj) -> str:
@@ -164,39 +163,37 @@ def open_writer(out, orig_out, matrix_out, config: dict):
                 os.remove(temp)
 
 
-def _row_texts(data: bytes, pos: int):
+def _row_texts(line: str, pos: int):
     """The texts inside the brackets of the rows of the list of lists at
-    byte ``pos`` of ``data``, as views of it, and the end of that list;
-    None when the value there is not a non-empty list of lists.  A row
-    runs from its ``[`` to the first ``]`` after it, so inside a nested
-    array or a string holding ``]`` it is cut short; ``_decode_rows``
-    rejects such a text.  Whitespace is matched only where a row is not
-    opened at once by ``[`` or followed at once by ``,`` or the closing
-    ``]``."""
-    if not data.startswith(b"[", pos):
+    ``pos`` of ``line``, and the end of that list; None when the value
+    there is not a non-empty list of lists.  A row runs from its ``[`` to
+    the first ``]`` after it, so inside a nested array or a string holding
+    ``]`` it is cut short; ``_decode_rows`` rejects such a text.
+    Whitespace is matched only where a row is not opened at once by ``[``
+    or followed at once by ``,`` or the closing ``]``."""
+    if not line.startswith("[", pos):
         return None
-    view = memoryview(data)
-    find = data.find
+    find = line.find
     texts = []
     pos += 1
     while True:
-        if not data.startswith(b"[", pos):
-            pos = _WS_BYTES.match(data, pos).end()
-            if not data.startswith(b"[", pos):
+        if not line.startswith("[", pos):
+            pos = _WS.match(line, pos).end()
+            if not line.startswith("[", pos):
                 return None
-        end = find(b"]", pos)
+        end = find("]", pos)
         if end < 0:
             return None
-        texts.append(view[pos + 1 : end])
+        texts.append(line[pos + 1 : end])
         pos = end + 1
-        sep = data[pos : pos + 1]
-        if sep != b"," and sep != b"]":
-            pos = _WS_BYTES.match(data, pos).end()
-            sep = data[pos : pos + 1]
+        sep = line[pos : pos + 1]
+        if sep != "," and sep != "]":
+            pos = _WS.match(line, pos).end()
+            sep = line[pos : pos + 1]
         pos += 1
-        if sep == b"]":
+        if sep == "]":
             return texts, pos
-        if sep != b",":
+        if sep != ",":
             return None
 
 
@@ -204,7 +201,7 @@ def _decode_line(line: str):
     """``json.loads(line)``, except that in an object line a ``matrix``
     value that is a list of lists is not decoded.  Returns (value, None),
     or (value, texts) with ``None`` under ``"matrix"`` and ``texts`` the
-    UTF-8 texts inside the brackets of its rows (``_row_texts``).
+    texts inside the brackets of its rows (``_row_texts``).
 
     A line the walk cannot read goes to ``json.loads``, which raises
     where the line is not JSON; a matrix it decodes is never a valid
@@ -223,7 +220,7 @@ def _walk_object(line: str):
     whose rows scan are read one by one, and the keys after it in one
     ``raw_decode`` call; should those hold another ``matrix``, the last
     one counts, as in ``json.loads``, and the walk goes on key by key."""
-    obj, found, data = {}, None, None
+    obj, found = {}, None
     pos = _WS.match(line, 1).end()
     if line.startswith("}", pos):
         pos += 1
@@ -234,21 +231,14 @@ def _walk_object(line: str):
             if not (isinstance(key, str) and line.startswith(":", pos)):
                 raise json.JSONDecodeError("Expecting a key and ':'", line, pos)
             pos = _WS.match(line, pos + 1).end()
-            scanned = None
-            if key == "matrix":
-                if data is None:
-                    data = line.encode()
-                    ascii_only = len(data) == len(line)
-                # byte and character offsets differ past a non-ASCII one
-                scanned = _row_texts(data, pos if ascii_only else len(line[:pos].encode()))
+            scanned = _row_texts(line, pos) if key == "matrix" else None
             if scanned is None:
                 obj[key], pos = _DECODER.raw_decode(line, pos)
                 if key == "matrix":
                     found = None
             else:
-                found, end = scanned
+                found, pos = scanned
                 obj[key] = None
-                pos = end if ascii_only else len(data[:end].decode())
             pos = _WS.match(line, pos).end()
             if line.startswith(",", pos):
                 pos = _WS.match(line, pos + 1).end()
@@ -272,14 +262,14 @@ def _walk_object(line: str):
 
 
 def _decode_rows(texts, line: str):
-    """One float64 array of the row texts ``texts`` (bytes-like, inside
-    their brackets) of ``line``, decoded together.  Raises
+    """One float64 array of the row texts ``texts`` (inside their
+    brackets) of ``line``, decoded together.  Raises
     ``json.JSONDecodeError`` when ``line`` is not valid JSON, ValueError
     when the rows are not equal-length, non-empty lists of numbers, and
     OverflowError when a number does not fit a finite float64."""
-    joined = b"[[" + b"],[".join(texts) + b"]]"
-    # all but the brackets around each text must be number bytes
-    if joined.translate(None, _NUMBER_BYTES) != b"[" + b"[]" * len(texts) + b"]":
+    joined = "[[" + "],[".join(texts) + "]]"
+    # all but the brackets around each text must be number characters
+    if joined.translate(_NUMBER_CHARS) != "[" + "[]" * len(texts) + "]":
         json.loads(line)  # raises where the line is not valid JSON
         raise ValueError("a row is not a list of numbers")
     values = json.loads(joined)
@@ -296,24 +286,22 @@ def _pack(line: str, texts, rows: dict):
     """The read-only float64 matrix of the row texts ``texts`` of
     ``line``.
 
-    ``rows`` maps the SHA-256 digest of a row text to a view of that row
-    in the first matrix that held it.  Each text is hashed once; the
-    texts not in ``rows`` are decoded together (``_decode_rows``), and
-    the matrix is filled from ``rows`` and that batch, whose rows then
-    join ``rows``.
+    ``rows`` maps the SHA-256 digest of a row text's UTF-8 encoding to a
+    view of that row in the first matrix that held it.  Each text is
+    hashed once; the texts not in ``rows`` are decoded together
+    (``_decode_rows``) and join it, and the matrix is filled from it.
     """
-    keys = [sha256(text).digest() for text in texts]
+    keys = [sha256(text.encode()).digest() for text in texts]
     fresh = {key: text for key, text in zip(keys, texts) if key not in rows}
-    if not fresh:
-        matrix = np.array([rows[key] for key in keys])
-    else:
-        new = dict(zip(fresh, _decode_rows(list(fresh.values()), line)))
-        matrix = np.array([new[key] if key in new else rows[key] for key in keys])
-    # a ValueError above when the rows differ in length
+    if fresh:
+        rows.update(zip(fresh, _decode_rows(list(fresh.values()), line)))
+    # a ValueError when the rows differ in length
+    matrix = np.array([rows[key] for key in keys])
     matrix.flags.writeable = False
     if fresh:
+        # views of the matrix, which its record keeps, not of the batch
         for i, key in enumerate(keys):
-            if key not in rows:
+            if key in fresh:
                 rows[key] = matrix[i]
     return matrix
 

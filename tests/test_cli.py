@@ -1581,6 +1581,24 @@ class TestCorruptLengthFields:
         assert peak < 1 << 26
 
 
+def assert_model_error(run_cli, command, model, cli_workspace, tmp_path, match):
+    """``command`` on ``model`` exits 2 with one JSON ModelFormatError
+    line whose message holds ``match``."""
+    if command == "augment":
+        argv = ("augment", "--config", cli_workspace.config, "--model", model,
+                "--out", tmp_path / "aug.jsonl")
+    else:
+        argv = ("report", "--model", model,
+                "--out-csv", tmp_path / "r.csv", "--out-svg", tmp_path / "r.svg")
+    code, stdout, err = run_cli(*argv)
+    assert code == 2
+    assert stdout == ""
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ModelFormatError"
+    assert match in error["message"]
+
+
 class TestCorruptPayload:
     """One flipped bit in a model's float32 payload fails the payload CRC:
     augment and report exit 2 with one JSON ModelFormatError line."""
@@ -1593,19 +1611,7 @@ class TestCorruptPayload:
         data[len(data) - payload + round(where * (payload - 1))] ^= 0x10
         model = tmp_path / "model.psda"
         model.write_bytes(bytes(data))
-        if command == "augment":
-            argv = ("augment", "--config", cli_workspace.config, "--model", model,
-                    "--out", tmp_path / "aug.jsonl")
-        else:
-            argv = ("report", "--model", model,
-                    "--out-csv", tmp_path / "r.csv", "--out-svg", tmp_path / "r.svg")
-        code, stdout, err = run_cli(*argv)
-        assert code == 2
-        assert stdout == ""
-        (line,) = err.strip().splitlines()
-        error = json.loads(line)
-        assert error["error"] == "ModelFormatError"
-        assert "CRC" in error["message"]
+        assert_model_error(run_cli, command, model, cli_workspace, tmp_path, "CRC")
 
 
 class TestCorruptManifestChain:
@@ -1624,19 +1630,38 @@ class TestCorruptManifestChain:
         assert data.count(old) == 1
         model = tmp_path / "model.psda"
         model.write_bytes(data.replace(old, f'"{word}":[{t},{g},{(q + 1) % multi}]'.encode()))
-        if command == "augment":
-            argv = ("augment", "--config", cli_workspace.config, "--model", model,
-                    "--out", tmp_path / "aug.jsonl")
-        else:
-            argv = ("report", "--model", model,
-                    "--out-csv", tmp_path / "r.csv", "--out-svg", tmp_path / "r.svg")
-        code, stdout, err = run_cli(*argv)
-        assert code == 2
-        assert stdout == ""
-        (line,) = err.strip().splitlines()
-        error = json.loads(line)
-        assert error["error"] == "ModelFormatError"
-        assert "chain" in error["message"]
+        assert_model_error(run_cli, command, model, cli_workspace, tmp_path, "chain")
+
+
+class TestMalformedManifestFields:
+    """A manifest ``config`` that is not an object of strings, or an array
+    shape with a negative size, which the payload CRC does not cover:
+    augment and report exit 2 with one JSON ModelFormatError line."""
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda m: m.__setitem__("config", ["seed", "1"]), "config"),
+            (lambda m: m.__setitem__("config", {"a": {"b": 1}}), "config"),
+            (lambda m: m["arrays"][0].__setitem__("shape", [-1]), "shape"),
+        ],
+        ids=["config-list", "config-nested", "shape-minus-one"],
+    )
+    @pytest.mark.parametrize("command", ["augment", "report"])
+    def test_exits_2(self, built, cli_workspace, tmp_path, run_cli, command, edit, match):
+        from psda.model_io import MODEL_MAGIC
+
+        data = Path(built.model).read_bytes()
+        start = len(MODEL_MAGIC) + 8
+        (length,) = struct.unpack("<Q", data[len(MODEL_MAGIC) : start])
+        manifest = json.loads(data[start : start + length])
+        edit(manifest)
+        body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        model = tmp_path / "model.psda"
+        model.write_bytes(
+            MODEL_MAGIC + struct.pack("<Q", len(body)) + body + data[start + length :]
+        )
+        assert_model_error(run_cli, command, model, cli_workspace, tmp_path, match)
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

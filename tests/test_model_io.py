@@ -360,3 +360,43 @@ class TestEmbeddingsDigests:
         rewritten(path, lambda m: m.__setitem__("embeddings_sha256", digests))
         with pytest.raises(ModelFormatError, match="embeddings_sha256"):
             load_model(path)
+
+
+class TestManifestFieldsOutsideTheCrc:
+    """The manifest's ``config`` and array shapes are checked on read: the
+    payload CRC covers neither."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [["seed", "1"], "seed=1", 1, None, {"a": {"b": "1"}}, {"seed": 1}],
+        ids=["list", "string", "number", "null", "nested", "number-value"],
+    )
+    def test_config_that_is_not_an_object_of_strings_rejected(self, tmp_path, config):
+        model, _ = tiny_model()
+        path = tmp_path / "m.psda"
+        save_model(path, model, config={"seed": "1"})
+        rewritten(path, lambda m: m.__setitem__("config", config))
+        with pytest.raises(ModelFormatError, match="config"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda s: [-1],
+            lambda s: [-n for n in s],
+            lambda s: s + [2],
+            lambda s: [str(n) for n in s],
+            lambda s: [float(n) for n in s],
+            lambda s: len(s),
+        ],
+        ids=["minus-one", "negated", "wrong-size", "strings", "floats", "not-a-list"],
+    )
+    def test_array_shape_not_giving_its_bytes_rejected(self, tmp_path, shape):
+        model, _ = tiny_model()
+        path = tmp_path / "m.psda"
+        save_model(path, model)
+        entry = read_manifest(path)["arrays"][0]
+        assert len(entry["shape"]) == 2
+        rewritten(path, lambda m: m["arrays"][0].__setitem__("shape", shape(entry["shape"])))
+        with pytest.raises(ModelFormatError, match="shape"):
+            load_model(path)
